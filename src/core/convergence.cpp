@@ -19,13 +19,12 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
 
   ConvergenceResult result;
   const std::int64_t start_time = process.time();
-  // The stop decision is the process's own predicate.  The default
-  // (AveragingProcess::converged) always evaluates the centered two-pass
-  // potential: the incremental accumulators drift by ~1e-16 * magnitude^2
-  // per update, which would mask epsilons near machine precision.  The
-  // exact form is O(n), and with a check interval of ~n/4 steps that
-  // amortises to O(1) per step.  Discrete rules (voter) substitute their
-  // own O(1) predicate via the converged() override.
+  const std::int64_t start_exact = process.exact_checks();
+  // The stop decision is the process's own predicate, asked once before
+  // the first burst and once after each.  The default screens in O(1)
+  // and confirms with the exact O(n) pass (see convergence.h); discrete
+  // rules (voter) substitute their own predicate.
+  std::int64_t checks = 1;
   bool done = process.converged(options.epsilon, options.use_plain_potential);
   while (!done && process.time() - start_time < options.max_steps) {
     // Cooperative cancellation at the burst boundary: one thread_local
@@ -36,6 +35,7 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
     const std::int64_t burst = std::min(
         interval, options.max_steps - (process.time() - start_time));
     process.step_burst(rng, burst);
+    ++checks;
     done = process.converged(options.epsilon, options.use_plain_potential);
   }
   result.steps = process.time() - start_time;
@@ -44,9 +44,12 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
                          ? process.state().phi_plain_exact()
                          : process.state().phi_exact();
   result.final_value = process.state().weighted_average();
-  // Observability: one counter bump per converged run (never per step);
-  // a thread_local check + return when no metrics scope is active.
+  // Observability: one bump per counter per converged run (never per
+  // step or check); a thread_local check + return when no metrics scope
+  // is active.  All three are deterministic work counts.
   metrics::count("engine.steps", result.steps);
+  metrics::count("engine.checks", checks);
+  metrics::count("engine.exact_checks", process.exact_checks() - start_exact);
   if (!result.converged) {
     metrics::count("engine.unconverged_runs", 1);
   }

@@ -1,8 +1,13 @@
 // Runs a process until eps-convergence (phi(xi(t)) <= eps, the criterion
-// of Section 4).  The potential is read from the O(1) running accumulators
-// every `check_interval` steps; a candidate stop is confirmed with the
-// exact centered recomputation, so the reported hitting time is never an
-// artefact of floating-point drift.
+// of Section 4), checking every `check_interval` steps.  Each check is
+// screen-then-exact: OpinionState::phi_certainly_above reads the O(1)
+// running accumulators and subtracts a rigorous bound on their rounding
+// drift; when that proves phi > eps the check is settled, and only
+// otherwise does the O(n) centered two-pass recomputation decide.  The
+// screen never declares convergence, so every stop -- and the reported
+// hitting time -- is the exact pass's, never an artefact of drift.
+// Checks and exact passes are reported as engine.checks and
+// engine.exact_checks.
 #ifndef OPINDYN_CORE_CONVERGENCE_H
 #define OPINDYN_CORE_CONVERGENCE_H
 

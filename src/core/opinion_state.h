@@ -12,7 +12,9 @@
 // rebuilt from scratch every `recompute_interval` updates, and
 // `phi_exact()` evaluates the potential in centered two-pass form, which
 // does not suffer the catastrophic cancellation of the S2 - S1^2 formula
-// near convergence.  Extremum tracking (for K) is opt-in and lazy: an
+// near convergence.  `phi_certainly_above()` bridges the two: it bounds
+// the drift rigorously, so an O(1) read can rule out convergence without
+// the O(n) pass.  Extremum tracking (for K) is opt-in and lazy: an
 // update that displaces the cached min/max merely invalidates them, and
 // the next read rescans once.  Displacing an extremum needs the updated
 // node to *hold* it (probability ~1/n per step), so tracking costs O(1)
@@ -21,6 +23,8 @@
 #ifndef OPINDYN_CORE_OPINION_STATE_H
 #define OPINDYN_CORE_OPINION_STATE_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -89,6 +93,7 @@ class OpinionState {
       }
     }
     values_[idx] = x;
+    value_bound_ = std::max(value_bound_, std::abs(x));
     if (++updates_since_recompute_ >= recompute_interval_) {
       recompute();
     }
@@ -107,6 +112,18 @@ class OpinionState {
   double phi_plain() const noexcept;
   /// phi_V in centered two-pass form.
   double phi_plain_exact() const;
+  /// O(1) screen: true only if phi_exact() (phi_plain_exact() when
+  /// `plain`) is proven to exceed eps, from the running sums minus a
+  /// rigorous bound on their rounding drift (proof in the .cpp).  False
+  /// means "undecided", never "converged".  Reads only.
+  bool phi_certainly_above(double eps, bool plain) const noexcept;
+  /// Bound V on max_u |xi_u| used by the screen: the exact maximum at
+  /// the last recompute(), widened by every set_value since.  The burst
+  /// kernels write around set_value; every rule they run forms each new
+  /// value as a convex combination or a copy of current values, so their
+  /// writes stay within V up to rounding, which kValueBoundSlack covers.
+  double value_bound() const noexcept { return value_bound_; }
+  static constexpr double kValueBoundSlack = 0.5;
   /// sum_u xi_u(t)^2.
   double l2_squared() const noexcept { return sum_sq_; }
   /// Discrepancy K(t) = max - min.  O(1) amortized when extremum
@@ -247,6 +264,8 @@ class OpinionState {
   double sum_sq_ = 0.0;    // sum xi^2
   double wsum_ = 0.0;      // sum pi_u xi_u  (= M(t))
   double wsum_sq_ = 0.0;   // sum pi_u xi_u^2
+  double value_bound_ = 0.0;     // V, see value_bound()
+  double max_stationary_ = 0.0;  // max_u pi_u
 
   std::int64_t updates_since_recompute_ = 0;
   static constexpr std::int64_t recompute_interval_ = 1 << 20;

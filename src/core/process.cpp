@@ -29,6 +29,14 @@ void AveragingProcess::apply(const NodeSelection& selection) {
 
 bool AveragingProcess::converged(double epsilon,
                                  bool use_plain_potential) const {
+  // The O(1) screen settles every check it can prove is above eps; only
+  // the rest pay the O(n) exact pass.  The screen never says "below",
+  // so the decision -- and with it every output byte -- is the exact
+  // pass's.
+  if (state_.phi_certainly_above(epsilon, use_plain_potential)) {
+    return false;
+  }
+  ++exact_checks_;
   const double phi =
       use_plain_potential ? state_.phi_plain_exact() : state_.phi_exact();
   return phi <= epsilon;

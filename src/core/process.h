@@ -43,11 +43,18 @@ class AveragingProcess {
 
   /// Whether the process has reached its stopping condition at the
   /// current state.  The default is the paper's potential criterion
-  /// phi(xi(t)) <= eps, evaluated with the exact centered recomputation
-  /// (pi-weighted, or plain phi_V when `use_plain_potential` is set).
-  /// Discrete-opinion rules override this with their own predicate
-  /// (the voter model stops at distinct-opinion count 1).
+  /// phi(xi(t)) <= eps, decided by the exact centered recomputation
+  /// (pi-weighted, or plain phi_V when `use_plain_potential` is set);
+  /// an O(1) certified screen (OpinionState::phi_certainly_above) skips
+  /// that O(n) pass whenever it proves phi > eps.  Discrete-opinion
+  /// rules override this with their own predicate (the voter model
+  /// stops at distinct-opinion count 1).
   virtual bool converged(double epsilon, bool use_plain_potential) const;
+
+  /// How many O(n) exact potential passes converged() has run so far;
+  /// run_until_converged reports its per-run delta as
+  /// engine.exact_checks.
+  std::int64_t exact_checks() const noexcept { return exact_checks_; }
 
   /// Number of steps taken so far (t).
   std::int64_t time() const noexcept { return time_; }
@@ -77,6 +84,8 @@ class AveragingProcess {
   OpinionState state_;
   double alpha_;
   std::int64_t time_ = 0;
+  // A work counter, not state: converged() stays a logical const read.
+  mutable std::int64_t exact_checks_ = 0;
 };
 
 }  // namespace opindyn

@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "src/engine/experiment_spec.h"
-#include "src/engine/shard.h"
 #include "src/graph/graph.h"
 #include "src/spectral/spectrum_cache.h"
+#include "src/support/cell_scheduler.h"
 #include "src/support/metrics.h"
 
 namespace opindyn {

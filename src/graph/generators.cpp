@@ -8,7 +8,6 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/builder.h"
 #include "src/support/assert.h"
-#include "src/support/sampling.h"
 
 namespace opindyn {
 namespace gen {
@@ -240,28 +239,71 @@ Graph random_regular(Rng& rng, NodeId n, NodeId d) {
   OPINDYN_EXPECTS((static_cast<std::int64_t>(n) * d) % 2 == 0,
                   "n*d must be even for a d-regular graph");
   // Pairing (configuration) model: create d half-edges ("stubs") per node,
-  // pair them via a uniform perfect matching, reject on self-loops,
-  // multi-edges, or disconnectedness.  For fixed d the acceptance
-  // probability is bounded below by a constant, so this terminates fast.
+  // pair them via a uniform perfect matching (stubs perm[2k], perm[2k+1]
+  // of a uniform permutation), reject on self-loops, multi-edges, or
+  // disconnectedness.  For fixed d the acceptance probability is bounded
+  // below by a constant, so this terminates fast.
+  //
+  // Most attempts are rejected, so an attempt allocates nothing: the
+  // permutation is shuffled in place with random_permutation's exact
+  // draw sequence, and simplicity is tested on flat per-node partner
+  // slots (d each -- a node has exactly d stubs).  Fisher-Yates
+  // finalises perm[i] at step i, so pair k is final after step 2k (pair
+  // 0 after step 1) and is tested right then.  On the first bad pair the
+  // remaining swaps are skipped but their draws are still made.  Whether
+  // the pair set is simple does not depend on the order it is tested in,
+  // so the accept/reject sequence, the rng stream and the edge order are
+  // those of shuffling first and testing pairs 0, 1, ... after.
   const std::int64_t stubs = static_cast<std::int64_t>(n) * d;
+  std::vector<std::int32_t> perm(static_cast<std::size_t>(stubs));
+  std::vector<NodeId> partners(static_cast<std::size_t>(stubs));
+  std::vector<NodeId> partner_count(static_cast<std::size_t>(n));
+  const auto pair_is_new = [&](std::int64_t first) {
+    const NodeId u = perm[static_cast<std::size_t>(first)] / d;
+    const NodeId v = perm[static_cast<std::size_t>(first + 1)] / d;
+    if (u == v) {
+      return false;
+    }
+    NodeId& u_count = partner_count[static_cast<std::size_t>(u)];
+    NodeId& v_count = partner_count[static_cast<std::size_t>(v)];
+    const auto u_base = partners.begin() + static_cast<std::int64_t>(u) * d;
+    const auto v_base = partners.begin() + static_cast<std::int64_t>(v) * d;
+    if (std::find(u_base, u_base + u_count, v) != u_base + u_count) {
+      return false;
+    }
+    u_base[u_count++] = v;
+    v_base[v_count++] = u;
+    return true;
+  };
   for (int attempt = 0; attempt < 10000; ++attempt) {
-    const std::vector<std::int32_t> perm = random_permutation(rng, stubs);
-    GraphBuilder builder(n);
-    builder.reserve(stubs / 2);
+    std::iota(perm.begin(), perm.end(), 0);
+    std::fill(partner_count.begin(), partner_count.end(), 0);
     bool simple = true;
-    for (std::int64_t i = 0; i < stubs && simple; i += 2) {
-      const NodeId u = static_cast<NodeId>(
-          perm[static_cast<std::size_t>(i)] / d);
-      const NodeId v = static_cast<NodeId>(
-          perm[static_cast<std::size_t>(i + 1)] / d);
-      if (u == v || builder.has_edge(u, v)) {
+    std::int64_t i = stubs - 1;
+    for (; i > 0; --i) {
+      const auto j = static_cast<std::int64_t>(
+          rng.next_below(static_cast<std::uint64_t>(i) + 1));
+      std::swap(perm[static_cast<std::size_t>(i)],
+                perm[static_cast<std::size_t>(j)]);
+      if (i % 2 == 0 && !pair_is_new(i)) {
         simple = false;
         break;
       }
-      builder.add_edge(u, v);
     }
     if (!simple) {
+      for (--i; i > 0; --i) {
+        (void)rng.next_below(static_cast<std::uint64_t>(i) + 1);
+      }
       continue;
+    }
+    if (!pair_is_new(0)) {
+      continue;
+    }
+    GraphBuilder builder(n);
+    builder.reserve(stubs / 2);
+    for (std::int64_t k = 0; k < stubs; k += 2) {
+      builder.add_edge_unchecked(perm[static_cast<std::size_t>(k)] / d,
+                                 perm[static_cast<std::size_t>(k + 1)] / d);
     }
     Graph graph = builder.build("random_regular(" + std::to_string(n) + "," +
                                 std::to_string(d) + ")");

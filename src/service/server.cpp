@@ -33,6 +33,7 @@
 #include "src/graph/graph_cache.h"
 #include "src/service/cancel_token.h"
 #include "src/service/job_queue.h"
+#include "src/service/line_source.h"
 #include "src/spectral/spectrum_cache.h"
 #include "src/support/cell_scheduler.h"
 #include "src/support/cli.h"
@@ -111,87 +112,6 @@ std::map<std::string, std::string> parse_job_line(
   }
   return kv;
 }
-
-/// Blocking line source for serve_stream (tests, pipes).
-class StreamLineSource {
- public:
-  explicit StreamLineSource(std::istream& in) : in_(in) {}
-
-  enum class Status { line, eof, tick };
-
-  Status next(std::string* line) {
-    if (std::getline(in_, *line)) {
-      return Status::line;
-    }
-    return Status::eof;
-  }
-
- private:
-  std::istream& in_;
-};
-
-/// poll()-driven line source over a file descriptor: returns `tick`
-/// every ~100 ms of idleness so the session loop can notice a signal
-/// between lines instead of blocking in read().
-class FdLineSource {
- public:
-  explicit FdLineSource(int fd) : fd_(fd) {}
-
-  using Status = StreamLineSource::Status;
-
-  Status next(std::string* line) {
-    for (;;) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        line->assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
-        return Status::line;
-      }
-      if (saw_eof_) {
-        if (!buffer_.empty()) {
-          // Final unterminated line.
-          line->assign(buffer_);
-          buffer_.clear();
-          return Status::line;
-        }
-        return Status::eof;
-      }
-      pollfd poller{};
-      poller.fd = fd_;
-      poller.events = POLLIN;
-      const int ready = ::poll(&poller, 1, 100);
-      if (ready == 0) {
-        return Status::tick;
-      }
-      if (ready < 0) {
-        if (errno == EINTR) {
-          return Status::tick;
-        }
-        throw std::runtime_error(std::string("poll(): ") +
-                                 std::strerror(errno));
-      }
-      char chunk[4096];
-      const ssize_t got = ::read(fd_, chunk, sizeof chunk);
-      if (got < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        throw std::runtime_error(std::string("read(): ") +
-                                 std::strerror(errno));
-      }
-      if (got == 0) {
-        saw_eof_ = true;
-        continue;
-      }
-      buffer_.append(chunk, static_cast<std::size_t>(got));
-    }
-  }
-
- private:
-  int fd_;
-  std::string buffer_;
-  bool saw_eof_ = false;
-};
 
 /// Writes the whole buffer; `is_socket` uses send(MSG_NOSIGNAL) so a
 /// vanished client surfaces as EPIPE even without the CLI's SIGPIPE
@@ -676,10 +596,10 @@ struct JobStreamService::Impl {
         return;
       }
       const auto status = source.next(&line);
-      if (status == StreamLineSource::Status::tick) {
+      if (status == LineStatus::tick) {
         continue;
       }
-      if (status == StreamLineSource::Status::eof) {
+      if (status == LineStatus::eof) {
         return;
       }
       admit_line(line);

@@ -13,8 +13,8 @@
 #include "src/core/initial_values.h"
 #include "src/core/model.h"
 #include "src/engine/runner.h"
-#include "src/engine/shard.h"
 #include "src/graph/generators.h"
+#include "src/support/cell_scheduler.h"
 
 namespace opindyn {
 namespace engine {

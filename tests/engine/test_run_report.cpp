@@ -70,6 +70,42 @@ TEST(RunReport, DeterministicSectionsAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(results[0], results[2]);
 }
 
+TEST(RunReport, ConvergenceWorkCountersAreDeterministicAndScreened) {
+  ExperimentSpec spec;
+  spec.scenario = "cross_model";
+  spec.graph.family = "random_regular";
+  spec.graph.n = 256;
+  spec.graph.degree = 4;
+  spec.initial.distribution = "gaussian";
+  spec.replicas = 6;
+  spec.seed = 5;
+  spec.convergence.epsilon = 1e-8;
+  spec.sweeps = parse_sweeps("model:node,edge");
+  spec.print_table = false;
+  std::string counters[3];
+  const std::size_t thread_counts[3] = {1, 4, 8};
+  for (int i = 0; i < 3; ++i) {
+    spec.threads = thread_counts[i];
+    MetricsRegistry registry;
+    const BatchResult result = run_experiment(spec, {}, {}, &registry);
+    RunReportOptions options;
+    options.include_timings = false;
+    const json::Value report =
+        build_run_report(spec, result, registry.fold(), options);
+    const json::Value* block = report.find("counters");
+    counters[i] = block->dump();
+    const std::int64_t checks = block->find("engine.checks")->as_int();
+    const std::int64_t exact = block->find("engine.exact_checks")->as_int();
+    // One check before the first burst and one per n/4-step burst; the
+    // screen settles all but the few near eps.
+    EXPECT_GE(checks, block->find("engine.steps")->as_int() / 64);
+    EXPECT_GT(exact, 0);
+    EXPECT_LT(exact * 10, checks) << exact << " exact of " << checks;
+  }
+  EXPECT_EQ(counters[0], counters[1]);
+  EXPECT_EQ(counters[0], counters[2]);
+}
+
 TEST(RunReport, MetricsCollectionLeavesCsvBytesUnchanged) {
   ExperimentSpec spec = small_sweep_spec();
   spec.threads = 4;

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "src/graph/algorithms.h"
+#include "src/graph/builder.h"
 #include "src/support/assert.h"
+#include "src/support/sampling.h"
 
 namespace opindyn {
 namespace {
@@ -141,6 +148,73 @@ TEST(Generators, RandomRegularIsSimpleConnectedRegular) {
     EXPECT_TRUE(g.is_regular()) << "n=" << n << " d=" << d;
     EXPECT_EQ(g.min_degree(), d);
     EXPECT_TRUE(is_connected(g));
+  }
+}
+
+// The pairing-model loop as it was before random_regular stopped
+// allocating per attempt: shuffle a fresh permutation, then test pairs
+// 0, 1, ... through GraphBuilder's hash-set membership index.  Kept as
+// the oracle the in-place version must reproduce draw for draw.
+Graph random_regular_hash_set_oracle(Rng& rng, NodeId n, NodeId d) {
+  const std::int64_t stubs = static_cast<std::int64_t>(n) * d;
+  for (int attempt = 0; attempt < 10000; ++attempt) {
+    const std::vector<std::int32_t> perm = random_permutation(rng, stubs);
+    GraphBuilder builder(n);
+    builder.reserve(stubs / 2);
+    bool simple = true;
+    for (std::int64_t i = 0; i < stubs; i += 2) {
+      const NodeId u = perm[static_cast<std::size_t>(i)] / d;
+      const NodeId v = perm[static_cast<std::size_t>(i + 1)] / d;
+      if (u == v || builder.has_edge(u, v)) {
+        simple = false;
+        break;
+      }
+      builder.add_edge(u, v);
+    }
+    if (!simple) {
+      continue;
+    }
+    Graph graph = builder.build("random_regular(" + std::to_string(n) + "," +
+                                std::to_string(d) + ")");
+    if (is_connected(graph)) {
+      return graph;
+    }
+  }
+  throw std::runtime_error("oracle: no simple connected graph");
+}
+
+TEST(Generators, RandomRegularMatchesHashSetOracleAndRngStream) {
+  // d = 7 accepts a pairing with probability ~e^-12, so at n = 100 most
+  // seeds exhaust all 10000 attempts: both versions must then throw
+  // after the same draws.
+  for (const auto& [n, d] : {std::pair<NodeId, NodeId>{16, 3},
+                             {128, 4},
+                             {1024, 4},
+                             {16384, 4},
+                             {100, 7}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                   " seed=" + std::to_string(seed));
+      Rng rng(seed);
+      Rng oracle_rng(seed);
+      std::optional<Graph> g;
+      std::optional<Graph> expected;
+      try {
+        g.emplace(gen::random_regular(rng, n, d));
+      } catch (const std::runtime_error&) {
+      }
+      try {
+        expected.emplace(random_regular_hash_set_oracle(oracle_rng, n, d));
+      } catch (const std::runtime_error&) {
+      }
+      ASSERT_EQ(g.has_value(), expected.has_value());
+      if (g) {
+        EXPECT_EQ(g->name(), expected->name());
+        ASSERT_EQ(g->undirected_edges(), expected->undirected_edges());
+      }
+      // Same draws consumed, rejected attempts included.
+      EXPECT_EQ(rng(), oracle_rng());
+    }
   }
 }
 
