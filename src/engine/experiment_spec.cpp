@@ -271,6 +271,11 @@ std::vector<double> build_initial(const InitialSpec& spec,
   return xi;
 }
 
+SpectrumNeeds initial_reads_spectra(const InitialSpec& spec) {
+  return {spec.distribution == "f2_walk",
+          spec.distribution == "f2_laplacian"};
+}
+
 std::string graph_cache_key(const GraphSpec& spec) {
   // Every field that build_graph reads for some family is part of the
   // key; irrelevant fields for the requested family cost at most a

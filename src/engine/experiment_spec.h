@@ -78,6 +78,11 @@ std::vector<double> build_initial(const InitialSpec& spec,
                                   const Graph& graph,
                                   const GraphSpectra* spectra = nullptr);
 
+/// The spectra build_initial reads for `spec`: the walk spectrum for
+/// f2_walk, the Laplacian spectrum for f2_laplacian, none otherwise.
+/// The runner solves them in its prefetch pass, before drawing the state.
+SpectrumNeeds initial_reads_spectra(const InitialSpec& spec);
+
 /// One sweep axis: the spec key to override and the values to try.
 struct SweepAxis {
   std::string key;

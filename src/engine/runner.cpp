@@ -32,6 +32,16 @@ struct Cell {
   CellFold fold;
 };
 
+/// One distinct graph of the grid.  The spectra record is pinned here
+/// for the whole batch, so an LRU eviction between the prefetch pass and
+/// the cells cannot throw away a finished eigensolve.
+struct GraphPrefetch {
+  const ExperimentSpec* item = nullptr;  // the first cell on the graph
+  SpectrumNeeds initial;                 // union over the graph's cells
+  std::shared_ptr<GraphSpectra> spectra;
+  SpectrumNeeds solved_before;  // what the record held when fetched
+};
+
 /// Scenario lookup (throws with near-match suggestions for unknown
 /// names).  Shared by run_experiment and the default-sink wrapper, so
 /// the wrapper can validate BEFORE it opens -- and truncates -- any
@@ -197,13 +207,17 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   const std::int64_t base_eigensolves = spectrum_cache.eigensolves();
   const std::int64_t base_spectrum_hits = spectrum_cache.spectrum_hits();
   const std::int64_t base_spectrum_evictions = spectrum_cache.evictions();
+  // Keyed by graph_cache_key; filled by the prefetch pass.
+  std::map<std::string, GraphPrefetch> distinct;
+  // The units solving the scenario's declared spectra, one per graph.
+  std::vector<std::shared_ptr<ReplicaBatch>> declared_solves;
 
-  // Runs every still-pending fold to completion, discarding rows and
-  // errors: on any unwind (cancellation, a failing cell) the in-flight
-  // units of OTHER cells must finish before the cells they reference
-  // are destroyed -- with a shared scheduler there is no pool
-  // destructor between them and the frame's death.
-  const auto drain_cells = [&cells] {
+  // Runs every still-pending fold and declared solve to completion,
+  // discarding rows and errors: on any unwind (cancellation, a failing
+  // cell) the in-flight units of OTHER cells must finish before the
+  // cells they reference are destroyed -- with a shared scheduler there
+  // is no pool destructor between them and the frame's death.
+  const auto drain_cells = [&cells, &declared_solves] {
     for (const auto& cell : cells) {
       if (cell->fold) {
         try {
@@ -211,6 +225,12 @@ BatchResult run_experiment(const ExperimentSpec& spec,
         } catch (...) {
         }
         cell->fold = nullptr;
+      }
+    }
+    for (const auto& batch : declared_solves) {
+      try {
+        batch->wait();
+      } catch (...) {
       }
     }
   };
@@ -245,32 +265,40 @@ BatchResult run_experiment(const ExperimentSpec& spec,
     {
       const PhaseTimer phase(metrics, "prefetch");
       scheduler.set_submit_label("prefetch");
-      std::map<std::string, const ExperimentSpec*> distinct;
       for (const auto& cell : cells) {
-        distinct.emplace(graph_cache_key(cell->item.graph), &cell->item);
+        GraphPrefetch& entry =
+            distinct.try_emplace(graph_cache_key(cell->item.graph))
+                .first->second;
+        if (entry.item == nullptr) {
+          entry.item = &cell->item;
+        }
+        entry.initial =
+            entry.initial | initial_reads_spectra(cell->item.initial);
       }
       std::vector<std::shared_ptr<ReplicaBatch>> prefetch;
       prefetch.reserve(distinct.size());
-      for (const auto& [cache_key, item] : distinct) {
+      for (auto& [cache_key, entry] : distinct) {
         prefetch.push_back(scheduler.submit(
             1, 0, 1,
-            [&graph_cache, &spectrum_cache, metrics, cache_key = cache_key,
-             item = item](std::int64_t, Rng&, std::span<double>,
-                          RowEmitter&) {
+            [&graph_cache, &spectrum_cache, metrics, &cache_key = cache_key,
+             &entry = entry](std::int64_t, Rng&, std::span<double>,
+                             RowEmitter&) {
               // The builder lambdas only run on a cache miss (under the
               // per-key latch), so the spans below time actual builds.
               const auto graph =
-                  graph_cache.get(cache_key, [item, metrics, &cache_key] {
+                  graph_cache.get(cache_key, [&entry, metrics, &cache_key] {
                     const ScopedSpan span(metrics, cache_key, "graph_build");
-                    return build_graph(item->graph);
+                    return build_graph(entry.item->graph);
                   });
-              const auto spectra = spectrum_cache.get(cache_key, graph);
-              if (item->initial.distribution == "f2_walk") {
+              entry.spectra = spectrum_cache.get(cache_key, graph);
+              entry.solved_before = entry.spectra->solved();
+              if (entry.initial.walk) {
                 const ScopedSpan span(metrics, cache_key, "eigensolve");
-                spectra->walk();
-              } else if (item->initial.distribution == "f2_laplacian") {
+                entry.spectra->walk();
+              }
+              if (entry.initial.laplacian) {
                 const ScopedSpan span(metrics, cache_key, "eigensolve");
-                spectra->laplacian();
+                entry.spectra->laplacian();
               }
             }));
       }
@@ -287,10 +315,47 @@ BatchResult run_experiment(const ExperimentSpec& spec,
           }
         }
       }
-      scheduler.set_submit_label("");
       if (prefetch_error) {
+        scheduler.set_submit_label("");
         std::rethrow_exception(prefetch_error);
       }
+
+      // Queue one unit per graph solving the spectra the scenario
+      // declares, ahead of every cell's units.  The pool runs units in
+      // FIFO order, so distinct graphs' eigensolves start at the same
+      // time on different workers while the replicas fill the rest, and
+      // the scenario's prediction units find the memo (or the solve in
+      // flight) instead of solving one graph after the other.
+      const SpectrumNeeds declared = scenario.reads_spectra();
+      for (const auto& [cache_key, entry] : distinct) {
+        const SpectrumNeeds left{declared.walk && !entry.initial.walk,
+                                 declared.laplacian &&
+                                     !entry.initial.laplacian};
+        if (!left.any()) {
+          continue;
+        }
+        declared_solves.push_back(scheduler.submit(
+            1, 0, 1,
+            [spectra = entry.spectra, left, metrics,
+             cache_key = cache_key](std::int64_t, Rng&, std::span<double>,
+                                    RowEmitter&) {
+              const ScopedSpan span(metrics, cache_key, "eigensolve");
+              try {
+                if (left.walk) {
+                  spectra->walk();
+                }
+                if (left.laplacian) {
+                  spectra->laplacian();
+                }
+              } catch (const ContractError&) {
+                // A graph the solver rejects (an isolated node, say) is
+                // left unsolved: the scenario validates the cell first
+                // and reports its own error, or its unit's read reports
+                // the solver's.
+              }
+            }));
+      }
+      scheduler.set_submit_label("");
     }
 
     {
@@ -301,11 +366,10 @@ BatchResult run_experiment(const ExperimentSpec& spec,
         const std::string cache_key = graph_cache_key(cell.item.graph);
         cell.graph = graph_cache.get(
             cache_key, [&cell] { return build_graph(cell.item.graph); });
-        // The spectra record is shared per graph key; it solves lazily, so
-        // cells that never touch it (most scenarios) cost nothing, and the
-        // f2_* initials below reuse the same record the scenario's
-        // prediction batches will hit.
-        cell.spectra = spectrum_cache.get(cache_key, cell.graph);
+        // The spectra record is shared per graph key and pinned by the
+        // prefetch pass, which solved what the f2_* initials below read;
+        // the scenario's units hit the memo its declared solves fill.
+        cell.spectra = distinct.at(cache_key).spectra;
         cell.initial = build_initial(cell.item.initial, *cell.graph,
                                      cell.spectra.get());
         const RunInput input{cell.item,     *cell.graph, cell.initial,
@@ -379,6 +443,9 @@ BatchResult run_experiment(const ExperimentSpec& spec,
       }
       result.work_items += 1;
     }
+    for (const auto& batch : declared_solves) {
+      batch->wait();
+    }
   } catch (const CancelledError& error) {
     // Cooperative cancellation is an outcome, not a failure: remember
     // the reason, let the drain below retire the remaining cells, and
@@ -409,6 +476,20 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   result.graph_cache_resident_bytes = graph_cache.resident_bytes();
   result.spectra_solved = spectrum_cache.eigensolves() - base_eigensolves;
   result.spectra_hits = spectrum_cache.spectrum_hits() - base_spectrum_hits;
+  // A late solve is one of a spectrum neither the scenario nor the
+  // cells' initial distribution declared: it ran behind whichever unit
+  // read it first instead of up front.
+  for (const auto& [cache_key, entry] : distinct) {
+    if (entry.spectra == nullptr) {
+      continue;  // interrupted before the prefetch fetched it
+    }
+    const SpectrumNeeds declared = scenario.reads_spectra() | entry.initial;
+    const SpectrumNeeds solved = entry.spectra->solved();
+    result.spectra_late_solves +=
+        (solved.walk && !entry.solved_before.walk && !declared.walk) +
+        (solved.laplacian && !entry.solved_before.laplacian &&
+         !declared.laplacian);
+  }
   result.spectrum_record_hits = spectrum_cache.hits() - base_record_hits;
   result.spectrum_record_misses = spectrum_cache.misses() - base_record_misses;
   result.spectrum_cache_evictions =
@@ -432,6 +513,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
     buffer.count("graph_cache.evictions", result.graph_cache_evictions);
     buffer.count("spectrum_cache.eigensolves", result.spectra_solved);
     buffer.count("spectrum_cache.hits", result.spectra_hits);
+    buffer.count("spectrum_cache.late_solves", result.spectra_late_solves);
     buffer.count("spectrum_cache.evictions",
                  result.spectrum_cache_evictions);
     metrics->set_gauge("scheduler.max_inflight_units",

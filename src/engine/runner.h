@@ -74,6 +74,12 @@ struct BatchResult {
   std::int64_t spectra_solved = 0;
   /// Spectrum requests served from the memoised records.
   std::int64_t spectra_hits = 0;
+  /// Eigensolves (part of spectra_solved) of spectra that neither the
+  /// scenario (Scenario::reads_spectra) nor the cells' initial
+  /// distribution declared, so they ran behind the unit that read them
+  /// first.  0 for every built-in scenario; deterministic, like the
+  /// other cache counters.
+  std::int64_t spectra_late_solves = 0;
   /// Spectra-record lookups that found / had to create a record.
   std::int64_t spectrum_record_hits = 0;
   std::int64_t spectrum_record_misses = 0;

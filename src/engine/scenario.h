@@ -43,7 +43,8 @@ struct RunInput {
   /// sweep that resolves to the same graph (see SpectrumCache): call
   /// spectra.walk() / spectra.laplacian() instead of running
   /// lazy_walk_spectrum / laplacian_spectrum directly, and the whole
-  /// batch performs one eigensolve per distinct graph and kind.
+  /// batch performs one eigensolve per distinct graph and kind.  Declare
+  /// what you read in Scenario::reads_spectra so it is solved up front.
   const GraphSpectra& spectra;
   CellScheduler& scheduler;
   /// True iff a consumer wants the per-replica row channel; streaming
@@ -86,6 +87,14 @@ class Scenario {
   /// Streamed per-replica row columns; empty (the default) declares that
   /// this scenario does not stream rows.
   virtual std::vector<std::string> row_columns() const { return {}; }
+  /// The spectra of the cell's graph that start()'s units read through
+  /// RunInput::spectra; none by default.  The runner queues one unit per
+  /// distinct graph that solves them ahead of every cell's units, so
+  /// distinct graphs solve concurrently and the units hit the memo.  A
+  /// spectrum read without being declared still works, but solves late,
+  /// serialised behind the first unit that asks, and shows up in
+  /// BatchResult::spectra_late_solves.
+  virtual SpectrumNeeds reads_spectra() const { return {}; }
 
   /// Phase 1: submit the cell's replica batches (non-blocking) and
   /// return the fold that formats its rows.

@@ -188,8 +188,10 @@ class NodeVsEdgeScenario final : public Scenario {
 OPINDYN_REGISTER_SCENARIO(NodeVsEdgeScenario)
 
 /// Submits the spectral Prop. B.1 prediction of a NodeModel cell as a
-/// one-replica batch, so the O(n^3) eigensolve runs on the pool
-/// alongside the replicas instead of serialising the cells.
+/// one-replica batch.  The walk spectrum it reads is declared
+/// (reads_spectra), so the runner's solve unit, queued ahead of the
+/// cells, computes it on the pool alongside the replicas; this unit
+/// reads the memo or waits on the solve in flight.
 /// Metrics: [0] = 1 - lambda2(P), [1] = predicted T, [2] = theorem scale.
 std::shared_ptr<ReplicaBatch> submit_node_prediction(
     const RunInput& in, const ModelConfig& config) {
@@ -225,6 +227,9 @@ class KAblationScenario final : public Scenario {
   std::vector<std::string> columns() const override {
     return {"T_eps", "+-CI(T)", "T predicted (B.1)", "measured/predicted"};
   }
+  SpectrumNeeds reads_spectra() const override {
+    return {.walk = true};
+  }
   CellFold start(const RunInput& in) const override {
     const ModelConfig config =
         config_for_kind(in.spec.model, ModelKind::node);
@@ -257,6 +262,9 @@ class Thm22ConvergenceScenario final : public Scenario {
   std::vector<std::string> columns() const override {
     return {"1-l2(P)", "T measured", "+-CI(T)", "T predicted (B.1)",
             "theorem scale", "meas/pred"};
+  }
+  SpectrumNeeds reads_spectra() const override {
+    return {.walk = true};
   }
   CellFold start(const RunInput& in) const override {
     const ModelConfig config =

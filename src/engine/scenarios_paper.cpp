@@ -438,6 +438,9 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
   std::vector<std::string> row_columns() const override {
     return {"replica", "T_eps"};
   }
+  SpectrumNeeds reads_spectra() const override {
+    return {.laplacian = true};
+  }
   CellFold start(const RunInput& in) const override {
     ModelConfig config = in.spec.model;
     config.kind = ModelKind::edge;
@@ -633,6 +636,9 @@ class PropB1DropScenario final : public Scenario {
     return {"state", "phi", "E[phi'] exact", "bound (1-rho) phi", "slack",
             "holds"};
   }
+  SpectrumNeeds reads_spectra() const override {
+    return {.walk = true};
+  }
   CellFold start(const RunInput& in) const override {
     const ModelConfig config = in.spec.model;
     auto batch = in.scheduler.submit(
@@ -717,6 +723,9 @@ class PropB2NodeScenario final : public Scenario {
   std::vector<std::string> row_columns() const override {
     return {"replica", "T_eps"};
   }
+  SpectrumNeeds reads_spectra() const override {
+    return {.walk = true};
+  }
   CellFold start(const RunInput& in) const override {
     ModelConfig config = in.spec.model;
     config.kind = ModelKind::node;
@@ -775,6 +784,9 @@ class PropB2EdgeScenario final : public Scenario {
   }
   std::vector<std::string> row_columns() const override {
     return {"replica", "T_eps"};
+  }
+  SpectrumNeeds reads_spectra() const override {
+    return {.laplacian = true};
   }
   CellFold start(const RunInput& in) const override {
     ModelConfig config = in.spec.model;

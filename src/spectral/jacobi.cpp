@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "src/service/cancel_token.h"
 #include "src/support/assert.h"
 
 namespace opindyn {
@@ -14,31 +15,56 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
   OPINDYN_EXPECTS(symmetric.symmetry_defect() <= 1e-9,
                   "eigen solver needs a symmetric matrix");
   const std::size_t n = symmetric.rows();
-  Matrix a = symmetric;
-  Matrix v = Matrix::identity(n);
+
+  // a[c * n + r] = A(r, c): the working copy is A transposed, so the
+  // columns p and q a rotation reads are the contiguous rows p and q of
+  // `a`.  Rotations write rows and columns p, q symmetrically, so this
+  // differs from a plain copy only in which triangle is read first when
+  // the input is symmetric merely within the 1e-9 tolerance -- and there
+  // it reads exactly the elements the column-wise formulation reads.
+  std::vector<double> a(n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* source = symmetric.row(r);
+    for (std::size_t c = 0; c < n; ++c) {
+      a[c * n + r] = source[c];
+    }
+  }
+  // vt = V^T: row k is eigenvector column k, so the rotation's two
+  // eigenvector columns are contiguous too.
+  std::vector<double> vt(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    vt[i * n + i] = 1.0;
+  }
 
   auto off_diagonal_norm = [&]() {
     double sum = 0.0;
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        sum += a.at(p, q) * a.at(p, q);
+        const double apq = a[q * n + p];
+        sum += apq * apq;
       }
     }
     return std::sqrt(sum);
   };
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    // One poll per sweep: a cancelled job stops within one O(n^3) sweep.
+    cancel::poll();
     if (off_diagonal_norm() <= tolerance) {
       break;
     }
     for (std::size_t p = 0; p < n; ++p) {
+      double* const row_p = a.data() + p * n;
+      double* const v_p = vt.data() + p * n;
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a.at(p, q);
+        double* const row_q = a.data() + q * n;
+        double* const v_q = vt.data() + q * n;
+        const double apq = row_q[p];
         if (std::abs(apq) <= tolerance * 1e-3) {
           continue;
         }
-        const double app = a.at(p, p);
-        const double aqq = a.at(q, q);
+        const double app = row_p[p];
+        const double aqq = row_q[q];
         const double theta = (aqq - app) / (2.0 * apq);
         // Rutishauser's stable rotation parameters.
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
@@ -48,23 +74,33 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
         const double s = t * c;
         const double tau = s / (1.0 + c);
 
-        a.at(p, p) = app - t * apq;
-        a.at(q, q) = aqq + t * apq;
-        a.at(p, q) = 0.0;
-        a.at(q, p) = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i != p && i != q) {
-            const double aip = a.at(i, p);
-            const double aiq = a.at(i, q);
-            a.at(i, p) = aip - s * (aiq + tau * aip);
-            a.at(p, i) = a.at(i, p);
-            a.at(i, q) = aiq + s * (aip - tau * aiq);
-            a.at(q, i) = a.at(i, q);
+        row_p[p] = app - t * apq;
+        row_q[q] = aqq + t * apq;
+        row_q[p] = 0.0;
+        row_p[q] = 0.0;
+        // Rows p and q for every i != p, q, in three branch-free runs.
+        const auto rotate = [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const double aip = row_p[i];
+            const double aiq = row_q[i];
+            row_p[i] = aip - s * (aiq + tau * aip);
+            row_q[i] = aiq + s * (aip - tau * aiq);
           }
-          const double vip = v.at(i, p);
-          const double viq = v.at(i, q);
-          v.at(i, p) = vip - s * (viq + tau * vip);
-          v.at(i, q) = viq + s * (vip - tau * viq);
+        };
+        rotate(0, p);
+        rotate(p + 1, q);
+        rotate(q + 1, n);
+        // Mirror into columns p and q.  At i = p and i = q this rewrites
+        // the diagonal with itself and the zeroed pair with zero.
+        for (std::size_t i = 0; i < n; ++i) {
+          a[i * n + p] = row_p[i];
+          a[i * n + q] = row_q[i];
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const double vip = v_p[i];
+          const double viq = v_q[i];
+          v_p[i] = vip - s * (viq + tau * vip);
+          v_q[i] = viq + s * (vip - tau * viq);
         }
       }
     }
@@ -73,18 +109,15 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return a.at(x, x) < a.at(y, y);
+    return a[x * n + x] < a[y * n + y];
   });
 
   EigenDecomposition result;
   result.values.reserve(n);
   result.vectors.reserve(n);
   for (const std::size_t k : order) {
-    result.values.push_back(a.at(k, k));
-    std::vector<double> column(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      column[i] = v.at(i, k);
-    }
+    result.values.push_back(a[k * n + k]);
+    std::vector<double> column(vt.data() + k * n, vt.data() + (k + 1) * n);
     const double len = norm2(column);
     if (len > 0.0) {
       scale(column, 1.0 / len);

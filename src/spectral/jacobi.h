@@ -2,6 +2,18 @@
 // Quadratically convergent, unconditionally stable, and accurate to near
 // machine precision -- the reference solver for every spectral quantity in
 // the experiments.
+//
+// Storage: the solver works on a raw row-major copy of A^T and keeps the
+// eigenvector matrix transposed (V^T), so the two rows and two columns a
+// rotation (p, q) touches are contiguous rows; the rotated rows are then
+// mirrored into columns p and q.  Identity guarantee: the rotations, their
+// order and every floating-point expression are those of the textbook
+// element-wise formulation (A(i, p), V(i, p) updated down columns), so
+// values and vectors are bit-identical to it for every input, including
+// matrices symmetric only within the 1e-9 tolerance
+// (tests/spectral/test_jacobi_oracle.cpp keeps that formulation as the
+// oracle).  Each sweep polls the ambient cancel token (cancel::poll), so a
+// serve deadline stops a dense solve within one O(n^3) sweep.
 #ifndef OPINDYN_SPECTRAL_JACOBI_H
 #define OPINDYN_SPECTRAL_JACOBI_H
 

@@ -1,8 +1,10 @@
 #include "src/spectral/solve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "src/service/cancel_token.h"
 #include "src/support/assert.h"
 
 namespace opindyn {
@@ -13,30 +15,35 @@ std::vector<double> solve_dense(Matrix a, std::vector<double> b) {
   const std::size_t n = a.rows();
 
   for (std::size_t col = 0; col < n; ++col) {
+    // One poll per pivot column: a cancelled job stops within O(n^2).
+    cancel::poll();
     // Partial pivoting.
     std::size_t pivot = col;
+    double pivot_abs = std::abs(a.row(col)[col]);
     for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a.at(r, col)) > std::abs(a.at(pivot, col))) {
+      const double candidate = std::abs(a.row(r)[col]);
+      if (candidate > pivot_abs) {
         pivot = r;
+        pivot_abs = candidate;
       }
     }
-    if (std::abs(a.at(pivot, col)) < 1e-13) {
+    if (pivot_abs < 1e-13) {
       throw std::runtime_error("solve_dense: matrix is singular");
     }
+    double* const pivot_row = a.row(col);
     if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(a.at(col, c), a.at(pivot, c));
-      }
+      std::swap_ranges(pivot_row, pivot_row + n, a.row(pivot));
       std::swap(b[col], b[pivot]);
     }
-    const double diag = a.at(col, col);
+    const double diag = pivot_row[col];
     for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a.at(r, col) / diag;
+      double* const row = a.row(r);
+      const double factor = row[col] / diag;
       if (factor == 0.0) {
         continue;
       }
       for (std::size_t c = col; c < n; ++c) {
-        a.at(r, c) -= factor * a.at(col, c);
+        row[c] -= factor * pivot_row[c];
       }
       b[r] -= factor * b[col];
     }
@@ -44,11 +51,12 @@ std::vector<double> solve_dense(Matrix a, std::vector<double> b) {
   // Back substitution.
   std::vector<double> x(n, 0.0);
   for (std::size_t ri = n; ri-- > 0;) {
+    const double* const row = a.row(ri);
     double sum = b[ri];
     for (std::size_t c = ri + 1; c < n; ++c) {
-      sum -= a.at(ri, c) * x[c];
+      sum -= row[c] * x[c];
     }
-    x[ri] = sum / a.at(ri, ri);
+    x[ri] = sum / row[ri];
   }
   return x;
 }

@@ -12,6 +12,9 @@ namespace opindyn {
 
 /// Solves A x = b for square non-singular A.  Throws ContractError on
 /// dimension mismatch and std::runtime_error on (numerical) singularity.
+/// Works on raw row pointers (bit-identical to the element-wise
+/// formulation kept in tests/spectral/test_solve_dense_oracle.cpp) and
+/// polls the ambient cancel token once per pivot column.
 std::vector<double> solve_dense(Matrix a, std::vector<double> b);
 
 }  // namespace opindyn

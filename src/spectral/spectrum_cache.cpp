@@ -6,16 +6,32 @@
 
 namespace opindyn {
 
-GraphSpectra::GraphSpectra(std::shared_ptr<const Graph> graph)
-    : graph_(std::move(graph)) {
+GraphSpectra::GraphSpectra(std::shared_ptr<const Graph> graph,
+                           std::shared_ptr<Tally> tally)
+    : graph_(std::move(graph)), tally_(std::move(tally)) {
   OPINDYN_EXPECTS(graph_ != nullptr, "GraphSpectra needs a graph");
+}
+
+void GraphSpectra::count_solve() const noexcept {
+  solves_.fetch_add(1, std::memory_order_relaxed);
+  if (tally_ != nullptr) {
+    tally_->solves.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void GraphSpectra::count_hit() const noexcept {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (tally_ != nullptr) {
+    tally_->hits.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 const WalkSpectrum& GraphSpectra::walk() const {
   bool solved = false;
   std::call_once(walk_once_, [&] {
     walk_ = std::make_unique<const WalkSpectrum>(lazy_walk_spectrum(*graph_));
-    solves_.fetch_add(1, std::memory_order_relaxed);
+    walk_solved_.store(true, std::memory_order_relaxed);
+    count_solve();
     bytes_.fetch_add(
         (walk_->values.size() + walk_->f2.size()) * sizeof(double) +
             sizeof(WalkSpectrum),
@@ -23,7 +39,7 @@ const WalkSpectrum& GraphSpectra::walk() const {
     solved = true;
   });
   if (!solved) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    count_hit();
   }
   return *walk_;
 }
@@ -33,7 +49,8 @@ const LaplacianSpectrum& GraphSpectra::laplacian() const {
   std::call_once(laplacian_once_, [&] {
     laplacian_ = std::make_unique<const LaplacianSpectrum>(
         laplacian_spectrum(*graph_));
-    solves_.fetch_add(1, std::memory_order_relaxed);
+    laplacian_solved_.store(true, std::memory_order_relaxed);
+    count_solve();
     bytes_.fetch_add(
         (laplacian_->values.size() + laplacian_->f2.size()) * sizeof(double) +
             sizeof(LaplacianSpectrum),
@@ -41,13 +58,18 @@ const LaplacianSpectrum& GraphSpectra::laplacian() const {
     solved = true;
   });
   if (!solved) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    count_hit();
   }
   return *laplacian_;
 }
 
 std::int64_t GraphSpectra::solves() const noexcept {
   return solves_.load(std::memory_order_relaxed);
+}
+
+SpectrumNeeds GraphSpectra::solved() const noexcept {
+  return {walk_solved_.load(std::memory_order_relaxed),
+          laplacian_solved_.load(std::memory_order_relaxed)};
 }
 
 std::int64_t GraphSpectra::hits() const noexcept {
@@ -73,7 +95,7 @@ std::shared_ptr<GraphSpectra> SpectrumCache::get(
     return spectra;
   }
   ++misses_;
-  auto record = std::make_shared<GraphSpectra>(std::move(graph));
+  auto record = std::make_shared<GraphSpectra>(std::move(graph), tally_);
   records_.emplace(key, Record{record, ++use_counter_});
   evict_locked(record.get());
   return record;
@@ -108,8 +130,6 @@ void SpectrumCache::evict_locked(const GraphSpectra* keep) {
     if (victim == records_.end()) {
       return;
     }
-    retired_solves_ += victim->second.spectra->solves();
-    retired_spectrum_hits_ += victim->second.spectra->hits();
     ++evictions_;
     records_.erase(victim);
   }
@@ -132,20 +152,12 @@ std::int64_t SpectrumCache::misses() const {
 
 std::int64_t SpectrumCache::eigensolves() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::int64_t total = retired_solves_;
-  for (const auto& [key, record] : records_) {
-    total += record.spectra->solves();
-  }
-  return total;
+  return tally_->solves.load(std::memory_order_relaxed);
 }
 
 std::int64_t SpectrumCache::spectrum_hits() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::int64_t total = retired_spectrum_hits_;
-  for (const auto& [key, record] : records_) {
-    total += record.spectra->hits();
-  }
-  return total;
+  return tally_->hits.load(std::memory_order_relaxed);
 }
 
 std::int64_t SpectrumCache::evictions() const {
@@ -168,8 +180,7 @@ void SpectrumCache::clear() {
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;
-  retired_solves_ = 0;
-  retired_spectrum_hits_ = 0;
+  tally_ = std::make_shared<GraphSpectra::Tally>();
 }
 
 }  // namespace opindyn

@@ -12,6 +12,17 @@
 // under its own per-kind once-latch (std::call_once), so concurrent
 // cells needing the *same* spectrum solve once while cells needing
 // *different* graphs solve in parallel.
+//
+// Declared spectra solve up front: a scenario declares the spectra it
+// reads (Scenario::reads_spectra) and the initial distribution declares
+// its own (initial_reads_spectra).  The runner's prefetch pass solves
+// the initial's spectra before drawing the initial state, then queues
+// one unit per distinct graph for the scenario's, ahead of every cell's
+// units -- so two graphs' eigensolves run at the same time instead of
+// one after the other behind the first prediction unit's once-latch,
+// and the replicas run beside them.  An eigensolve of a spectrum that
+// neither declared is a late solve (BatchResult /
+// spectrum_cache.late_solves): it means a declaration is missing.
 #ifndef OPINDYN_SPECTRAL_SPECTRUM_CACHE_H
 #define OPINDYN_SPECTRAL_SPECTRUM_CACHE_H
 
@@ -28,6 +39,19 @@
 
 namespace opindyn {
 
+/// Which spectra of a graph a consumer reads: the lazy-walk spectrum
+/// (lambda_2(P), gap, f_2(P)) and/or the Laplacian spectrum
+/// (lambda_2(L), f_2(L)).  The default reads none.
+struct SpectrumNeeds {
+  bool walk = false;
+  bool laplacian = false;
+
+  bool any() const noexcept { return walk || laplacian; }
+  SpectrumNeeds operator|(SpectrumNeeds other) const noexcept {
+    return {walk || other.walk, laplacian || other.laplacian};
+  }
+};
+
 /// Lazily-computed spectral record of one immutable graph.  Each
 /// accessor runs its eigensolve on first use (on the *calling* thread,
 /// under a per-kind once-latch) and returns the memoised result
@@ -35,7 +59,16 @@ namespace opindyn {
 /// graph is kept alive by the record.
 class GraphSpectra {
  public:
-  explicit GraphSpectra(std::shared_ptr<const Graph> graph);
+  /// Solve/hit totals a SpectrumCache shares with every record it
+  /// creates, so its counters include the solves a record runs after
+  /// eviction while a holder still uses it.
+  struct Tally {
+    std::atomic<std::int64_t> solves{0};
+    std::atomic<std::int64_t> hits{0};
+  };
+
+  explicit GraphSpectra(std::shared_ptr<const Graph> graph,
+                        std::shared_ptr<Tally> tally = nullptr);
 
   /// Full lazy-walk spectrum (lambda_2(P), gap, f_2); solved once.
   const WalkSpectrum& walk() const;
@@ -46,6 +79,9 @@ class GraphSpectra {
 
   /// Eigensolves this record has actually run (0..2).
   std::int64_t solves() const noexcept;
+  /// The spectra memoised so far.  Safe to read while other threads
+  /// solve.
+  SpectrumNeeds solved() const noexcept;
   /// Accessor calls served from the memo without solving.
   std::int64_t hits() const noexcept;
 
@@ -55,11 +91,18 @@ class GraphSpectra {
   std::uint64_t memory_bytes() const noexcept;
 
  private:
+  /// Bumps the per-record and the shared counter.
+  void count_solve() const noexcept;
+  void count_hit() const noexcept;
+
   std::shared_ptr<const Graph> graph_;
+  std::shared_ptr<Tally> tally_;
   mutable std::once_flag walk_once_;
   mutable std::once_flag laplacian_once_;
   mutable std::unique_ptr<const WalkSpectrum> walk_;
   mutable std::unique_ptr<const LaplacianSpectrum> laplacian_;
+  mutable std::atomic<bool> walk_solved_{false};
+  mutable std::atomic<bool> laplacian_solved_{false};
   mutable std::atomic<std::int64_t> solves_{0};
   mutable std::atomic<std::int64_t> hits_{0};
   mutable std::atomic<std::uint64_t> bytes_{0};
@@ -92,7 +135,8 @@ class SpectrumCache {
   std::int64_t misses() const;
   /// Eigensolves actually run across all records ever cached (the
   /// expensive work); a sweep sharing one graph and one spectrum kind
-  /// reports exactly 1.  Includes records since evicted.
+  /// reports exactly 1.  Includes records since evicted, and the solves
+  /// they ran after eviction.
   std::int64_t eigensolves() const;
   /// Spectrum accesses served from a memoised result (incl. evicted).
   std::int64_t spectrum_hits() const;
@@ -122,10 +166,10 @@ class SpectrumCache {
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
   std::int64_t evictions_ = 0;
-  /// Solve/hit counts carried over from evicted records, so the
-  /// cumulative accessors never go backwards when a record is dropped.
-  std::int64_t retired_solves_ = 0;
-  std::int64_t retired_spectrum_hits_ = 0;
+  /// Solve/hit counts of every record this cache created, evicted or
+  /// not; clear() starts a fresh tally.
+  std::shared_ptr<GraphSpectra::Tally> tally_ =
+      std::make_shared<GraphSpectra::Tally>();
 };
 
 }  // namespace opindyn
