@@ -28,7 +28,12 @@ struct Cell {
   std::shared_ptr<const Graph> graph;
   std::shared_ptr<GraphSpectra> spectra;
   std::vector<double> initial;
-  std::vector<std::string> labels;  // non-base sweep label cells
+  /// The cells every row of this cell starts with: scenario, graph, n,
+  /// replicas, then the non-base sweep labels.
+  std::vector<std::string> prefix;
+  /// The cell's per-replica row channel (the prefix encoded once,
+  /// blocks delivered to the replica flush); unused without row sinks.
+  RowStream rows;
   CellFold fold;
 };
 
@@ -168,7 +173,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
 
   OrderedFlush aggregate_flush(sinks, grid.size());
   aggregate_flush.begin(result.columns);
-  OrderedFlush replica_flush(row_sinks, grid.size());
+  OrderedFlush replica_flush(row_sinks, grid.size(), &result.replica_rows);
   if (stream_rows) {
     replica_flush.begin(result.replica_columns);
   }
@@ -248,7 +253,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
         for (const auto& [key, value] : point.overrides) {
           apply_override(cell->item, key, value);
           if (!is_base_key(key)) {
-            cell->labels.push_back(value);
+            cell->prefix.push_back(value);  // base cells go in front later
           }
         }
         cells.push_back(std::move(cell));
@@ -372,8 +377,27 @@ BatchResult run_experiment(const ExperimentSpec& spec,
         cell.spectra = distinct.at(cache_key).spectra;
         cell.initial = build_initial(cell.item.initial, *cell.graph,
                                      cell.spectra.get());
+        // The sweep labels follow the base cells.
+        cell.prefix.insert(cell.prefix.begin(),
+                           {scenario.name(), cell.graph->name(),
+                            std::to_string(cell.graph->node_count()),
+                            std::to_string(cell.item.replicas)});
+        if (stream_rows) {
+          // Encoded once here, copied in front of every per-replica row.
+          for (const std::string& text : cell.prefix) {
+            append_csv_field(cell.rows.prefix, text);
+            cell.rows.prefix += ',';
+          }
+          cell.rows.width = scenario_row_columns.size();
+          cell.rows.deliver = [&replica_flush, index](std::int64_t replica,
+                                                      RowBlock block) {
+            replica_flush.deliver(index, static_cast<std::size_t>(replica),
+                                  std::move(block));
+          };
+        }
         const RunInput input{cell.item,     *cell.graph, cell.initial,
-                             *cell.spectra, scheduler,   stream_rows,
+                             *cell.spectra, scheduler,
+                             stream_rows ? &cell.rows : nullptr,
                              metrics};
         // Submits inside start() run synchronously on this thread, so the
         // label tags every batch of this cell; counters bumped inside the
@@ -400,46 +424,31 @@ BatchResult run_experiment(const ExperimentSpec& spec,
       CellRows cell_rows = cell.fold();
       cell.fold = nullptr;  // release the batch handles
 
-      const auto prefixed = [&](const std::vector<std::string>& suffix,
-                                std::size_t width,
-                                const char* what) {
-        OPINDYN_EXPECTS(suffix.size() == width,
-                        std::string("scenario returned a ") + what +
-                            " row of the wrong width");
-        std::vector<std::string> cells_out = {
-            scenario.name(), cell.graph->name(),
-            std::to_string(cell.graph->node_count()),
-            std::to_string(cell.item.replicas)};
-        cells_out.insert(cells_out.end(), cell.labels.begin(),
-                         cell.labels.end());
-        cells_out.insert(cells_out.end(), suffix.begin(), suffix.end());
-        return cells_out;
-      };
-
-      std::vector<std::vector<std::string>> aggregate;
-      aggregate.reserve(cell_rows.aggregate.size());
-      for (const std::vector<std::string>& row : cell_rows.aggregate) {
-        aggregate.push_back(prefixed(row, scenario_columns.size(),
-                                     "aggregate"));
-      }
-      result.rows.insert(result.rows.end(), aggregate.begin(),
-                         aggregate.end());
-      aggregate_flush.cell_done(index, std::move(aggregate));
-
-      if (stream_rows) {
-        std::vector<std::vector<std::string>> replica;
-        replica.reserve(cell_rows.replica.size());
-        for (const std::vector<std::string>& row : cell_rows.replica) {
-          replica.push_back(prefixed(row, scenario_row_columns.size(),
-                                     "per-replica"));
+      // Aggregate rows: a handful per cell, prefixed here and kept in
+      // the result as cells, then encoded as one block for the sinks.
+      RowEmitter aggregate;
+      for (const std::vector<std::string>& suffix : cell_rows.aggregate) {
+        OPINDYN_EXPECTS(suffix.size() == scenario_columns.size(),
+                        "scenario returned an aggregate row of the wrong "
+                        "width");
+        std::vector<std::string> row = cell.prefix;
+        row.insert(row.end(), suffix.begin(), suffix.end());
+        aggregate.row();
+        for (const std::string& text : row) {
+          aggregate.text(text);
         }
-        result.replica_rows.insert(result.replica_rows.end(),
-                                   replica.begin(), replica.end());
-        replica_flush.cell_done(index, std::move(replica));
+        result.rows.push_back(std::move(row));
+      }
+      aggregate_flush.cell_done(index, aggregate.take());
+
+      // Per-replica rows: the units' blocks already went to the flush as
+      // each replica finished; the fold's own rows follow them and
+      // close the cell.
+      if (stream_rows) {
+        replica_flush.cell_done(index, std::move(cell_rows.replica));
       } else {
-        OPINDYN_EXPECTS(cell_rows.replica.empty(),
+        OPINDYN_EXPECTS(cell_rows.replica.rows == 0,
                         "scenario streamed rows that nothing consumes");
-        replica_flush.cell_done(index, {});
       }
       result.work_items += 1;
     }
@@ -542,6 +551,30 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   return result;
 }
 
+SpecSinks::SpecSinks(const ExperimentSpec& spec, std::ostream* summary_out) {
+  if (!spec.csv_path.empty()) {
+    sinks.push_back(&csv_.emplace(spec.csv_path));
+  }
+  if (!spec.rows_csv_path.empty()) {
+    row_sinks.push_back(&rows_csv_.emplace(spec.rows_csv_path));
+  }
+  // --hist-csv / --hist-column / --quantiles summarize the streamed row
+  // channel, so any of them activates it (and, like --rows-csv,
+  // requires a scenario that declares row columns) -- a bare
+  // --hist-column still prints the one-line summary rather than being
+  // silently ignored.
+  if (!spec.hist_csv_path.empty() || !spec.hist_column.empty() ||
+      !spec.quantiles.empty()) {
+    HistogramSink::Options options;
+    options.column = spec.hist_column;
+    options.bins = spec.hist_bins;
+    options.quantiles = spec.quantiles;
+    options.csv_path = spec.hist_csv_path;
+    options.summary_out = summary_out;
+    row_sinks.push_back(&histogram_.emplace(std::move(options)));
+  }
+}
+
 BatchResult run_experiment_with_default_sinks(const ExperimentSpec& spec) {
   return run_experiment_with_default_sinks(spec, RunContext{});
 }
@@ -559,48 +592,17 @@ BatchResult run_experiment_with_default_sinks(const ExperimentSpec& spec,
     require_row_channel(scenario);
   }
 
-  TableSink table(std::cout);
   // File sinks open their paths at construction, so a typo'd --csv /
   // --rows-csv / --hist-csv directory fails right here -- with the path
   // in the message -- instead of after the whole batch has run (or,
-  // worse, silently with exit 0).
-  std::optional<CsvSink> csv;
-  if (!spec.csv_path.empty()) {
-    csv.emplace(spec.csv_path);
-  }
-  std::optional<CsvSink> rows_csv;
-  if (!spec.rows_csv_path.empty()) {
-    rows_csv.emplace(spec.rows_csv_path);
-  }
-  HistogramSink::Options hist_options;
-  hist_options.column = spec.hist_column;
-  hist_options.bins = spec.hist_bins;
-  hist_options.quantiles = spec.quantiles;
-  hist_options.csv_path = spec.hist_csv_path;
-  // The one-line histogram/quantile summary prints even with
-  // --table=false: asking for --quantiles and getting silence would make
-  // the flag useless in quiet mode.
-  hist_options.summary_out = &std::cout;
-  HistogramSink hist(std::move(hist_options));
-  std::vector<RowSink*> sinks;
+  // worse, silently with exit 0).  The one-line histogram/quantile
+  // summary prints even with --table=false: asking for --quantiles and
+  // getting silence would make the flag useless in quiet mode.
+  SpecSinks spec_sinks(spec, &std::cout);
+  TableSink table(std::cout);
+  std::vector<RowSink*> sinks = spec_sinks.sinks;
   if (spec.print_table) {
-    sinks.push_back(&table);
-  }
-  if (csv.has_value()) {
-    sinks.push_back(&*csv);
-  }
-  std::vector<RowSink*> row_sinks;
-  if (rows_csv.has_value()) {
-    row_sinks.push_back(&*rows_csv);
-  }
-  // --hist-csv / --hist-column / --quantiles summarize the streamed row
-  // channel, so any of them activates it (and, like --rows-csv,
-  // requires a scenario that declares row columns) -- a bare
-  // --hist-column still prints the one-line summary rather than being
-  // silently ignored.
-  if (!spec.hist_csv_path.empty() || !spec.hist_column.empty() ||
-      !spec.quantiles.empty()) {
-    row_sinks.push_back(&hist);
+    sinks.insert(sinks.begin(), &table);
   }
   // The report / trace paths are probed up front for the same reason:
   // a typo'd --metrics-json directory must fail before the batch runs,
@@ -624,7 +626,8 @@ BatchResult run_experiment_with_default_sinks(const ExperimentSpec& spec,
   if (registry.has_value()) {
     run_context.metrics = &*registry;
   }
-  BatchResult result = run_experiment(spec, sinks, row_sinks, run_context);
+  BatchResult result =
+      run_experiment(spec, sinks, spec_sinks.row_sinks, run_context);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)

@@ -12,6 +12,8 @@
 #define OPINDYN_ENGINE_RUNNER_H
 
 #include <cstdint>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -57,9 +59,10 @@ struct BatchResult {
   /// declares row_columns() AND a row sink was passed (pass a
   /// MemorySink to consume the rows programmatically) -- otherwise the
   /// rows are never even generated, so aggregate-only runs don't pay
-  /// O(replicas x checkpoints) memory.
+  /// O(replicas x checkpoints) memory.  The table owns the blocks the
+  /// row sinks were handed, in the same order (moved, not copied).
   std::vector<std::string> replica_columns;
-  std::vector<std::vector<std::string>> replica_rows;
+  RowTable replica_rows;
   std::int64_t work_items = 0;
   /// Distinct graphs actually constructed; < work_items whenever the
   /// cache shared a graph across cells.
@@ -143,6 +146,30 @@ BatchResult run_experiment(const ExperimentSpec& spec,
                            const std::vector<RowSink*>& sinks,
                            const std::vector<RowSink*>& row_sinks,
                            const RunContext& context);
+
+/// The file sinks a spec asks for, in both channels: `csv` on the
+/// aggregate channel; `rows_csv` and the histogram (any of hist_csv,
+/// hist_column, quantiles) on the per-replica one.  Every file opens
+/// (or, for the histogram, is probed) at construction, so an unwritable
+/// path fails before any work runs.  The one-shot CLI and serve mode
+/// both build their sinks here; serve passes summary_out = nullptr so
+/// its stdout carries records only.
+class SpecSinks {
+ public:
+  SpecSinks(const ExperimentSpec& spec, std::ostream* summary_out);
+  SpecSinks(const SpecSinks&) = delete;
+  SpecSinks& operator=(const SpecSinks&) = delete;
+
+  /// Aggregate-channel sinks; callers may add their own (a table).
+  std::vector<RowSink*> sinks;
+  /// Per-replica-channel sinks.
+  std::vector<RowSink*> row_sinks;
+
+ private:
+  std::optional<CsvSink> csv_;
+  std::optional<CsvSink> rows_csv_;
+  std::optional<HistogramSink> histogram_;
+};
 
 /// Convenience wrapper: renders a markdown table of the aggregate rows
 /// to stdout (unless spec.print_table is false), writes spec.csv_path

@@ -11,9 +11,10 @@
 //
 // A scenario produces aggregate rows (width columns()) and may also
 // stream per-replica rows (width row_columns()) for tail / histogram /
-// trajectory workloads.  Scenarios self-register in the ScenarioRegistry
-// via OPINDYN_REGISTER_SCENARIO, so the batch runner and the CLI
-// discover them by name.
+// trajectory workloads, formatted straight into byte blocks (see
+// support/row_block.h and RunInput::rows).  Scenarios self-register in
+// the ScenarioRegistry via OPINDYN_REGISTER_SCENARIO, so the batch
+// runner and the CLI discover them by name.
 #ifndef OPINDYN_ENGINE_SCENARIO_H
 #define OPINDYN_ENGINE_SCENARIO_H
 
@@ -47,10 +48,14 @@ struct RunInput {
   /// what you read in Scenario::reads_spectra so it is solved up front.
   const GraphSpectra& spectra;
   CellScheduler& scheduler;
-  /// True iff a consumer wants the per-replica row channel; streaming
-  /// scenarios skip emitting/formatting replica rows when false, so a
-  /// plain aggregate run never pays the O(replicas x rows) memory.
-  bool stream_rows = false;
+  /// The cell's per-replica row channel, or nullptr when no consumer
+  /// wants it; streaming scenarios skip formatting replica rows then,
+  /// so a plain aggregate run never pays for them.  Rows formed inside
+  /// replica units stream by passing it to CellScheduler::submit (one
+  /// streaming batch per cell: its replica r is the cell's block r);
+  /// rows formed in the fold go through rows->emitter() into
+  /// CellRows::replica.
+  const RowStream* rows = nullptr;
   /// Observability sink for the batch, or nullptr when disabled.  Most
   /// scenarios never touch it: the scheduler already records unit spans
   /// and attributes metrics::count bumps to the cell, so this is only
@@ -64,9 +69,11 @@ struct CellRows {
   /// scenarios return a single row; comparison scenarios return one row
   /// per contending protocol.
   std::vector<std::vector<std::string>> aggregate;
-  /// Per-replica streamed rows; each must have row_columns().size()
-  /// cells.  Empty for scenarios that only aggregate.
-  std::vector<std::vector<std::string>> replica;
+  /// Per-replica rows formed in the fold, from RunInput::rows->emitter()
+  /// (so each has the cell's prefix and row_columns().size() cells);
+  /// they follow the blocks the cell's units streamed.  Empty for
+  /// scenarios that only aggregate or stream from their units.
+  RowBlock replica;
 };
 
 /// Deferred second phase of a cell: blocks on the cell's batches and

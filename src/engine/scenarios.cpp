@@ -322,9 +322,11 @@ class WhpTailScenario final : public Scenario {
                 run_until_converged(*process, rng, convergence).steps);
           });
     }
-    const bool stream_rows = in.stream_rows;
-    return [batches, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [batches, stream] {
       CellRows rows;
+      RowEmitter streamed =
+          stream != nullptr ? stream->emitter() : RowEmitter();
       for (int i = 0; i < 2; ++i) {
         const std::string model = i == 0 ? "NodeModel" : "EdgeModel";
         ReplicaBatch& batch = *batches[i];
@@ -339,16 +341,16 @@ class WhpTailScenario final : public Scenario {
                                   fmt_fixed(quantile(0.90) / median, 3),
                                   fmt_fixed(quantile(0.99) / median, 3),
                                   fmt_fixed(times.back() / median, 3)});
-        if (!stream_rows) {
+        if (stream == nullptr) {
           continue;
         }
         for (std::int64_t r = 0; r < batch.replicas(); ++r) {
           const double t = batch.sample(r, 0);
-          rows.replica.push_back({model, std::to_string(r),
-                                  fmt_fixed(t, 0),
-                                  fmt_fixed(t / median, 4)});
+          streamed.row().text(model).integer(r).fixed(t, 0).fixed(
+              t / median, 4);
         }
       }
+      rows.replica = streamed.take();
       return rows;
     };
   }
@@ -383,22 +385,25 @@ class TrajectoryScenario final : public Scenario {
         config_for_kind(in.spec.model, ModelKind::node);
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 2,
-        [in, config, horizon, stride](std::int64_t, Rng& rng,
+        [in, config, horizon, stride](std::int64_t r, Rng& rng,
                                       std::span<double> out,
                                       RowEmitter& rows) {
           auto process = make_process(in.graph, config, in.initial);
           for (std::int64_t t = 0; t <= horizon; t += stride) {
             process->step_burst(rng, t - process->time());
-            if (in.stream_rows) {
-              rows.emit({std::to_string(t),
-                         fmt(process->state().weighted_average()),
-                         fmt_sci(process->state().phi_exact(), 4)});
+            if (in.rows != nullptr) {
+              rows.row()
+                  .integer(r)
+                  .integer(t)
+                  .general(process->state().weighted_average())
+                  .sci(process->state().phi_exact(), 4);
             }
           }
           out[0] = process->state().weighted_average();
           out[1] = process->state().phi_exact();
           metrics::count("engine.steps", process->time());
-        });
+        },
+        in.rows);
     const std::int64_t per_replica = horizon / stride + 1;
     return [batch, per_replica] {
       const std::vector<RunningStats>& stats = batch->stats();
@@ -406,13 +411,6 @@ class TrajectoryScenario final : public Scenario {
       rows.aggregate.push_back({std::to_string(per_replica),
                                 fmt(stats[0].mean()),
                                 fmt_sci(stats[1].mean(), 4)});
-      for (StreamedRow& streamed : batch->take_streamed_rows()) {
-        std::vector<std::string> cells{std::to_string(streamed.replica)};
-        cells.insert(cells.end(),
-                     std::make_move_iterator(streamed.cells.begin()),
-                     std::make_move_iterator(streamed.cells.end()));
-        rows.replica.push_back(std::move(cells));
-      }
       return rows;
     };
   }
@@ -777,7 +775,7 @@ class CrossModelScenario final : public Scenario {
                                         : in.initial;
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 3,
-        [in, config, convergence, initial](std::int64_t, Rng& rng,
+        [in, config, convergence, initial](std::int64_t r, Rng& rng,
                                            std::span<double> out,
                                            RowEmitter& rows) {
           auto process = make_process(in.graph, config, initial);
@@ -786,21 +784,14 @@ class CrossModelScenario final : public Scenario {
           out[0] = res.final_value;
           out[1] = static_cast<double>(res.steps);
           out[2] = res.converged ? 0.0 : 1.0;
-          if (in.stream_rows) {
-            rows.emit({fmt(res.final_value),
-                       std::to_string(res.steps)});
+          if (in.rows != nullptr) {
+            rows.row().integer(r).general(res.final_value).integer(
+                res.steps);
           }
-        });
+        },
+        in.rows);
     return [batch] {
-      CellRows rows{{averaging_row(fold_averaging(*batch))}, {}};
-      for (StreamedRow& streamed : batch->take_streamed_rows()) {
-        std::vector<std::string> cells{std::to_string(streamed.replica)};
-        cells.insert(cells.end(),
-                     std::make_move_iterator(streamed.cells.begin()),
-                     std::make_move_iterator(streamed.cells.end()));
-        rows.replica.push_back(std::move(cells));
-      }
-      return rows;
+      return CellRows{{averaging_row(fold_averaging(*batch))}, {}};
     };
   }
 };

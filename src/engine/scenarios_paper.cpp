@@ -84,16 +84,22 @@ std::shared_ptr<ReplicaBatch> submit_converging(
       });
 }
 
-/// Per-replica rows ["replica", fmt(metric)] out of a finished batch --
-/// the streamed channel of the variance / convergence-time scenarios.
-void append_replica_rows(std::vector<std::vector<std::string>>& rows,
-                         ReplicaBatch& batch, std::size_t metric,
-                         int digits, bool scientific) {
+/// Per-replica rows ["replica", metric] out of a finished batch, as one
+/// block -- the streamed channel of the variance / convergence-time
+/// scenarios.
+RowBlock replica_rows(const RowStream& stream, ReplicaBatch& batch,
+                      std::size_t metric, int digits, bool scientific) {
+  RowEmitter rows = stream.emitter();
   for (std::int64_t r = 0; r < batch.replicas(); ++r) {
     const double v = batch.sample(r, metric);
-    rows.push_back({std::to_string(r), scientific ? fmt_sci(v, digits)
-                                                  : fmt_fixed(v, digits)});
+    rows.row().integer(r);
+    if (scientific) {
+      rows.sci(v, digits);
+    } else {
+      rows.fixed(v, digits);
+    }
   }
+  return rows.take();
 }
 
 /// --- duality (Fig. 1 / Fig. 4 / Prop. 5.1) -------------------------
@@ -151,16 +157,16 @@ class DualityScenario final : public Scenario {
           out[0] = max_diff;
           out[1] = sum_diff / static_cast<double>(in.graph.node_count());
         });
-    const bool stream_rows = in.stream_rows;
-    return [batch, steps, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [batch, steps, stream] {
       const std::vector<RunningStats>& stats = batch->stats();
       CellRows rows;
       rows.aggregate.push_back(
           {std::to_string(steps), fmt_sci(stats[0].max(), 2),
            fmt_sci(stats[1].mean(), 2),
            stats[0].max() < 1e-12 ? "yes" : "NO"});
-      if (stream_rows) {
-        append_replica_rows(rows.replica, *batch, 0, 2, true);
+      if (stream != nullptr) {
+        rows.replica = replica_rows(*stream, *batch, 0, 2, true);
       }
       return rows;
     };
@@ -252,8 +258,8 @@ class MartingaleScenario final : public Scenario {
           metrics::count("engine.steps", process->time());
         });
 
-    const bool stream_rows = in.stream_rows;
-    return [in, exact, mc, k_fits, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [in, exact, mc, k_fits, stream] {
       const double m0 = degree_weighted_average(in.graph, in.initial);
       const std::vector<RunningStats>& stats = mc->stats();
       CellRows rows;
@@ -266,8 +272,8 @@ class MartingaleScenario final : public Scenario {
            k_fits ? fmt_fixed(stats[0].mean_ci_halfwidth(), 5) : "n/a",
            fmt_fixed(m0, 5),
            k_fits ? fmt_sci(stats[0].population_variance(), 3) : "n/a"});
-      if (stream_rows && k_fits) {
-        append_replica_rows(rows.replica, *mc, 0, 6, false);
+      if (stream != nullptr && k_fits) {
+        rows.replica = replica_rows(*stream, *mc, 0, 6, false);
       }
       return rows;
     };
@@ -396,8 +402,8 @@ class Thm22VarianceScenario final : public Scenario {
                        in.graph.node_count(), in.graph.min_degree(),
                        config.k, config.alpha) * norm;
         });
-    const bool stream_rows = in.stream_rows;
-    return [in, measured, prediction, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [in, measured, prediction, stream] {
       const RunningStats& value = measured->stats()[0];
       const double var = value.population_variance();
       const double exact = prediction->sample(0, 0);
@@ -410,8 +416,8 @@ class Thm22VarianceScenario final : public Scenario {
            fixed_or_na(var / exact, 3), fmt_fixed(var * n * n / norm, 3),
            sci_or_na(prediction->sample(0, 1), 2),
            sci_or_na(prediction->sample(0, 2), 2)});
-      if (stream_rows) {
-        append_replica_rows(rows.replica, *measured, 0, 4, true);
+      if (stream != nullptr) {
+        rows.replica = replica_rows(*stream, *measured, 0, 4, true);
       }
       return rows;
     };
@@ -465,8 +471,8 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
               lap.lambda2);
         });
     const std::int64_t m = in.graph.edge_count();
-    const bool stream_rows = in.stream_rows;
-    return [measured, prediction, m, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [measured, prediction, m, stream] {
       const RunningStats& steps = measured->stats()[1];
       const double predicted = prediction->sample(0, 1);
       CellRows rows;
@@ -477,8 +483,8 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
            fmt_fixed(predicted, 0),
            fmt_fixed(prediction->sample(0, 2), 0),
            fmt_fixed(steps.mean() / predicted, 3)});
-      if (stream_rows) {
-        append_replica_rows(rows.replica, *measured, 1, 0, false);
+      if (stream != nullptr) {
+        rows.replica = replica_rows(*stream, *measured, 1, 0, false);
       }
       return rows;
     };
@@ -530,12 +536,14 @@ class Thm24EdgeVarianceScenario final : public Scenario {
                                             in.initial);
           }
         });
-    const bool stream_rows = in.stream_rows;
-    return [in, edge_batch, node_batch, prediction, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [in, edge_batch, node_batch, prediction, stream] {
       const double avg0 = plain_average(in.initial);
       const double m0 = degree_weighted_average(in.graph, in.initial);
       const double exact = prediction->sample(0, 0);
       CellRows rows;
+      RowEmitter streamed =
+          stream != nullptr ? stream->emitter() : RowEmitter();
       const std::pair<const char*, std::shared_ptr<ReplicaBatch>>
           models[] = {{"EdgeModel", edge_batch},
                       {"NodeModel k=1", node_batch}};
@@ -547,13 +555,14 @@ class Thm24EdgeVarianceScenario final : public Scenario {
              fmt_fixed(value.mean_ci_halfwidth(), 4), fmt_fixed(avg0, 4),
              fmt_fixed(m0, 4), fmt_sci(var, 3), sci_or_na(exact, 3),
              fixed_or_na(var / exact, 3)});
-        if (stream_rows) {
+        if (stream != nullptr) {
           for (std::int64_t r = 0; r < batch->replicas(); ++r) {
-            rows.replica.push_back({label, std::to_string(r),
-                                    fmt_sci(batch->sample(r, 0), 4)});
+            streamed.row().text(label).integer(r).sci(
+                batch->sample(r, 0), 4);
           }
         }
       }
+      rows.replica = streamed.take();
       return rows;
     };
   }
@@ -598,8 +607,8 @@ class Prop58VarianceScenario final : public Scenario {
                                             config.k, in.initial);
           }
         });
-    const bool stream_rows = in.stream_rows;
-    return [in, measured, prediction, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [in, measured, prediction, stream] {
       const RunningStats& value = measured->stats()[0];
       const double var = value.population_variance();
       const double exact = prediction->sample(0, 0);
@@ -609,8 +618,8 @@ class Prop58VarianceScenario final : public Scenario {
            fmt_fixed(prediction->sample(0, 1), 1), sci_or_na(exact, 3),
            fmt_sci(var, 3), fmt_sci(value.variance_ci_halfwidth(), 1),
            fixed_or_na(var / exact, 3)});
-      if (stream_rows) {
-        append_replica_rows(rows.replica, *measured, 0, 4, true);
+      if (stream != nullptr) {
+        rows.replica = replica_rows(*stream, *measured, 0, 4, true);
       }
       return rows;
     };
@@ -749,8 +758,8 @@ class PropB2NodeScenario final : public Scenario {
                                      config.lazy),
               probe.phi_exact(), eps);
         });
-    const bool stream_rows = in.stream_rows;
-    return [measured, prediction, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [measured, prediction, stream] {
       const RunningStats& steps = measured->stats()[1];
       const double lower = prediction->sample(0, 1);
       const double upper = prediction->sample(0, 2);
@@ -761,8 +770,8 @@ class PropB2NodeScenario final : public Scenario {
            fmt_fixed(steps.mean_ci_halfwidth(), 0), fmt_fixed(lower, 0),
            fmt_fixed(upper, 0), fmt_fixed(steps.mean() / lower, 3),
            fmt_fixed(steps.mean() / upper, 3)});
-      if (stream_rows) {
-        append_replica_rows(rows.replica, *measured, 1, 0, false);
+      if (stream != nullptr) {
+        rows.replica = replica_rows(*stream, *measured, 1, 0, false);
       }
       return rows;
     };
@@ -807,8 +816,8 @@ class PropB2EdgeScenario final : public Scenario {
                    ((1.0 - config.alpha) * lap.lambda2);
         });
     const std::int64_t m = in.graph.edge_count();
-    const bool stream_rows = in.stream_rows;
-    return [measured, prediction, m, stream_rows] {
+    const RowStream* const stream = in.rows;
+    return [measured, prediction, m, stream] {
       const RunningStats& steps = measured->stats()[1];
       const double lower = prediction->sample(0, 1);
       CellRows rows;
@@ -817,8 +826,8 @@ class PropB2EdgeScenario final : public Scenario {
            fmt_fixed(steps.mean(), 0),
            fmt_fixed(steps.mean_ci_halfwidth(), 0), fmt_fixed(lower, 0),
            fmt_fixed(steps.mean() / lower, 3)});
-      if (stream_rows) {
-        append_replica_rows(rows.replica, *measured, 1, 0, false);
+      if (stream != nullptr) {
+        rows.replica = replica_rows(*stream, *measured, 1, 0, false);
       }
       return rows;
     };

@@ -12,6 +12,14 @@
 namespace opindyn {
 namespace engine {
 
+void RowSink::block(const RowBlock& rows) {
+  std::vector<std::string> cells;
+  for (std::size_t at = 0; at < rows.bytes.size();) {
+    at = parse_csv_row(rows.bytes, at, cells);
+    row(cells);
+  }
+}
+
 TableSink::TableSink(std::ostream& out) : out_(&out) {}
 
 void TableSink::begin(const std::vector<std::string>& columns) {
@@ -44,6 +52,11 @@ void CsvSink::begin(const std::vector<std::string>& columns) {
 void CsvSink::row(const std::vector<std::string>& cells) {
   OPINDYN_EXPECTS(writer_ != nullptr, "CsvSink already finished");
   writer_->write_row(cells);
+}
+
+void CsvSink::block(const RowBlock& rows) {
+  OPINDYN_EXPECTS(writer_ != nullptr, "CsvSink already finished");
+  writer_->write_rows(rows.bytes);
 }
 
 void CsvSink::finish() {
@@ -184,9 +197,37 @@ void MemorySink::row(const std::vector<std::string>& cells) {
   rows_.push_back(cells);
 }
 
+RowTable::const_iterator::const_iterator(const std::vector<RowBlock>* blocks,
+                                        std::size_t block)
+    : blocks_(blocks), block_(block) {
+  load();
+}
+
+void RowTable::const_iterator::load() {
+  while (block_ < blocks_->size() &&
+         at_ >= (*blocks_)[block_].bytes.size()) {
+    ++block_;
+    at_ = 0;
+  }
+  if (block_ < blocks_->size()) {
+    next_ = parse_csv_row((*blocks_)[block_].bytes, at_, row_);
+  }
+}
+
+RowTable::const_iterator& RowTable::const_iterator::operator++() {
+  at_ = next_;
+  load();
+  return *this;
+}
+
+void RowTable::append(RowBlock block) {
+  rows_ += static_cast<std::size_t>(block.rows);
+  blocks_.push_back(std::move(block));
+}
+
 OrderedFlush::OrderedFlush(std::vector<RowSink*> sinks,
-                           std::size_t cell_count)
-    : sinks_(std::move(sinks)), pending_(cell_count) {}
+                           std::size_t cell_count, RowTable* retain)
+    : sinks_(std::move(sinks)), retain_(retain), cells_(cell_count) {}
 
 void OrderedFlush::begin(const std::vector<std::string>& columns) {
   for (RowSink* sink : sinks_) {
@@ -194,30 +235,113 @@ void OrderedFlush::begin(const std::vector<std::string>& columns) {
   }
 }
 
-void OrderedFlush::cell_done(std::size_t cell,
-                             std::vector<std::vector<std::string>> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  OPINDYN_EXPECTS(cell < pending_.size(), "cell index out of range");
-  OPINDYN_EXPECTS(!pending_[cell].has_value() && cell >= next_,
-                  "cell delivered twice");
-  pending_[cell] = std::move(rows);
-  while (next_ < pending_.size() && pending_[next_].has_value()) {
-    for (const std::vector<std::string>& cells : *pending_[next_]) {
-      for (RowSink* sink : sinks_) {
-        sink->row(cells);
-      }
-      ++rows_flushed_;
-    }
-    pending_[next_].reset();
-    // A reset optional would look undelivered again; advancing next_
-    // past it is what marks it flushed.
-    ++next_;
+OrderedFlush::CellSlot& OrderedFlush::open_slot(std::size_t cell) {
+  OPINDYN_EXPECTS(cell < cells_.size(), "cell index out of range");
+  CellSlot& slot = cells_[cell];
+  OPINDYN_EXPECTS(!slot.closed, "cell already closed");
+  return slot;
+}
+
+void OrderedFlush::store(std::size_t cell, std::size_t index,
+                         RowBlock block) {
+  CellSlot& slot = open_slot(cell);
+  const bool released = cell == next_cell_ && index < next_block_;
+  OPINDYN_EXPECTS(!released && (index >= slot.blocks.size() ||
+                                !slot.blocks[index].has_value()),
+                  "block delivered twice");
+  if (index >= slot.blocks.size()) {
+    slot.blocks.resize(index + 1);
   }
+  slot.blocks[index] = std::move(block);
+  ++slot.delivered;
+}
+
+void OrderedFlush::seal(std::size_t cell) {
+  CellSlot& slot = open_slot(cell);
+  OPINDYN_EXPECTS(slot.delivered == slot.blocks.size(),
+                  "cell closed with a block missing");
+  slot.closed = true;
+}
+
+void OrderedFlush::deliver(std::size_t cell, std::size_t index,
+                           RowBlock block) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  store(cell, index, std::move(block));
+  release(lock);
+}
+
+void OrderedFlush::close(std::size_t cell) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  seal(cell);
+  release(lock);
+}
+
+void OrderedFlush::cell_done(std::size_t cell, RowBlock block) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  store(cell, open_slot(cell).blocks.size(), std::move(block));
+  seal(cell);
+  release(lock);
+}
+
+void OrderedFlush::release(std::unique_lock<std::mutex>& lock) {
+  if (writing_ || failed_) {
+    return;  // the active writer picks up what just became ready
+  }
+  writing_ = true;
+  std::vector<RowBlock> ready;
+  for (;;) {
+    while (next_cell_ < cells_.size()) {
+      CellSlot& slot = cells_[next_cell_];
+      if (next_block_ < slot.blocks.size() &&
+          slot.blocks[next_block_].has_value()) {
+        rows_flushed_ += slot.blocks[next_block_]->rows;
+        ready.push_back(std::move(*slot.blocks[next_block_]));
+        slot.blocks[next_block_].reset();
+        ++next_block_;
+      } else if (slot.closed && next_block_ == slot.blocks.size()) {
+        slot.blocks = {};
+        ++next_cell_;
+        next_block_ = 0;
+      } else {
+        break;
+      }
+    }
+    if (ready.empty()) {
+      break;
+    }
+    // Write outside the lock: other threads keep delivering (and
+    // return at once, since writing_ is set) while this one does I/O.
+    lock.unlock();
+    try {
+      for (RowBlock& block : ready) {
+        for (RowSink* sink : sinks_) {
+          sink->block(block);
+        }
+        if (retain_ != nullptr) {
+          retain_->append(std::move(block));
+        }
+      }
+    } catch (...) {
+      lock.lock();
+      failed_ = true;
+      writing_ = false;
+      idle_.notify_all();
+      throw;
+    }
+    ready.clear();
+    lock.lock();
+  }
+  writing_ = false;
+  idle_.notify_all();
+}
+
+void OrderedFlush::wait_idle(std::unique_lock<std::mutex>& lock) {
+  idle_.wait(lock, [this] { return !writing_; });
 }
 
 std::size_t OrderedFlush::flushed_cells() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return next_;
+  return next_cell_;
 }
 
 std::int64_t OrderedFlush::flushed_rows() const {
@@ -227,8 +351,9 @@ std::int64_t OrderedFlush::flushed_rows() const {
 
 void OrderedFlush::finish() {
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    OPINDYN_EXPECTS(next_ == pending_.size(),
+    std::unique_lock<std::mutex> lock(mutex_);
+    wait_idle(lock);
+    OPINDYN_EXPECTS(next_cell_ == cells_.size(),
                     "finish() before every cell was delivered");
   }
   for (RowSink* sink : sinks_) {
@@ -237,8 +362,12 @@ void OrderedFlush::finish() {
 }
 
 void OrderedFlush::finish_partial() {
-  // No completeness check: the interrupted prefix [0, next_) is exactly
-  // what was already released in order, and the sinks finish over it.
+  // No completeness check: the interrupted prefix is exactly what was
+  // already released in order, and the sinks finish over it.
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    wait_idle(lock);
+  }
   for (RowSink* sink : sinks_) {
     sink->finish();
   }

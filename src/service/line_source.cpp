@@ -6,18 +6,69 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <streambuf>
 
 namespace opindyn {
 namespace service {
+
+LineStatus StreamLineSource::next(std::string* line) {
+  using traits = std::istream::traits_type;
+  line->clear();
+  std::streambuf* const in = in_.rdbuf();
+  bool any = false;
+  bool too_long = false;
+  for (;;) {
+    const traits::int_type c = in->sbumpc();
+    if (traits::eq_int_type(c, traits::eof())) {
+      if (!any) {
+        return LineStatus::eof;
+      }
+      break;  // a final unterminated line
+    }
+    any = true;
+    if (traits::to_char_type(c) == '\n') {
+      break;
+    }
+    if (too_long) {
+      continue;
+    }
+    if (line->size() == kMaxLineBytes) {
+      too_long = true;
+      std::string().swap(*line);
+      continue;
+    }
+    line->push_back(traits::to_char_type(c));
+  }
+  return too_long ? LineStatus::too_long : LineStatus::line;
+}
 
 LineStatus FdLineSource::next(std::string* line) {
   for (;;) {
     const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
-      line->assign(buffer_, start_, newline - start_);
+      const std::size_t begin = start_;
       start_ = newline + 1;
       scanned_ = start_;
+      if (skipping_) {
+        skipping_ = false;  // the dropped line ends here
+        continue;
+      }
+      if (newline - begin > kMaxLineBytes) {
+        return LineStatus::too_long;
+      }
+      line->assign(buffer_, begin, newline - begin);
       return LineStatus::line;
+    }
+    if (skipping_) {
+      // More of a dropped line: discard it as it arrives.
+      buffer_.clear();
+      start_ = 0;
+    } else if (buffer_.size() - start_ > kMaxLineBytes) {
+      buffer_.clear();
+      start_ = 0;
+      skipping_ = true;
+      scanned_ = 0;
+      return LineStatus::too_long;
     }
     scanned_ = buffer_.size();
     if (saw_eof_) {

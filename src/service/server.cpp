@@ -330,6 +330,20 @@ struct JobStreamService::Impl {
 
   // ---- admission --------------------------------------------------
 
+  /// The structured record of a job line that never became a job.
+  void reject_line(std::int64_t id, const std::string& error) {
+    json::Object record;
+    record.reserve(3);
+    record.emplace_back("job", id);
+    record.emplace_back("status", "error");
+    record.emplace_back("error", error);
+    {
+      const std::lock_guard<std::mutex> lock(state_mutex);
+      ++errors;
+    }
+    emit(json::Value(std::move(record)));
+  }
+
   void admit_line(const std::string& raw) {
     const std::string line = trimmed(raw);
     if (line.empty() || line[0] == '#') {
@@ -353,16 +367,7 @@ struct JobStreamService::Impl {
             "scheduler); use the one-shot CLI for traced runs");
       }
     } catch (const std::exception& error) {
-      json::Object record;
-      record.reserve(4);
-      record.emplace_back("job", id);
-      record.emplace_back("status", "error");
-      record.emplace_back("error", error.what());
-      {
-        const std::lock_guard<std::mutex> lock(state_mutex);
-        ++errors;
-      }
-      emit(json::Value(std::move(record)));
+      reject_line(id, error.what());
       return;
     }
     // A job line never prints a table: stdout carries records only.
@@ -422,37 +427,16 @@ struct JobStreamService::Impl {
         // Deadline or drain hit while the job sat in the queue.
         throw CancelledError(job.token->reason());
       }
-      std::optional<engine::CsvSink> csv;
-      std::optional<engine::CsvSink> rows_csv;
-      std::optional<engine::HistogramSink> histogram;
-      std::vector<engine::RowSink*> sinks;
-      std::vector<engine::RowSink*> row_sinks;
-      if (!job.spec.csv_path.empty()) {
-        csv.emplace(job.spec.csv_path);
-        sinks.push_back(&*csv);
-      }
-      if (!job.spec.rows_csv_path.empty()) {
-        rows_csv.emplace(job.spec.rows_csv_path);
-        row_sinks.push_back(&*rows_csv);
-      }
-      if (!job.spec.hist_csv_path.empty() ||
-          !job.spec.hist_column.empty() || !job.spec.quantiles.empty()) {
-        engine::HistogramSink::Options hist_options;
-        hist_options.column = job.spec.hist_column;
-        hist_options.bins = job.spec.hist_bins;
-        hist_options.quantiles = job.spec.quantiles;
-        hist_options.csv_path = job.spec.hist_csv_path;
-        hist_options.summary_out = nullptr;  // records only on stdout
-        histogram.emplace(std::move(hist_options));
-        row_sinks.push_back(&*histogram);
-      }
+      // summary_out = nullptr: stdout carries records only.
+      engine::SpecSinks spec_sinks(job.spec, nullptr);
       engine::RunContext context;
       context.scheduler = &scheduler;
       context.graph_cache = &graph_cache;
       context.spectrum_cache = &spectrum_cache;
       context.cancel = job.token.get();
       const engine::BatchResult result =
-          engine::run_experiment(job.spec, sinks, row_sinks, context);
+          engine::run_experiment(job.spec, spec_sinks.sinks,
+                                 spec_sinks.row_sinks, context);
       const double wall_ms =
           static_cast<double>(
               std::chrono::duration_cast<std::chrono::microseconds>(
@@ -601,6 +585,13 @@ struct JobStreamService::Impl {
       }
       if (status == LineStatus::eof) {
         return;
+      }
+      if (status == LineStatus::too_long) {
+        reject_line(++next_job_id,
+                    "job line longer than " +
+                        std::to_string(kMaxLineBytes) +
+                        " bytes; dropped up to its newline");
+        continue;
       }
       admit_line(line);
     }

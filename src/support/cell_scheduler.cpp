@@ -26,24 +26,28 @@ std::uint64_t subseed(std::uint64_t seed, std::uint64_t salt) noexcept {
 }
 
 ReplicaBatch::ReplicaBatch(std::int64_t replicas, std::uint64_t seed,
-                           std::size_t metrics, Body body)
+                           std::size_t metrics, Body body,
+                           const RowStream* rows)
     : replicas_(replicas),
       metric_count_(metrics),
       seed_(seed),
       body_(std::move(body)),
+      rows_(rows),
       buffer_(static_cast<std::size_t>(replicas) * metrics,
               std::numeric_limits<double>::quiet_NaN()),
-      unit_rows_(static_cast<std::size_t>(replicas)),
       pending_(replicas) {}
 
 void ReplicaBatch::run_unit(std::int64_t r) {
   Rng rng = Rng::fork(seed_, static_cast<std::uint64_t>(r));
-  RowEmitter emitter(&unit_rows_[static_cast<std::size_t>(r)]);
+  RowEmitter emitter = rows_ != nullptr ? rows_->emitter() : RowEmitter();
   body_(r, rng,
         std::span<double>(
             buffer_.data() + static_cast<std::size_t>(r) * metric_count_,
             metric_count_),
         emitter);
+  if (rows_ != nullptr) {
+    rows_->deliver(r, emitter.take());
+  }
 }
 
 void ReplicaBatch::run_unit_instrumented(std::int64_t r) {
@@ -157,18 +161,6 @@ double ReplicaBatch::sample(std::int64_t replica, std::size_t metric) {
   return buffer_[static_cast<std::size_t>(replica) * metric_count_ + metric];
 }
 
-std::vector<StreamedRow> ReplicaBatch::take_streamed_rows() {
-  wait();
-  std::vector<StreamedRow> rows;
-  for (std::int64_t r = 0; r < replicas_; ++r) {
-    for (auto& cells : unit_rows_[static_cast<std::size_t>(r)]) {
-      rows.push_back(StreamedRow{r, std::move(cells)});
-    }
-    unit_rows_[static_cast<std::size_t>(r)].clear();
-  }
-  return rows;
-}
-
 CellScheduler::CellScheduler(std::size_t threads)
     : threads_(threads == 0 ? default_parallelism() : threads) {}
 
@@ -179,12 +171,13 @@ void CellScheduler::set_submit_label(std::string label) {
 std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
                                                     std::uint64_t seed,
                                                     std::size_t metrics,
-                                                    ReplicaBatch::Body body) {
+                                                    ReplicaBatch::Body body,
+                                                    const RowStream* rows) {
   OPINDYN_EXPECTS(replicas >= 1, "need at least one replica");
   OPINDYN_EXPECTS(metrics >= 1, "need at least one metric");
   // make_shared is unavailable for the private constructor.
   std::shared_ptr<ReplicaBatch> batch(
-      new ReplicaBatch(replicas, seed, metrics, std::move(body)));
+      new ReplicaBatch(replicas, seed, metrics, std::move(body), rows));
   batch->cancel_ = cancel::current();
 
   if (metrics_registry_ != nullptr) {

@@ -12,7 +12,7 @@
 // into its own preallocated slot, and folding always happens in strict
 // replica order on the caller's thread -- neither the random streams nor
 // the fold order depend on shard boundaries, so aggregated statistics
-// and streamed rows are bit-identical for every thread count.
+// and streamed row blocks are bit-identical for every thread count.
 //
 // Every replica harness goes through this class: the scenario engine's
 // batch runner via `submit`, and the benches / examples / tests that
@@ -33,6 +33,7 @@
 
 #include "src/support/metrics.h"
 #include "src/support/rng.h"
+#include "src/support/row_block.h"
 #include "src/support/stats.h"
 #include "src/support/thread_pool.h"
 
@@ -45,30 +46,6 @@ class CancelToken;  // see src/service/cancel_token.h
 /// race) its own stream family.
 std::uint64_t subseed(std::uint64_t seed, std::uint64_t salt) noexcept;
 
-/// One per-replica result row streamed out of a unit body, tagged with
-/// the replica that produced it.
-struct StreamedRow {
-  std::int64_t replica = 0;
-  std::vector<std::string> cells;
-};
-
-/// Handed to a unit body so it can stream result rows (one per
-/// checkpoint, per sample, ...) in addition to its scalar metrics.  Each
-/// replica appends to its own buffer, so emission needs no locking and
-/// the (replica, emission) order is deterministic.
-class RowEmitter {
- public:
-  void emit(std::vector<std::string> cells) {
-    rows_->push_back(std::move(cells));
-  }
-
- private:
-  friend class ReplicaBatch;
-  explicit RowEmitter(std::vector<std::vector<std::string>>* rows)
-      : rows_(rows) {}
-  std::vector<std::vector<std::string>>* rows_;
-};
-
 /// Handle to one submitted batch of replica units.  All accessors block
 /// until the batch has fully run (and rethrow the first unit exception),
 /// so a caller that submits many batches and folds them in batch order
@@ -76,7 +53,8 @@ class RowEmitter {
 class ReplicaBatch {
  public:
   /// Unit body: replica index, the replica's forked stream, the metric
-  /// slots (pre-filled with NaN = "no sample"), and a row emitter.
+  /// slots (pre-filled with NaN = "no sample"), and the replica's row
+  /// emitter (see RowStream; without a stream its rows are dropped).
   using Body = std::function<void(std::int64_t, Rng&, std::span<double>,
                                   RowEmitter&)>;
 
@@ -93,10 +71,6 @@ class ReplicaBatch {
   const std::vector<double>& samples();
   /// samples()[replica * metrics + metric].
   double sample(std::int64_t replica, std::size_t metric);
-  /// All streamed rows in (replica, emission) order.  Blocks.
-  /// Consume-on-read: the rows are moved out, so a second call returns
-  /// an empty vector (unlike the idempotent stats()/samples()).
-  std::vector<StreamedRow> take_streamed_rows();
 
   std::int64_t replicas() const noexcept { return replicas_; }
   std::size_t metrics() const noexcept { return metric_count_; }
@@ -104,7 +78,7 @@ class ReplicaBatch {
  private:
   friend class CellScheduler;
   ReplicaBatch(std::int64_t replicas, std::uint64_t seed,
-               std::size_t metrics, Body body);
+               std::size_t metrics, Body body, const RowStream* rows);
 
   /// Runs units [begin, end); never throws (failures are captured and
   /// rethrown by wait()).
@@ -118,6 +92,9 @@ class ReplicaBatch {
   const std::size_t metric_count_;
   const std::uint64_t seed_;
   const Body body_;
+  /// Where each unit's row block goes when the unit returns (nullptr =
+  /// rows are dropped); owned by the submitter, outlives the units.
+  const RowStream* const rows_;
   /// Observability (all nullptr/empty when metrics are off): the
   /// scheduler's registry at submit time, the submit label that tags
   /// this batch's spans and counters ("cell/3", "prefetch", ...), and
@@ -132,7 +109,6 @@ class ReplicaBatch {
   /// nullptr (no ambient token) keeps the whole path to one branch.
   const CancelToken* cancel_ = nullptr;
   std::vector<double> buffer_;  // replicas x metrics, NaN-filled
-  std::vector<std::vector<std::vector<std::string>>> unit_rows_;
 
   mutable std::mutex mutex_;
   std::condition_variable all_done_;
@@ -163,7 +139,11 @@ class CellScheduler {
   /// Enqueues `replicas` independent units for body(r, rng, out, rows)
   /// and returns immediately.  Unit r draws from Rng::fork(seed, r).
   /// With 1 thread the batch runs inline before returning -- results are
-  /// bit-identical either way.
+  /// bit-identical either way.  With a `rows` stream (which must outlive
+  /// the batch's units), unit r's row block goes to rows->deliver(r, ...)
+  /// as soon as the unit returns; a unit's rows never depend on the
+  /// thread that ran it, so the blocks are identical for every thread
+  /// count and only their arrival order varies.
   ///
   /// Safe to call from several threads at once (the serve-mode workers
   /// share one scheduler): the pool is created under a latch and the
@@ -173,7 +153,9 @@ class CellScheduler {
   /// CancelledError carrying the token's reason.
   std::shared_ptr<ReplicaBatch> submit(std::int64_t replicas,
                                        std::uint64_t seed,
-                                       std::size_t metrics, ReplicaBatch::Body body);
+                                       std::size_t metrics,
+                                       ReplicaBatch::Body body,
+                                       const RowStream* rows = nullptr);
 
   /// Synchronous convenience (the historical ReplicaScheduler::run):
   /// submit + wait + fold for bodies without row streaming.

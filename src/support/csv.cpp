@@ -1,26 +1,64 @@
 #include "src/support/csv.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "src/support/assert.h"
+#include "src/support/format.h"
 
 namespace opindyn {
 
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) {
-    return field;
+void append_csv_field(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\n") == std::string_view::npos) {
+    out.append(field);
+    return;
   }
-  std::string quoted = "\"";
+  out += '"';
   for (const char c : field) {
     if (c == '"') {
-      quoted += "\"\"";
+      out += "\"\"";
     } else {
-      quoted += c;
+      out += c;
     }
   }
-  quoted += '"';
+  out += '"';
+}
+
+std::string csv_escape(const std::string& field) {
+  std::string quoted;
+  append_csv_field(quoted, field);
   return quoted;
+}
+
+std::size_t parse_csv_row(std::string_view bytes, std::size_t at,
+                          std::vector<std::string>& cells) {
+  cells.clear();
+  std::string cell;
+  bool quoted = false;
+  for (; at < bytes.size(); ++at) {
+    const char c = bytes[at];
+    if (quoted) {
+      if (c != '"') {
+        cell += c;
+      } else if (at + 1 < bytes.size() && bytes[at + 1] == '"') {
+        cell += '"';
+        ++at;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      cells.push_back(std::move(cell));
+      cell.clear();
+    } else if (c == '\n') {
+      ++at;
+      break;
+    } else {
+      cell += c;
+    }
+  }
+  cells.push_back(std::move(cell));
+  return at;
 }
 
 CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
@@ -56,10 +94,15 @@ void CsvWriter::write_header(const std::vector<std::string>& columns) {
   OPINDYN_EXPECTS(!header_written_, "CSV header already written");
   columns_ = columns.size();
   header_written_ = true;
+  line_.clear();
   for (std::size_t i = 0; i < columns.size(); ++i) {
-    out_ << (i > 0 ? "," : "") << csv_escape(columns[i]);
+    if (i > 0) {
+      line_ += ',';
+    }
+    append_csv_field(line_, columns[i]);
   }
-  out_ << "\n";
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   check_stream("header");
 }
 
@@ -67,23 +110,29 @@ void CsvWriter::write_row(const std::vector<std::string>& values) {
   OPINDYN_EXPECTS(header_written_, "CSV header not written yet");
   OPINDYN_EXPECTS(values.size() == columns_,
                   "CSV row width does not match header");
+  line_.clear();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    out_ << (i > 0 ? "," : "") << csv_escape(values[i]);
+    if (i > 0) {
+      line_ += ',';
+    }
+    append_csv_field(line_, values[i]);
   }
-  out_ << "\n";
-  check_stream("row");
+  line_ += '\n';
+  write_rows(line_);
 }
 
 void CsvWriter::write_row(const std::vector<double>& values) {
-  std::vector<std::string> as_text;
-  as_text.reserve(values.size());
-  for (const double v : values) {
-    std::ostringstream s;
-    s.precision(12);
-    s << v;
-    as_text.push_back(s.str());
+  std::vector<std::string> as_text(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    append_general(as_text[i], values[i], 12);
   }
   write_row(as_text);
+}
+
+void CsvWriter::write_rows(std::string_view encoded) {
+  OPINDYN_EXPECTS(header_written_, "CSV header not written yet");
+  out_.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+  check_stream("row");
 }
 
 void CsvWriter::close() {

@@ -12,6 +12,7 @@
 
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace opindyn {
@@ -38,7 +39,14 @@ class CsvWriter {
   /// Writes one row; `values.size()` must equal the number of columns.
   /// Throws std::runtime_error citing the path if the stream failed.
   void write_row(const std::vector<std::string>& values);
+  /// Numbers with 12 significant digits (see append_general).
   void write_row(const std::vector<double>& values);
+
+  /// Writes already-encoded rows (whole lines, e.g. a RowBlock's bytes)
+  /// in one buffered write.  The bytes are not re-validated: their
+  /// producer encoded each cell with append_csv_field.  write_row uses
+  /// the same path, one encoded line at a time.
+  void write_rows(std::string_view encoded);
 
   /// Flushes and closes; throws std::runtime_error citing the path if
   /// any buffered write failed (e.g. disk full).  Idempotent.
@@ -52,11 +60,22 @@ class CsvWriter {
   std::string path_;
   std::size_t columns_ = 0;
   bool header_written_ = false;
+  std::string line_;  // write_row's reused encoding buffer
   std::ofstream out_;
 };
 
 /// Quotes a CSV field if it contains separators/quotes/newlines.
 std::string csv_escape(const std::string& field);
+
+/// Appends `field` to `out`, quoted as csv_escape would.
+void append_csv_field(std::string& out, std::string_view field);
+
+/// Parses the CSV row that starts at byte `at` of `bytes` (fields as
+/// append_csv_field writes them, the row ending in '\n' or at the end)
+/// into `cells`, and returns the offset just past the row.  The exact
+/// inverse of encoding a row with append_csv_field.
+std::size_t parse_csv_row(std::string_view bytes, std::size_t at,
+                          std::vector<std::string>& cells);
 
 /// Fail-fast writability check WITHOUT truncation: throws the same
 /// path-citing std::runtime_error as the CsvWriter constructor if

@@ -1,0 +1,133 @@
+// Pinned bytes of the per-replica row channel (`--rows-csv`).  The
+// expected files were written by the string-built row channel that the
+// byte-block channel replaced; every run here must reproduce them byte
+// for byte at one and at four threads, and with metrics on.  Covers the
+// unit-emitted rows (trajectory, cross_model), the fold-built rows
+// (thm22_variance, whp_tail), sweep-label columns and a quoted graph
+// name.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+
+#include "src/engine/runner.h"
+#include "src/support/metrics.h"
+
+namespace opindyn {
+namespace engine {
+namespace {
+
+struct Golden {
+  const char* name;
+  std::map<std::string, std::string> spec;
+  const char* rows_csv;
+};
+
+const Golden kGoldens[] = {
+    {"trajectory",
+     {{"scenario", "trajectory"},
+      {"graph", "random_regular"},
+      {"degree", "4"},
+      {"n", "16"},
+      {"replicas", "3"},
+      {"horizon", "32"},
+      {"check-interval", "8"},
+      {"seed", "3"},
+      {"init", "gaussian"}},
+     "scenario,graph,n,replicas,replica,step,M,phi\n"
+     "trajectory,\"random_regular(16,4)\",16,3,0,0,-2.77556e-17,5.1390e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,0,8,-0.0357512,4.9141e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,0,16,-0.0702719,2.3420e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,0,24,-0.0878861,2.0441e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,0,32,-0.0603283,1.7333e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,1,0,-2.77556e-17,5.1390e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,1,8,0.0533095,3.6023e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,1,16,-0.039771,3.3845e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,1,24,-0.0913062,3.3608e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,1,32,-0.176932,2.5811e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,2,0,-2.77556e-17,5.1390e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,2,8,-0.112374,3.9461e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,2,16,-0.14614,3.9330e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,2,24,-0.223778,3.2408e-01\n"
+     "trajectory,\"random_regular(16,4)\",16,3,2,32,-0.1585,1.5117e-01\n"},
+    {"cross_model",
+     {{"scenario", "cross_model"},
+      {"graph", "cycle"},
+      {"n", "12"},
+      {"replicas", "3"},
+      {"seed", "5"},
+      {"eps", "1e-6"},
+      {"init", "gaussian"},
+      {"sweep", "model:node,edge"}},
+     "scenario,graph,n,replicas,model,replica,F,T_eps\n"
+     "cross_model,cycle(12),12,3,node,0,0.00104309,867\n"
+     "cross_model,cycle(12),12,3,node,1,0.342345,1212\n"
+     "cross_model,cycle(12),12,3,node,2,-0.0886886,963\n"
+     "cross_model,cycle(12),12,3,edge,0,0.215354,933\n"
+     "cross_model,cycle(12),12,3,edge,1,0.422461,1083\n"
+     "cross_model,cycle(12),12,3,edge,2,0.197503,933\n"},
+    {"thm22_variance",
+     {{"scenario", "thm22_variance"},
+      {"graph", "complete"},
+      {"n", "8"},
+      {"replicas", "3"},
+      {"seed", "9"},
+      {"eps", "1e-8"},
+      {"init", "gaussian"},
+      {"sweep", "k:1,2"}},
+     "scenario,graph,n,replicas,k,replica,F\n"
+     "thm22_variance,complete(8),8,3,1,0,2.4763e-01\n"
+     "thm22_variance,complete(8),8,3,1,1,9.3832e-02\n"
+     "thm22_variance,complete(8),8,3,1,2,9.1995e-03\n"
+     "thm22_variance,complete(8),8,3,2,0,4.2226e-02\n"
+     "thm22_variance,complete(8),8,3,2,1,2.7579e-01\n"
+     "thm22_variance,complete(8),8,3,2,2,5.2282e-02\n"},
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string rows_csv_of(const Golden& golden, std::size_t threads,
+                        bool with_metrics) {
+  ExperimentSpec spec = parse_spec(golden.spec);
+  spec.threads = threads;
+  spec.print_table = false;
+  const std::string path = ::testing::TempDir() + "opindyn_golden_" +
+                           golden.name + "_" + std::to_string(threads) +
+                           (with_metrics ? "_m" : "") + ".csv";
+  {
+    CsvSink rows(path);
+    MetricsRegistry registry;
+    run_experiment(spec, {}, {&rows}, with_metrics ? &registry : nullptr);
+  }
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(RowGoldens, RowsCsvMatchesPinnedBytesAtOneAndFourThreads) {
+  for (const Golden& golden : kGoldens) {
+    SCOPED_TRACE(golden.name);
+    EXPECT_EQ(rows_csv_of(golden, 1, false), golden.rows_csv);
+    EXPECT_EQ(rows_csv_of(golden, 4, false), golden.rows_csv);
+  }
+}
+
+TEST(RowGoldens, RowsCsvMatchesPinnedBytesWithMetricsOn) {
+  for (const Golden& golden : kGoldens) {
+    SCOPED_TRACE(golden.name);
+    EXPECT_EQ(rows_csv_of(golden, 1, true), golden.rows_csv);
+    EXPECT_EQ(rows_csv_of(golden, 4, true), golden.rows_csv);
+  }
+}
+
+}  // namespace
+}  // namespace engine
+}  // namespace opindyn

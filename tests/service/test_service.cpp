@@ -4,6 +4,7 @@
 // serve-vs-one-shot byte-identity contract.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -192,6 +193,25 @@ TEST(ServeSession, FaultIsolationMalformedAndThrowingJobs) {
   EXPECT_EQ(summary.find("ok")->as_int(), 1);
 }
 
+// One huge job line (multi-MB, no newline for longer than the cap) must
+// cost one structured error record, not the session: the next line is
+// read and run.
+TEST(ServeSession, OverLongJobLineGivesOneErrorThenTheNextJobRuns) {
+  const std::string input = std::string(3 << 20, 'x') + "\n" +
+                            "scenario=node graph=cycle n=16 replicas=2\n";
+  const auto records = serve_records(input, service::ServeOptions{});
+  const json::Value* dropped = find_job_record(records, 1);
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->find("status")->as_string(), "error");
+  EXPECT_NE(dropped->find("error")->as_string().find("longer than"),
+            std::string::npos);
+  const json::Value* good = find_job_record(records, 2);
+  ASSERT_NE(good, nullptr);
+  EXPECT_EQ(good->find("status")->as_string(), "ok");
+  EXPECT_EQ(records.back().find("errors")->as_int(), 1);
+  EXPECT_EQ(records.back().find("ok")->as_int(), 1);
+}
+
 TEST(ServeSession, MetricsJsonIsRejectedPerJob) {
   const auto records = serve_records(
       "scenario=node n=16 metrics-json=" + ::testing::TempDir() +
@@ -272,6 +292,48 @@ TEST(ServeSession, ServeOutputMatchesOneShotRunnerBytes) {
   oneshot_bytes << oneshot_in.rdbuf();
   EXPECT_FALSE(serve_bytes.str().empty());
   EXPECT_EQ(serve_bytes.str(), oneshot_bytes.str());
+}
+
+// The per-replica row channel in serve mode: a job's rows-csv= bytes
+// equal the one-shot --rows-csv bytes, and the record counts its rows.
+TEST(ServeSession, ServeRowsCsvMatchesOneShotRunnerBytes) {
+  const std::string serve_rows = ::testing::TempDir() + "serve_rows.csv";
+  const std::string oneshot_rows = ::testing::TempDir() + "oneshot_rows.csv";
+
+  engine::ExperimentSpec spec;
+  spec.scenario = "trajectory";
+  spec.graph.family = "cycle";
+  spec.graph.n = 32;
+  spec.replicas = 6;
+  spec.horizon = 256;
+  spec.convergence.check_interval = 16;
+  spec.sweeps = engine::parse_sweeps("alpha:0.3,0.5");
+  spec.rows_csv_path = oneshot_rows;
+  spec.print_table = false;
+  const engine::BatchResult result =
+      engine::run_experiment_with_default_sinks(spec);
+
+  service::ServeOptions options;
+  options.threads = 3;
+  const auto records = serve_records(
+      "scenario=trajectory graph=cycle n=32 replicas=6 horizon=256 "
+      "check-interval=16 sweep=alpha:0.3,0.5 rows-csv=" + serve_rows + "\n",
+      std::move(options));
+  const json::Value* job = find_job_record(records, 1);
+  ASSERT_NE(job, nullptr);
+  ASSERT_EQ(job->find("status")->as_string(), "ok");
+  EXPECT_EQ(job->find("replica_rows")->as_int(),
+            static_cast<std::int64_t>(result.replica_rows.size()));
+  EXPECT_EQ(result.replica_rows.size(), 2u * 6u * 17u);
+
+  std::ifstream serve_in(serve_rows), oneshot_in(oneshot_rows);
+  std::stringstream serve_bytes, oneshot_bytes;
+  serve_bytes << serve_in.rdbuf();
+  oneshot_bytes << oneshot_in.rdbuf();
+  EXPECT_FALSE(serve_bytes.str().empty());
+  EXPECT_EQ(serve_bytes.str(), oneshot_bytes.str());
+  std::remove(serve_rows.c_str());
+  std::remove(oneshot_rows.c_str());
 }
 
 TEST(ServeSession, RequestShutdownDrainsAndReportsTheReason) {

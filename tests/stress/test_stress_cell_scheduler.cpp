@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +20,21 @@
 
 namespace opindyn {
 namespace {
+
+/// Collects one batch's per-replica row blocks as its units deliver
+/// them, from whichever pool thread ran each replica.
+struct BlockCollector {
+  explicit BlockCollector(std::int64_t replicas)
+      : blocks(static_cast<std::size_t>(replicas)) {
+    stream.deliver = [this](std::int64_t r, RowBlock block) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      blocks.at(static_cast<std::size_t>(r)) = std::move(block);
+    };
+  }
+  std::mutex mutex;
+  std::vector<std::optional<RowBlock>> blocks;
+  RowStream stream;
+};
 
 /// A unit body with enough arithmetic per replica that batches genuinely
 /// overlap on the pool.  Streams one row per replica so the row channel
@@ -38,7 +55,7 @@ ReplicaBatch::Body worky_body(std::int64_t spin) {
     if (out.size() > 1) {
       out[1] = tail;
     }
-    rows.emit({std::to_string(r), std::to_string(tail)});
+    rows.row().integer(r).general(tail);
   };
 }
 
@@ -65,11 +82,14 @@ TEST(StressCellScheduler, BurstyBatchesFoldIdenticallyToSingleThread) {
   // Stressed: all batches submitted up front, folds in batch order while
   // later batches still run on 8 workers.
   CellScheduler scheduler(8);
+  std::vector<std::unique_ptr<BlockCollector>> collected;
   std::vector<std::shared_ptr<ReplicaBatch>> batches;
   batches.reserve(kBatches);
   for (int b = 0; b < kBatches; ++b) {
+    collected.push_back(std::make_unique<BlockCollector>(kReplicas));
     batches.push_back(scheduler.submit(kReplicas, 1000 + b, kMetrics,
-                                       worky_body(200 + b)));
+                                       worky_body(200 + b),
+                                       &collected.back()->stream));
   }
   for (int b = 0; b < kBatches; ++b) {
     auto& batch = batches[static_cast<std::size_t>(b)];
@@ -82,12 +102,14 @@ TEST(StressCellScheduler, BurstyBatchesFoldIdenticallyToSingleThread) {
                 expected_means[static_cast<std::size_t>(b)][m])
           << "batch " << b << " metric " << m;
     }
-    // The streamed rows arrive in (replica, emission) order.
-    const std::vector<StreamedRow> rows = batch->take_streamed_rows();
-    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kReplicas));
+    // Every replica delivered exactly its own one-row block.
     for (std::int64_t r = 0; r < kReplicas; ++r) {
-      EXPECT_EQ(rows[static_cast<std::size_t>(r)].replica, r);
-      EXPECT_EQ(rows[static_cast<std::size_t>(r)].cells[0],
+      const auto& block =
+          collected[static_cast<std::size_t>(b)]
+              ->blocks[static_cast<std::size_t>(r)];
+      ASSERT_TRUE(block.has_value()) << "batch " << b << " replica " << r;
+      EXPECT_EQ(block->rows, 1);
+      EXPECT_EQ(block->bytes.substr(0, block->bytes.find(',')),
                 std::to_string(r));
     }
   }
@@ -146,24 +168,27 @@ TEST(StressCellScheduler, ManySmallBatchesKeepReplicaOrderUnderContention) {
   // churn, chunk boundaries, and completion notifications all race.
   constexpr int kBatches = 200;
   CellScheduler scheduler(8);
+  std::vector<std::unique_ptr<BlockCollector>> collected;
   std::vector<std::shared_ptr<ReplicaBatch>> batches;
   batches.reserve(kBatches);
   for (int b = 0; b < kBatches; ++b) {
+    collected.push_back(std::make_unique<BlockCollector>(3));
     batches.push_back(scheduler.submit(
         3, b, 1,
         [](std::int64_t r, Rng&, std::span<double> out, RowEmitter& rows) {
           out[0] = static_cast<double>(r);
-          rows.emit({std::to_string(r)});
-        }));
+          rows.row().integer(r);
+        },
+        &collected.back()->stream));
   }
-  for (auto& batch : batches) {
-    const std::vector<StreamedRow> rows = batch->take_streamed_rows();
-    ASSERT_EQ(rows.size(), 3u);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_EQ(batches[b]->sample(2, 0), 2.0);
     for (std::int64_t r = 0; r < 3; ++r) {
-      EXPECT_EQ(rows[static_cast<std::size_t>(r)].cells[0],
-                std::to_string(r));
+      const auto& block =
+          collected[b]->blocks[static_cast<std::size_t>(r)];
+      ASSERT_TRUE(block.has_value());
+      EXPECT_EQ(block->bytes, std::to_string(r) + "\n");
     }
-    EXPECT_EQ(batch->sample(2, 0), 2.0);
   }
 }
 

@@ -1,10 +1,12 @@
 // The CellScheduler's determinism contract at the unit level: batches
 // submitted asynchronously fold bit-identically for every thread count,
-// streamed rows keep (replica, emission) order, NaN slots mean "no
+// streamed row blocks arrive once per replica in emission order, NaN slots mean "no
 // sample", and unit exceptions surface on wait().
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -56,24 +58,58 @@ TEST(CellScheduler, ConcurrentBatchesFoldIdenticallyToSerialOnes) {
 TEST(CellScheduler, StreamedRowsKeepReplicaThenEmissionOrder) {
   for (const std::size_t threads : {1u, 4u}) {
     CellScheduler scheduler(threads);
+    std::mutex mutex;
+    std::vector<std::optional<RowBlock>> blocks(10);
+    RowStream stream;
+    stream.prefix = "p,";
+    stream.width = 1;
+    stream.deliver = [&](std::int64_t r, RowBlock block) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ASSERT_FALSE(blocks[static_cast<std::size_t>(r)].has_value());
+      blocks[static_cast<std::size_t>(r)] = std::move(block);
+    };
     auto batch = scheduler.submit(
         10, 3, 1,
         [](std::int64_t r, Rng&, std::span<double> out, RowEmitter& rows) {
           out[0] = static_cast<double>(r);
           for (int i = 0; i < 3; ++i) {
-            rows.emit({std::to_string(r) + ":" + std::to_string(i)});
+            rows.row().text(std::to_string(r) + ":" + std::to_string(i));
           }
-        });
-    const std::vector<StreamedRow> rows = batch->take_streamed_rows();
-    ASSERT_EQ(rows.size(), 30u) << threads;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const std::int64_t r = static_cast<std::int64_t>(i) / 3;
-      EXPECT_EQ(rows[i].replica, r);
-      EXPECT_EQ(rows[i].cells[0],
-                std::to_string(r) + ":" + std::to_string(i % 3));
+        },
+        &stream);
+    batch->wait();
+    // One block per replica, delivered once, holding that replica's
+    // rows in emission order behind the stream's prefix.
+    for (std::int64_t r = 0; r < 10; ++r) {
+      const auto& block = blocks[static_cast<std::size_t>(r)];
+      ASSERT_TRUE(block.has_value()) << threads << " replica " << r;
+      EXPECT_EQ(block->rows, 3);
+      const std::string id = std::to_string(r);
+      EXPECT_EQ(block->bytes,
+                "p," + id + ":0\np," + id + ":1\np," + id + ":2\n");
     }
-    // Consume-on-read: a second take yields nothing.
-    EXPECT_TRUE(batch->take_streamed_rows().empty());
+  }
+}
+
+TEST(CellScheduler, FailedReplicasDeliverNoRows) {
+  for (const std::size_t threads : {1u, 4u}) {
+    CellScheduler scheduler(threads);
+    std::mutex mutex;
+    std::vector<std::int64_t> delivered;
+    RowStream stream;
+    stream.deliver = [&](std::int64_t r, RowBlock) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      delivered.push_back(r);
+    };
+    auto batch = scheduler.submit(
+        1, 1, 1,
+        [](std::int64_t, Rng&, std::span<double>, RowEmitter& rows) {
+          rows.row().integer(1);
+          throw std::runtime_error("replica failed after emitting");
+        },
+        &stream);
+    EXPECT_THROW(batch->wait(), std::runtime_error);
+    EXPECT_TRUE(delivered.empty()) << threads;
   }
 }
 
