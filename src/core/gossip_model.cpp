@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/service/cancel_token.h"
 #include "src/support/assert.h"
 
 namespace opindyn {
@@ -81,9 +82,12 @@ GossipRunResult run_gossip_to_convergence(const Graph& graph,
   const std::int64_t interval =
       std::max<std::int64_t>(1, graph.node_count() / 4);
   while (gossip.time() < max_steps) {
+    // Cancellation lands between bursts, as in run_until_converged.
+    cancel::poll();
     const std::int64_t burst = std::min(interval, max_steps - gossip.time());
     gossip.step_burst(rng, burst);
-    if (gossip.state().phi_plain_exact() <= epsilon) {
+    // The certified O(1) screen first; the exact pass decides the rest.
+    if (gossip.converged(epsilon, /*use_plain_potential=*/true)) {
       result.converged = true;
       break;
     }

@@ -55,8 +55,9 @@ double OpinionState::phi_plain_exact() const {
   return total;
 }
 
-// Why phi_certainly_above(eps, plain) == true implies that the exact
-// pass returns more than eps.
+// Why phi_bounds(plain) = {lo, hi} brackets the double the exact pass
+// returns, and why phi_certainly_above(eps, plain) == true implies that
+// the exact pass returns more than eps.
 //
 // Notation.  u = 2^-53 is the unit roundoff and g_j = j u / (1 - j u).
 // Both potentials have the form sum_i w_i (x_i - c)^2 with weights
@@ -68,14 +69,17 @@ double OpinionState::phi_plain_exact() const {
 // w_max is max_stationary_ for phi and 1 for phi_V.  K <= 2^20 is
 // updates_since_recompute_ and Vs = V (1 + kValueBoundSlack).
 //
-// (1) Any centre.  For every real c, sum_i w_i (x_i - c)^2
-//     = S2 - 2 c S1 + c^2 W >= S2 - S1^2 / W.  So the bound below holds
-//     for the exact pass's centre (wsum_, or sum_/n) whatever its
-//     rounding.
+// (1) The centre.  For every real c, with Q = S2 - S1^2 / W and
+//     mu = S1 / W,
+//       sum_i w_i (x_i - c)^2 = S2 - 2 c S1 + c^2 W = Q + W (c - mu)^2,
+//     so Q <= sum_i w_i (x_i - c)^2 <= Q + W (c - mu)^2 for the exact
+//     pass's centre c (wsum_, or sum_/n) whatever its rounding.
 // (2) The exact pass.  Each term fl(fl(w d) d), d = fl(x - c), is
 //     w (x - c)^2 (1 + t) with |t| <= g_4 (g_3 for phi_V), and a sum of
-//     n non-negative terms in any order loses at most g_{n-1} of its
-//     value.  So exact >= (1 - g_{n+3}) (S2 - S1^2 / W).
+//     n non-negative terms in any order is within g_{n-1} of its value.
+//     So the pass returns a value within g_{n+3} (relative) of
+//     sum_i w_i (x_i - c)^2, hence in
+//       [(1 - g_{n+3}) Q, (1 + g_{n+3}) (Q + W (c - mu)^2)].
 // (3) The magnitude bound.  Every value present since the last
 //     recompute() satisfies |x| <= Vs: recompute() stores the exact
 //     max |x|, set_value widens it, and a burst kernel writes a rounded
@@ -94,22 +98,39 @@ double OpinionState::phi_plain_exact() const {
 //     where the last factor absorbs g_j / (j u) and (1 + u)^K.
 // (5) The running formula.  r = phi() (resp. phi_plain()) is within
 //     u |r| + 2.01 u s1^2 / W of s2 - s1^2 (resp. s2 - s1^2 / n), and
-//     1 / W - 1 <= 1.01 u for phi.  With (4):
-//       S2 - S1^2 / W >= r - D,
+//     |1 / W - 1| <= 1.01 u for phi.  With (4) and
+//     s1^2 - 2 |s1| E1 <= S1^2 <= s1^2 + 2 |s1| E1 + E1^2:
+//       |Q - r| <= D,
 //       D = E2 + (2 |s1| E1 + E1^2) / W_lo + u |r| + 4 u s1^2 / W_lo.
-// (6) Conclusion.  The code evaluates lo = (r - 2 D) (1 - 2 (n + 4) u).
-//     The doubled D and the doubled g_{n+3} cover the O(u^2) terms
-//     dropped above and the rounding of this evaluation (non-negative
-//     terms, a few operations each).  Gradual underflow can cost at
-//     most 2^-1075 absolute per operation in (2) and (4); those
-//     operations number fewer than 8 (n + K + 4), and `tiny` adds that
-//     much.  The u eps in `tiny` keeps the rounding of eps + tiny from
-//     absorbing it.  So lo > eps + tiny implies exact > eps.
+// (6) The centre offset.  For phi, c = s1 and
+//     |s1 - mu| <= |s1 - S1| / W + |S1| |1 / W - 1|; for phi_V,
+//     c = fl(s1 / n) and |c - mu| <= (u |s1| + E1) / n.  Both are at
+//     most C = (E1 + 2 u (|s1| + E1)) / W_lo, so with (1) and (5)
+//       r - D <= Q <= sum_i w_i (x_i - c)^2 <= r + D + W_hi C^2.
+// (7) Conclusion.  The code evaluates
+//       lo = (r - 2 D) (1 - 2 (n + 4) u) - F,
+//       hi = (r + 2 D + 2 W_hi C^2) (1 + 2 (n + 4) u) + F.
+//     The doubled D, C^2 term and g_{n+3} cover the O(u^2) terms
+//     dropped above and the rounding of this evaluation (each factor is
+//     a few operations on non-negative terms, and r + D >= Q >= 0).
+//     A negative lo needs no argument: the pass sums non-negative
+//     terms.  Gradual underflow can cost at most 2^-1075 absolute per
+//     operation in (2) and (4); those operations number fewer than
+//     8 (n + K + 4), which is F.  The last rounding of lo and of hi is
+//     free: the pass returns a double, and rounding to nearest never
+//     crosses a double that the real bound does not.  So
+//     lo <= exact <= hi.
+//
+// The screen.  phi_certainly_above tests lo > eps + 4 u eps: lo <= exact,
+// so it implies exact > eps.  For eps >= 2^-920 this is the test the
+// screen has always made (lo before F against eps + 4 u eps + F):
+// 4 u eps is then normal with F below half its ulp, and an lo above it
+// is far too large for F to move.  Every convergence decision and
+// engine.exact_checks count is therefore unchanged.
 //
 // Reads only: the accumulators, the recompute cadence and the check
 // schedule are untouched, so every output byte is unchanged.
-bool OpinionState::phi_certainly_above(double eps,
-                                       bool plain) const noexcept {
+OpinionState::Bounds OpinionState::phi_bounds(bool plain) const noexcept {
   constexpr double u = 0x1p-53;
   const double n = static_cast<double>(node_count());
   const double k = static_cast<double>(updates_since_recompute_);
@@ -124,11 +145,26 @@ bool OpinionState::phi_certainly_above(double eps,
   const double e1 = u * vs * (n * w_hi + grow);
   const double drift = e2 + (2.0 * s1 * e1 + e1 * e1) / w_lo +
                        u * std::abs(r) + 4.0 * u * s1 * s1 / w_lo;
-  const double lo = (r - 2.0 * drift) * (1.0 - 2.0 * (n + 4.0) * u);
-  const double tiny = eps * 0x1p-51 +
-                      8.0 * (n + k + 4.0) *
-                          std::numeric_limits<double>::denorm_min();
-  return lo > eps + tiny;
+  const double centre = (e1 + 2.0 * u * (s1 + e1)) / w_lo;
+  const double pass = 2.0 * (n + 4.0) * u;
+  const double lo = (r - 2.0 * drift) * (1.0 - pass);
+  const double hi =
+      (r + 2.0 * drift + 2.0 * w_hi * centre * centre) * (1.0 + pass);
+  // F < 2^-1038 is below half an ulp of any double of magnitude
+  // 2^-900 or more, where widening by it rounds back to the same
+  // value; skipping it there keeps subnormal arithmetic, which many
+  // cores run in microcode, off the common path.
+  if (std::abs(lo) >= 0x1p-900 && std::abs(hi) >= 0x1p-900) {
+    return {lo, hi};
+  }
+  const double underflow =
+      8.0 * (n + k + 4.0) * std::numeric_limits<double>::denorm_min();
+  return {lo - underflow, hi + underflow};
+}
+
+bool OpinionState::phi_certainly_above(double eps,
+                                       bool plain) const noexcept {
+  return phi_bounds(plain).lo > eps + eps * 0x1p-51;
 }
 
 double OpinionState::discrepancy() const {

@@ -12,11 +12,12 @@
 // rebuilt from scratch every `recompute_interval` updates, and
 // `phi_exact()` evaluates the potential in centered two-pass form, which
 // does not suffer the catastrophic cancellation of the S2 - S1^2 formula
-// near convergence.  `phi_certainly_above()` bridges the two: it bounds
-// the drift rigorously, so an O(1) read can rule out convergence without
-// the O(n) pass.  Extremum tracking (for K) is opt-in and lazy: an
-// update that displaces the cached min/max merely invalidates them, and
-// the next read rescans once.  Displacing an extremum needs the updated
+// near convergence.  `phi_bounds()` bridges the two: it bounds the
+// drift rigorously, so an O(1) read brackets the exact pass's result --
+// enough to rule out convergence (`phi_certainly_above()`) or to print
+// the potential's leading digits without the O(n) pass.  Extremum
+// tracking (for K) is opt-in and lazy: an update that displaces the
+// cached min/max merely invalidates them, and the next read rescans once.  Displacing an extremum needs the updated
 // node to *hold* it (probability ~1/n per step), so tracking costs O(1)
 // amortized per update with zero allocations -- the step kernels stay
 // malloc-free.
@@ -112,10 +113,19 @@ class OpinionState {
   double phi_plain() const noexcept;
   /// phi_V in centered two-pass form.
   double phi_plain_exact() const;
+  /// A closed interval certain to contain a double.
+  struct Bounds {
+    double lo;
+    double hi;
+  };
+  /// O(1) two-sided bound: lo <= phi_exact() <= hi (phi_plain_exact()
+  /// when `plain`) for the exact double the O(n) pass would return,
+  /// from the running sums widened by a rigorous bound on their
+  /// rounding drift (proof in the .cpp).  Reads only.
+  Bounds phi_bounds(bool plain) const noexcept;
   /// O(1) screen: true only if phi_exact() (phi_plain_exact() when
-  /// `plain`) is proven to exceed eps, from the running sums minus a
-  /// rigorous bound on their rounding drift (proof in the .cpp).  False
-  /// means "undecided", never "converged".  Reads only.
+  /// `plain`) is proven to exceed eps -- a read of phi_bounds().lo.
+  /// False means "undecided", never "converged".  Reads only.
   bool phi_certainly_above(double eps, bool plain) const noexcept;
   /// Bound V on max_u |xi_u| used by the screen: the exact maximum at
   /// the last recompute(), widened by every set_value since.  The burst

@@ -104,6 +104,7 @@ json::Value build_run_report(const ExperimentSpec& spec,
   result_block.emplace_back("work_items", result.work_items);
   result_block.emplace_back("rows", result.rows.size());
   result_block.emplace_back("replica_rows", result.replica_rows.size());
+  result_block.emplace_back("row_exact_phis", result.row_exact_phis);
   result_block.emplace_back("graphs_built", result.graphs_built);
   result_block.emplace_back("graph_cache_hits", result.graph_cache_hits);
   result_block.emplace_back("spectra_solved", result.spectra_solved);

@@ -473,6 +473,8 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   if (interrupted && interrupt_reason != nullptr) {
     result.interrupt_reason = interrupt_reason;
   }
+  // The only certified cells are trajectory's potential, one per row.
+  result.row_exact_phis = result.replica_rows.exact_cells();
 
   // Cache counters are read only now: builds and eigensolves run lazily
   // inside pool batches, which have all completed once every fold (or
@@ -517,6 +519,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
                  static_cast<std::int64_t>(result.rows.size()));
     buffer.count("engine.replica_rows_emitted",
                  static_cast<std::int64_t>(result.replica_rows.size()));
+    buffer.count("engine.row_exact_phis", result.row_exact_phis);
     buffer.count("graph_cache.builds", result.graphs_built);
     buffer.count("graph_cache.hits", result.graph_cache_hits);
     buffer.count("graph_cache.evictions", result.graph_cache_evictions);

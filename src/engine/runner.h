@@ -63,6 +63,10 @@ struct BatchResult {
   /// row sinks were handed, in the same order (moved, not copied).
   std::vector<std::string> replica_columns;
   RowTable replica_rows;
+  /// Per-replica rows whose potential needed the O(n) exact pass
+  /// because its certified O(1) interval straddled a printed digit
+  /// (RowEmitter::sci_certified); deterministic, 0 without row sinks.
+  std::int64_t row_exact_phis = 0;
   std::int64_t work_items = 0;
   /// Distinct graphs actually constructed; < work_items whenever the
   /// cache shared a graph across cells.

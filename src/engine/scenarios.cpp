@@ -36,6 +36,7 @@
 #include "src/engine/scenario.h"
 #include "src/engine/scenario_format.h"
 #include "src/graph/algorithms.h"
+#include "src/service/cancel_token.h"
 #include "src/spectral/spectra.h"
 #include "src/support/metrics.h"
 
@@ -389,18 +390,26 @@ class TrajectoryScenario final : public Scenario {
                                       std::span<double> out,
                                       RowEmitter& rows) {
           auto process = make_process(in.graph, config, in.initial);
+          const OpinionState& state = process->state();
           for (std::int64_t t = 0; t <= horizon; t += stride) {
+            // One poll per checkpoint: a cancelled replica stops between
+            // rows and delivers none of them.
+            cancel::poll();
             process->step_burst(rng, t - process->time());
             if (in.rows != nullptr) {
+              // The printed digits of phi from its O(1) certified
+              // bounds; the O(n) pass runs only when they straddle one.
+              const OpinionState::Bounds phi = state.phi_bounds(false);
               rows.row()
                   .integer(r)
                   .integer(t)
-                  .general(process->state().weighted_average())
-                  .sci(process->state().phi_exact(), 4);
+                  .general(state.weighted_average())
+                  .sci_certified(phi.lo, phi.hi, 4,
+                                 [&state] { return state.phi_exact(); });
             }
           }
-          out[0] = process->state().weighted_average();
-          out[1] = process->state().phi_exact();
+          out[0] = state.weighted_average();
+          out[1] = state.phi_exact();
           metrics::count("engine.steps", process->time());
         },
         in.rows);

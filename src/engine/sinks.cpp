@@ -222,6 +222,7 @@ RowTable::const_iterator& RowTable::const_iterator::operator++() {
 
 void RowTable::append(RowBlock block) {
   rows_ += static_cast<std::size_t>(block.rows);
+  exact_cells_ += block.exact_cells;
   blocks_.push_back(std::move(block));
 }
 

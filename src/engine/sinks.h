@@ -195,6 +195,8 @@ class RowTable {
 
   std::size_t size() const noexcept { return rows_; }
   bool empty() const noexcept { return rows_ == 0; }
+  /// Sum of the blocks' RowBlock::exact_cells.
+  std::int64_t exact_cells() const noexcept { return exact_cells_; }
   const_iterator begin() const { return const_iterator(&blocks_, 0); }
   const_iterator end() const {
     return const_iterator(&blocks_, blocks_.size());
@@ -206,6 +208,7 @@ class RowTable {
  private:
   std::vector<RowBlock> blocks_;
   std::size_t rows_ = 0;
+  std::int64_t exact_cells_ = 0;
 };
 
 /// Releases row blocks to a set of sinks in strict (cell, block) order,

@@ -420,7 +420,7 @@ struct JobStreamService::Impl {
   void execute(const Job& job) {
     const Clock::time_point started = Clock::now();
     json::Object record;
-    record.reserve(8);
+    record.reserve(9);
     record.emplace_back("job", job.id);
     try {
       if (job.token->cancelled()) {
@@ -454,6 +454,7 @@ struct JobStreamService::Impl {
       record.emplace_back("scenario", job.spec.scenario);
       record.emplace_back("rows", result.rows.size());
       record.emplace_back("replica_rows", result.replica_rows.size());
+      record.emplace_back("row_exact_phis", result.row_exact_phis);
       record.emplace_back("work_items", result.work_items);
       record.emplace_back("wall_ms", wall_ms);
       json::Object cache;

@@ -19,6 +19,14 @@ void append_general(std::string& out, double value, int significant);
 void append_fixed(std::string& out, double value, int digits);
 /// `digits` decimals: `out << scientific << setprecision(p) << value`.
 void append_sci(std::string& out, double value, int digits);
+/// The bytes append_sci(out, x, digits) writes for every x in the
+/// closed interval [lo, hi], or nothing and false when they may differ.
+/// Scientific to_chars is correctly rounded, hence monotone: when hi
+/// and lo print the same bytes, every value between them does.  A width
+/// above one printed digit and an interval holding zero (whose sign
+/// shows) fail before any formatting.  No heap allocation beyond `out`.
+bool append_sci_interval(std::string& out, double lo, double hi,
+                         int digits);
 /// Decimal integer: the bytes of std::to_string(value).
 void append_integer(std::string& out, std::int64_t value);
 

@@ -4,7 +4,6 @@
 
 #include "src/support/assert.h"
 #include "src/support/csv.h"
-#include "src/support/format.h"
 
 namespace opindyn {
 

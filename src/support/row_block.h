@@ -17,12 +17,17 @@
 #include <string>
 #include <string_view>
 
+#include "src/support/format.h"
+
 namespace opindyn {
 
 /// Whole CSV rows, each ending in '\n', and how many there are.
 struct RowBlock {
   std::string bytes;
   std::int64_t rows = 0;
+  /// Certified cells (RowEmitter::sci_certified) that needed the exact
+  /// value: a deterministic work count, not part of the bytes.
+  std::int64_t exact_cells = 0;
 };
 
 /// Appends rows to one RowBlock:
@@ -47,6 +52,18 @@ class RowEmitter {
   RowEmitter& general(double value, int significant = 6);
   RowEmitter& fixed(double value, int digits);
   RowEmitter& sci(double value, int digits);
+  /// The sci() cell of a value known only to lie in [lo, hi], computed
+  /// by `exact()` only when the interval's ends print differently
+  /// (append_sci_interval); the bytes are always sci(exact(), digits).
+  template <class Exact>
+  RowEmitter& sci_certified(double lo, double hi, int digits, Exact&& exact) {
+    std::string& out = next_cell();
+    if (!append_sci_interval(out, lo, hi, digits)) {
+      append_sci(out, exact(), digits);
+      ++block_.exact_cells;
+    }
+    return *this;
+  }
 
   /// Closes the open row and hands the block over; the emitter starts
   /// an empty block afterwards.

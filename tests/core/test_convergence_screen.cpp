@@ -1,6 +1,13 @@
-// The certified convergence screen (OpinionState::phi_certainly_above)
-// and the magnitude bound it rests on.
+// The certified O(1) bounds on the potential (OpinionState::phi_bounds),
+// the convergence screen that reads them (phi_certainly_above) and the
+// magnitude bound they rest on.
 //
+//  * Bracketing: lo <= exact <= hi at every burst boundary, for both
+//    potentials, over the variant grid on a regular and an irregular
+//    graph, at magnitudes up to 1e6, with a 1e3 offset mean, with
+//    values deep in the subnormal range, and with the drift count K
+//    straddling the 2^20 recompute boundary -- and the interval is
+//    tight enough to print phi's leading digits on most of them.
 //  * Soundness: whenever the screen says "above eps", the exact centered
 //    pass really is above eps -- checked at every convergence check of a
 //    reference loop that always runs the exact pass, and at every burst
@@ -17,6 +24,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -52,6 +60,9 @@ ReferenceRun reference_run(AveragingProcess& process, Rng& rng,
   const auto check = [&] {
     const double exact =
         plain ? process.state().phi_plain_exact() : process.state().phi_exact();
+    const OpinionState::Bounds bounds = process.state().phi_bounds(plain);
+    EXPECT_LE(bounds.lo, exact) << "t=" << process.time();
+    EXPECT_GE(bounds.hi, exact) << "t=" << process.time();
     ++run.checks;
     if (process.state().phi_certainly_above(options.epsilon, plain)) {
       ++run.screened;
@@ -260,6 +271,100 @@ TEST(ConvergenceScreen, NeverCertifiesTheExactValueItself) {
                   << "t=" << process->time() << " plain=" << plain;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+/// Among the potentials still above a tenth of their initial value,
+/// those whose interval is narrower than 1e-5 relative: tight enough to
+/// settle most of the row channel's printed digits.
+struct Tally {
+  double floor[2] = {0.0, 0.0};  // by `plain`
+  int decaying = 0;
+  int tight = 0;
+};
+
+/// Asserts lo <= exact <= hi for both potentials at the current state,
+/// and counts into `tally` when one is given.
+void expect_bracketed(const AveragingProcess& process,
+                      Tally* tally = nullptr) {
+  for (const bool plain : {false, true}) {
+    const OpinionState& s = process.state();
+    const double exact = plain ? s.phi_plain_exact() : s.phi_exact();
+    const OpinionState::Bounds b = s.phi_bounds(plain);
+    EXPECT_LE(b.lo, exact) << "t=" << process.time() << " plain=" << plain;
+    EXPECT_GE(b.hi, exact) << "t=" << process.time() << " plain=" << plain;
+    if (tally != nullptr && exact >= tally->floor[plain]) {
+      ++tally->decaying;
+      tally->tight += b.hi - b.lo <= 1e-5 * exact;
+    }
+  }
+}
+
+TEST(PhiBounds, BracketTheExactPassAtEveryBurstBoundary) {
+  // The screen inputs plus values around 1e-160, whose squares and
+  // potential are subnormal: there only the underflow allowance of the
+  // proof keeps the bounds honest.
+  std::vector<Input> inputs(std::begin(kInputs), std::end(kInputs));
+  inputs.push_back({"subnormal_1e-160", 0.0, 1e-160});
+  const std::vector<Graph> graphs = min_degree_8_graphs();
+  std::uint64_t seed = 1700;
+  for (const Input& input : inputs) {
+    Tally tally;
+    for (const Graph& g : graphs) {
+      for (const ModelConfig& config : variant_grid(4.0 * input.stddev)) {
+        SCOPED_TRACE(std::string(input.name) + " " + g.name() + " " +
+                     describe(config));
+        Rng init_rng(seed);
+        auto process = make_process(
+            g, config,
+            initial::gaussian(init_rng, g.node_count(), input.mean,
+                              input.stddev));
+        tally.floor[0] = 0.1 * process->state().phi_exact();
+        tally.floor[1] = 0.1 * process->state().phi_plain_exact();
+        Rng rng(++seed);
+        const bool cheap =
+            config.kind == ModelKind::node || config.kind == ModelKind::edge;
+        expect_bracketed(*process, &tally);
+        for (int burst = 0; burst < 40; ++burst) {
+          process->step_burst(rng, 1 + (cheap ? 977 : 31) * burst);
+          expect_bracketed(*process, &tally);
+        }
+      }
+    }
+    // Subnormal potentials keep only a few significant bits, so their
+    // bounds are honest but wide; every normal input must stay tight.
+    if (input.stddev >= 1.0) {
+      EXPECT_GE(4 * tally.tight, 3 * tally.decaying)
+          << input.name << ": " << tally.tight << " of " << tally.decaying;
+    }
+  }
+}
+
+TEST(PhiBounds, BracketTheExactPassAcrossTheRecomputeBoundary) {
+  // Every node/edge step is one update, so at time t the drift count is
+  // K = t mod 2^20: the checks below land on K = 2^20 - 1 (the widest
+  // drift bound), 0 (just rebuilt) and 1.
+  const Graph g = gen::cycle(128);
+  std::uint64_t seed = 1900;
+  for (const Input& input : kInputs) {
+    for (const ModelKind kind : {ModelKind::node, ModelKind::edge}) {
+      SCOPED_TRACE(std::string(input.name) + " " + model_kind_name(kind));
+      Rng init_rng(seed);
+      ModelConfig config;
+      config.kind = kind;
+      auto process = make_process(
+          g, config,
+          initial::gaussian(init_rng, g.node_count(), input.mean,
+                            input.stddev));
+      Rng rng(++seed);
+      for (std::int64_t round = 1; round <= 3; ++round) {
+        for (const std::int64_t offset : {-1, 0, 1}) {
+          process->step_burst(
+              rng, round * kRecomputeInterval + offset - process->time());
+          expect_bracketed(*process);
         }
       }
     }

@@ -14,7 +14,10 @@
 #include "src/core/model.h"
 #include "src/engine/runner.h"
 #include "src/graph/generators.h"
+#include "src/service/server.h"
 #include "src/support/cell_scheduler.h"
+#include "src/support/json.h"
+#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace engine {
@@ -145,6 +148,80 @@ TEST(EngineDeterminism, StreamedRowsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(aggregate[0], aggregate[2]);
   EXPECT_EQ(streamed[0], streamed[1]);
   EXPECT_EQ(streamed[0], streamed[2]);
+}
+
+// The row channel's count of exact potential passes is a work count of
+// the grid alone: the same in the BatchResult, the metrics counters and
+// the serve record at any thread count, and it leaves the bytes alone.
+TEST(EngineDeterminism, RowExactPhisIsTheSameAcrossThreadsAndServe) {
+  ExperimentSpec spec;
+  spec.scenario = "trajectory";
+  spec.graph.family = "complete";
+  spec.graph.n = 64;
+  spec.replicas = 6;
+  spec.horizon = 2048;
+  spec.convergence.check_interval = 8;
+  spec.seed = 4;
+  spec.sweeps = parse_sweeps("alpha:0.3,0.5");
+  spec.print_table = false;
+
+  std::string rows[3];
+  std::int64_t exact = -1;
+  const std::size_t thread_counts[3] = {1, 4, 8};
+  for (int i = 0; i < 3; ++i) {
+    spec.threads = thread_counts[i];
+    const std::string path = ::testing::TempDir() + "opindyn_exact_phis_" +
+                             std::to_string(i) + ".csv";
+    MetricsRegistry registry;
+    BatchResult result;
+    {
+      CsvSink rows_csv(path);
+      result = run_experiment(spec, {}, {&rows_csv}, &registry);
+    }
+    rows[i] = read_file(path);
+    std::remove(path.c_str());
+    const FoldedMetrics folded = registry.fold();
+    EXPECT_EQ(folded.counters.at("engine.row_exact_phis"),
+              result.row_exact_phis);
+    if (i == 0) {
+      exact = result.row_exact_phis;
+    }
+    EXPECT_EQ(result.row_exact_phis, exact) << thread_counts[i] << " threads";
+  }
+  EXPECT_EQ(rows[0], rows[1]);
+  EXPECT_EQ(rows[0], rows[2]);
+  // Checkpoints every 8 steps on a fast mixer: phi reaches its rounding
+  // floor, where some rows need the exact pass and others do not.
+  const auto total = static_cast<std::int64_t>(2 * 6 * (2048 / 8 + 1));
+  EXPECT_GT(exact, 0);
+  EXPECT_LT(exact, total);
+
+  service::ServeOptions options;
+  options.threads = 3;
+  service::JobStreamService server(std::move(options));
+  const std::string serve_rows =
+      ::testing::TempDir() + "opindyn_serve_exact.csv";
+  std::istringstream in(
+      "scenario=trajectory graph=complete n=64 replicas=6 horizon=2048 "
+      "check-interval=8 seed=4 sweep=alpha:0.3,0.5 rows-csv=" + serve_rows +
+      "\n");
+  std::ostringstream out;
+  ASSERT_EQ(server.serve_stream(in, out), 0);
+  std::istringstream lines(out.str());
+  std::string line;
+  bool found = false;
+  while (std::getline(lines, line)) {
+    const json::Value record = json::parse(line);
+    const json::Value* job = record.find("job");
+    if (job != nullptr && job->as_int() == 1) {
+      ASSERT_EQ(record.find("status")->as_string(), "ok");
+      EXPECT_EQ(record.find("row_exact_phis")->as_int(), exact);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  EXPECT_EQ(read_file(serve_rows), rows[0]);
+  std::remove(serve_rows.c_str());
 }
 
 // Sweeping model parameters must not rebuild the graph per cell: the

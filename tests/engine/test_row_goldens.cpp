@@ -5,8 +5,18 @@
 // unit-emitted rows (trajectory, cross_model), the fold-built rows
 // (thm22_variance, whp_tail), sweep-label columns and a quoted graph
 // name.
+//
+// Larger trajectory runs are pinned by digest (64-bit FNV-1a of the
+// whole file, byte and row counts), written while every row still ran
+// the exact potential pass: one where the certified O(1) interval now
+// settles most printed digits (a slow-mixing cycle) and
+// two where the exact pass prints most of them (a complete graph
+// checked every step, and a random-regular graph decaying far below
+// 1e-12 into rounding noise).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -87,6 +97,61 @@ const Golden kGoldens[] = {
      "thm22_variance,complete(8),8,3,2,2,5.2282e-02\n"},
 };
 
+struct DigestGolden {
+  const char* name;
+  std::map<std::string, std::string> spec;
+  std::uint64_t fnv1a;
+  std::size_t bytes;
+  std::size_t rows;  // lines, header included
+};
+
+const DigestGolden kDigestGoldens[] = {
+    {"cycle_screened",
+     {{"scenario", "trajectory"},
+      {"graph", "cycle"},
+      {"n", "2048"},
+      {"replicas", "4"},
+      {"check-interval", "64"},
+      {"seed", "7"},
+      {"init", "gaussian"}},
+     0xd09ab1304bfd4af0ULL,
+     122642,
+     2053},
+    {"complete_every_step",
+     {{"scenario", "trajectory"},
+      {"graph", "complete"},
+      {"n", "64"},
+      {"replicas", "3"},
+      {"check-interval", "1"},
+      {"horizon", "4096"},
+      {"seed", "11"}},
+     0x8ac16286a7832732ULL,
+     703417,
+     12292},
+    {"random_regular_below_1e-12",
+     {{"scenario", "trajectory"},
+      {"graph", "random_regular"},
+      {"degree", "4"},
+      {"n", "512"},
+      {"replicas", "3"},
+      {"check-interval", "512"},
+      {"horizon", "300000"},
+      {"seed", "13"},
+      {"init", "gaussian"}},
+     0x4e7bd960f08c67a7ULL,
+     125510,
+     1759},
+};
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -94,13 +159,14 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-std::string rows_csv_of(const Golden& golden, std::size_t threads,
-                        bool with_metrics) {
-  ExperimentSpec spec = parse_spec(golden.spec);
+std::string rows_csv_of(const char* name,
+                        const std::map<std::string, std::string>& keys,
+                        std::size_t threads, bool with_metrics) {
+  ExperimentSpec spec = parse_spec(keys);
   spec.threads = threads;
   spec.print_table = false;
-  const std::string path = ::testing::TempDir() + "opindyn_golden_" +
-                           golden.name + "_" + std::to_string(threads) +
+  const std::string path = ::testing::TempDir() + "opindyn_golden_" + name +
+                           "_" + std::to_string(threads) +
                            (with_metrics ? "_m" : "") + ".csv";
   {
     CsvSink rows(path);
@@ -115,16 +181,33 @@ std::string rows_csv_of(const Golden& golden, std::size_t threads,
 TEST(RowGoldens, RowsCsvMatchesPinnedBytesAtOneAndFourThreads) {
   for (const Golden& golden : kGoldens) {
     SCOPED_TRACE(golden.name);
-    EXPECT_EQ(rows_csv_of(golden, 1, false), golden.rows_csv);
-    EXPECT_EQ(rows_csv_of(golden, 4, false), golden.rows_csv);
+    EXPECT_EQ(rows_csv_of(golden.name, golden.spec, 1, false), golden.rows_csv);
+    EXPECT_EQ(rows_csv_of(golden.name, golden.spec, 4, false), golden.rows_csv);
   }
 }
 
 TEST(RowGoldens, RowsCsvMatchesPinnedBytesWithMetricsOn) {
   for (const Golden& golden : kGoldens) {
     SCOPED_TRACE(golden.name);
-    EXPECT_EQ(rows_csv_of(golden, 1, true), golden.rows_csv);
-    EXPECT_EQ(rows_csv_of(golden, 4, true), golden.rows_csv);
+    EXPECT_EQ(rows_csv_of(golden.name, golden.spec, 1, true), golden.rows_csv);
+    EXPECT_EQ(rows_csv_of(golden.name, golden.spec, 4, true), golden.rows_csv);
+  }
+}
+
+TEST(RowGoldens, LongTrajectoriesMatchPinnedDigestsAtOneAndFourThreads) {
+  for (const DigestGolden& golden : kDigestGoldens) {
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(golden.name) + " threads=" +
+                   std::to_string(threads));
+      const std::string bytes =
+          rows_csv_of(golden.name, golden.spec, threads,
+                      /*with_metrics=*/threads == 4);
+      EXPECT_EQ(bytes.size(), golden.bytes);
+      EXPECT_EQ(static_cast<std::size_t>(
+                    std::count(bytes.begin(), bytes.end(), '\n')),
+                golden.rows);
+      EXPECT_EQ(fnv1a(bytes), golden.fnv1a);
+    }
   }
 }
 

@@ -211,6 +211,9 @@ TEST(RunReport, ManifestCarriesAllSectionsAndLiveCounters) {
   const json::Value* result_block = report.find("result");
   EXPECT_EQ(result_block->find("graphs_built")->as_int(), 1);
   EXPECT_EQ(result_block->find("graph_cache_hits")->as_int(), 2);
+  // No row sink, so no certified rows and no exact passes for them.
+  EXPECT_EQ(result_block->find("row_exact_phis")->as_int(), 0);
+  EXPECT_EQ(counters->find("engine.row_exact_phis")->as_int(), 0);
 
   // Per-cell table: one row per grid cell, labeled counters populated.
   const json::Array& cells = report.find("cells")->as_array();

@@ -4,6 +4,7 @@
 // serve-vs-one-shot byte-identity contract.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -237,6 +238,29 @@ TEST(ServeSession, DeadlineExceededJobReportsCancelled) {
   EXPECT_EQ(record->find("status")->as_string(), "cancelled");
   EXPECT_EQ(record->find("reason")->as_string(), "deadline_ms exceeded");
   EXPECT_EQ(records.back().find("cancelled")->as_int(), 1);
+}
+
+// Trajectory polls the ambient cancel token once per checkpoint and
+// gossip once per burst: two jobs that would run for minutes both come
+// back cancelled shortly after their 200 ms deadline.
+TEST(ServeSession, DeadlineCancelsTrajectoryAndGossipJobsWithinASecond) {
+  const std::string input =
+      "scenario=trajectory n=4096 replicas=2 horizon=4000000000 "
+      "check-interval=100000 deadline_ms=200\n"
+      "scenario=gossip n=4096 replicas=2 eps=1e-300 max-steps=4000000000 "
+      "deadline_ms=200\n";
+  const auto started = std::chrono::steady_clock::now();
+  const auto records = serve_records(input, service::ServeOptions{});
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  for (const std::int64_t id : {1, 2}) {
+    const json::Value* record = find_job_record(records, id);
+    ASSERT_NE(record, nullptr) << "job " << id;
+    EXPECT_EQ(record->find("status")->as_string(), "cancelled") << "job "
+                                                                 << id;
+    EXPECT_EQ(record->find("reason")->as_string(), "deadline_ms exceeded");
+  }
+  EXPECT_EQ(records.back().find("cancelled")->as_int(), 2);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(ServeSession, JsonAndSpecGrammarJobsProduceIdenticalBytes) {

@@ -4,7 +4,10 @@
 // CsvWriter::write_row(std::vector<double>).  Every byte of every CSV
 // rests on the two agreeing, so the comparison covers the special
 // values at every precision and a million seeded random bit patterns
-// at the precisions the scenarios use.
+// at the precisions the scenarios use.  The certified cell
+// (RowEmitter::sci_certified) must print exactly append_sci(exact) for
+// every exact value inside its interval, and skip exact() only when the
+// interval's ends print alike.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,6 +24,7 @@
 #include "src/support/csv.h"
 #include "src/support/format.h"
 #include "src/support/rng.h"
+#include "src/support/row_block.h"
 
 namespace opindyn {
 namespace {
@@ -268,6 +272,158 @@ TEST(Format, CsvDoubleRowsMatchThePrecision12Stream) {
   actual << in.rdbuf();
   std::remove(path.c_str());
   EXPECT_EQ(actual.str(), expected);
+}
+
+// ---- certified cells ------------------------------------------------
+
+/// Formats one certified cell over [lo, hi] and expects the bytes of
+/// append_sci(exact); returns true when it settled without exact().
+bool certified_matches_exact(double lo, double hi, double exact,
+                             int digits) {
+  EXPECT_LE(lo, exact) << "bad case";
+  EXPECT_LE(exact, hi) << "bad case";
+  int calls = 0;
+  RowEmitter rows;
+  rows.row().sci_certified(lo, hi, digits, [&calls, exact] {
+    ++calls;
+    return exact;
+  });
+  const RowBlock block = rows.take();
+  std::string expected;
+  append_sci(expected, exact, digits);
+  expected += '\n';
+  EXPECT_EQ(block.bytes, expected)
+      << std::hexfloat << "lo=" << lo << " hi=" << hi << " exact=" << exact
+      << " digits=" << digits;
+  EXPECT_EQ(block.exact_cells, calls);
+  return calls == 0;
+}
+
+/// Every double from `steps` ulps below x to `steps` above it.
+std::vector<double> ulp_walk(double x, int steps) {
+  double low = x;
+  for (int i = 0; i < steps; ++i) {
+    low = std::nextafter(low, -std::numeric_limits<double>::infinity());
+  }
+  std::vector<double> walk{low};
+  for (int i = 0; i < 2 * steps; ++i) {
+    walk.push_back(std::nextafter(walk.back(),
+                                  std::numeric_limits<double>::infinity()));
+  }
+  return walk;
+}
+
+/// Every sub-interval of the walk, with every exact value inside it.
+void expect_every_subinterval(const std::vector<double>& walk, int digits) {
+  for (std::size_t a = 0; a < walk.size(); ++a) {
+    for (std::size_t b = a; b < walk.size(); ++b) {
+      for (std::size_t e = a; e <= b; ++e) {
+        certified_matches_exact(walk[a], walk[b], walk[e], digits);
+      }
+    }
+  }
+}
+
+TEST(Format, SciCertifiedNarrowIntervalsSettleAndMatchTheExactValue) {
+  Rng rng(2718);
+  int settled = 0;
+  constexpr int kCases = 20'000;
+  for (int i = 0; i < kCases; ++i) {
+    const double mantissa = 1.0 + 9.0 * rng.next_double();
+    const int exponent = static_cast<int>(rng.next_below(601)) - 300;
+    const double x = (rng.next_bool(0.1) ? -mantissa : mantissa) *
+                     std::pow(10.0, exponent);
+    const double width =
+        std::abs(x) *
+        std::pow(10.0, -static_cast<double>(7 + rng.next_below(9)));
+    const double lo = x - width * rng.next_double();
+    const double hi = x + width * rng.next_double();
+    const double inside = lo + (hi - lo) * rng.next_double();
+    const int digits = rng.next_bool(0.5)
+                           ? 4
+                           : static_cast<int>(rng.next_below(6));
+    for (const double exact : {lo, inside, hi}) {
+      settled += certified_matches_exact(lo, hi, exact, digits);
+    }
+  }
+  // Widths of 1e-7 relative and below rarely straddle a fifth digit.
+  EXPECT_GT(settled, 3 * kCases * 9 / 10) << settled;
+}
+
+TEST(Format, SciCertifiedAtDecimalBucketEdges) {
+  // x is the double nearest a rounding midpoint (k + 1/2) 10^(e - d) of
+  // the d-decimal scientific format: the ulp walk around it crosses the
+  // printed digit.
+  Rng rng(31415);
+  for (int i = 0; i < 400; ++i) {
+    const int digits = static_cast<int>(rng.next_below(7));
+    const double scale = std::pow(10.0, digits);
+    const double k = scale + static_cast<double>(rng.next_below(
+                                 static_cast<std::uint64_t>(9 * scale)));
+    const int exponent = static_cast<int>(rng.next_below(81)) - 40;
+    const double x = (k + 0.5) / scale * std::pow(10.0, exponent);
+    expect_every_subinterval(ulp_walk(x, 2), digits);
+  }
+}
+
+TEST(Format, SciCertifiedAtExactTiesAndTheCarry) {
+  // Exactly representable midpoints, which to_chars rounds half to even:
+  // six-digit integers ending in 5 at four decimals, and dyadic ones.
+  Rng rng(1618);
+  for (int i = 0; i < 200; ++i) {
+    const double tie =
+        10.0 * static_cast<double>(10'000 + rng.next_below(90'000)) + 5.0;
+    expect_every_subinterval(ulp_walk(tie, 2), 4);
+  }
+  for (const double tie : {1.03125, 2.5, 0.125, -0.125}) {
+    for (const int digits : {0, 1, 4}) {
+      expect_every_subinterval(ulp_walk(tie, 2), digits);
+    }
+  }
+  // 9.99995 rounds up into the next decade: "1.0000e+01".
+  expect_every_subinterval(ulp_walk(9.99995, 3), 4);
+  EXPECT_FALSE(certified_matches_exact(9.99994, 9.99996, 9.99995, 4));
+  EXPECT_TRUE(certified_matches_exact(9.999951, 9.999952, 9.9999515, 4));
+  EXPECT_FALSE(certified_matches_exact(9.999949, 10.00001, 10.0, 4));
+}
+
+TEST(Format, SciCertifiedAroundZeroDenormalsAndNonFiniteValues) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  // An interval holding zero never settles: the sign of a zero prints.
+  EXPECT_FALSE(certified_matches_exact(0.0, 0.0, 0.0, 4));
+  EXPECT_FALSE(certified_matches_exact(0.0, 0.0, -0.0, 4));
+  EXPECT_FALSE(certified_matches_exact(-0.0, 0.0, 0.0, 4));
+  EXPECT_FALSE(certified_matches_exact(-1e-300, 1e-300, 0.0, 4));
+  EXPECT_FALSE(certified_matches_exact(-tiny, tiny, -0.0, 4));
+  // Negative lo with a positive value inside.
+  EXPECT_FALSE(certified_matches_exact(-1e-20, 1e-10, 3e-15, 4));
+  EXPECT_FALSE(certified_matches_exact(-1.0, 2.0, 1.5, 4));
+  // Subnormals, where a few ulps span several printed digits.
+  for (const double x : {tiny, 3 * tiny, 1234 * tiny, 0x1p-1030,
+                         0x1p-1022}) {
+    for (const int digits : {0, 1, 4}) {
+      expect_every_subinterval(ulp_walk(x, 2), digits);
+    }
+  }
+  // Negative intervals settle like positive ones.
+  EXPECT_TRUE(certified_matches_exact(-1.2345678 * (1 + 1e-9),
+                                      -1.2345678 * (1 - 1e-9), -1.2345678,
+                                      4));
+  expect_every_subinterval(ulp_walk(-9.99995, 2), 4);
+  // Infinities and NaN take the exact path.
+  certified_matches_exact(inf, inf, inf, 4);
+  certified_matches_exact(1.0, inf, 2.0, 4);
+  certified_matches_exact(-inf, -1.0, -2.0, 4);
+  int calls = 0;
+  RowEmitter rows;
+  rows.row().sci_certified(std::numeric_limits<double>::quiet_NaN(), 1.0, 4,
+                           [&calls] {
+                             ++calls;
+                             return 0.5;
+                           });
+  EXPECT_EQ(rows.take().bytes, "5.0000e-01\n");
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace
