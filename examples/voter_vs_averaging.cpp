@@ -60,10 +60,14 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(t) + 100;
     {
       Rng rng(seed);
-      const auto r = run_voter_to_consensus(g, discrete, rng, 500'000'000);
-      if (r.reached_consensus) {
+      VoterModel voter(g, discrete);
+      ConvergenceOptions options;
+      options.max_steps = 500'000'000;
+      options.check_interval = 1;  // consensus is an O(1) read
+      const auto r = run_until_converged(voter, rng, options);
+      if (r.converged) {
         voter_steps.add(static_cast<double>(r.steps));
-        voter_value.add(static_cast<double>(r.winning_opinion));
+        voter_value.add(voter.opinion(0));
       }
     }
     {
@@ -80,9 +84,14 @@ int main(int argc, char** argv) {
     }
     {
       Rng rng(seed);
-      const auto r = run_gossip_to_convergence(g, xi, rng, eps, 500'000'000);
+      GossipModel gossip(g, xi);
+      ConvergenceOptions options;
+      options.epsilon = eps;
+      options.max_steps = 500'000'000;
+      options.use_plain_potential = true;  // gossip conserves Avg exactly
+      const auto r = run_until_converged(gossip, rng, options);
       gossip_steps.add(static_cast<double>(r.steps));
-      gossip_value.add(r.final_value);
+      gossip_value.add(gossip.state().average());
     }
   }
 

@@ -1,10 +1,7 @@
 #include "src/core/gossip_model.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "src/service/cancel_token.h"
 #include "src/support/assert.h"
 
 namespace opindyn {
@@ -69,33 +66,6 @@ void GossipModel::step_burst(Rng& rng, std::int64_t n_steps) {
     s.set_value(v, mean);
   }
   advance_time(n_steps);
-}
-
-GossipRunResult run_gossip_to_convergence(const Graph& graph,
-                                          const std::vector<double>& initial,
-                                          Rng& rng, double epsilon,
-                                          std::int64_t max_steps) {
-  OPINDYN_EXPECTS(epsilon > 0.0, "epsilon must be positive");
-  GossipModel gossip(graph, initial);
-  const double initial_average = gossip.state().average();
-  GossipRunResult result;
-  const std::int64_t interval =
-      std::max<std::int64_t>(1, graph.node_count() / 4);
-  while (gossip.time() < max_steps) {
-    // Cancellation lands between bursts, as in run_until_converged.
-    cancel::poll();
-    const std::int64_t burst = std::min(interval, max_steps - gossip.time());
-    gossip.step_burst(rng, burst);
-    // The certified O(1) screen first; the exact pass decides the rest.
-    if (gossip.converged(epsilon, /*use_plain_potential=*/true)) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.steps = gossip.time();
-  result.final_value = gossip.state().average();
-  result.average_drift = std::abs(result.final_value - initial_average);
-  return result;
 }
 
 }  // namespace opindyn

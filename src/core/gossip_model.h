@@ -35,24 +35,6 @@ class GossipModel final : public AveragingProcess {
   bool lazy_;
 };
 
-/// Source-compatible alias for the pre-refactor class name.
-using PairwiseGossip = GossipModel;
-
-struct GossipRunResult {
-  std::int64_t steps = 0;
-  bool converged = false;
-  double final_value = 0.0;
-  /// |final_value - Avg(0)| -- zero up to floating point, by double
-  /// stochasticity.
-  double average_drift = 0.0;
-};
-
-/// Runs until phi_V <= eps or max_steps.
-GossipRunResult run_gossip_to_convergence(const Graph& graph,
-                                          const std::vector<double>& initial,
-                                          Rng& rng, double epsilon,
-                                          std::int64_t max_steps);
-
 }  // namespace opindyn
 
 #endif  // OPINDYN_CORE_GOSSIP_MODEL_H

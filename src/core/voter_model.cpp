@@ -117,18 +117,4 @@ bool VoterModel::converged(double /*epsilon*/,
   return has_consensus();
 }
 
-VoterRunResult run_voter_to_consensus(const Graph& graph,
-                                      const std::vector<int>& opinions,
-                                      Rng& rng, std::int64_t max_steps) {
-  VoterModel model(graph, opinions);
-  VoterRunResult result;
-  while (!model.has_consensus() && model.time() < max_steps) {
-    model.step(rng);
-  }
-  result.steps = model.time();
-  result.reached_consensus = model.has_consensus();
-  result.winning_opinion = static_cast<int>(model.opinion(0));
-  return result;
-}
-
 }  // namespace opindyn

@@ -60,17 +60,6 @@ class VoterModel final : public AveragingProcess {
   int distinct_opinions_ = 0;
 };
 
-struct VoterRunResult {
-  std::int64_t steps = 0;
-  bool reached_consensus = false;
-  int winning_opinion = 0;
-};
-
-/// Runs to consensus or max_steps (exact per-step consensus check).
-VoterRunResult run_voter_to_consensus(const Graph& graph,
-                                      const std::vector<int>& opinions,
-                                      Rng& rng, std::int64_t max_steps);
-
 }  // namespace opindyn
 
 #endif  // OPINDYN_CORE_VOTER_MODEL_H

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -96,6 +97,34 @@ void require_row_channel(const Scenario& scenario) {
 }
 
 }  // namespace
+
+void validate_spec(const ExperimentSpec& spec) {
+  const Scenario& scenario = resolve_scenario(spec);
+  if (!spec.rows_csv_path.empty() || !spec.hist_csv_path.empty() ||
+      !spec.hist_column.empty() || !spec.quantiles.empty()) {
+    require_row_channel(scenario);
+  }
+  for (const SweepPoint& point : expand_grid(spec)) {
+    ExperimentSpec cell = spec;
+    for (const auto& [key, value] : point.overrides) {
+      apply_override(cell, key, value);
+    }
+    // One-line errors naming the key: the library preconditions these
+    // ranges mirror would name a source file instead.
+    std::ostringstream bad;
+    if (cell.replicas < 1) {
+      bad << "'replicas': expected an integer >= 1, got " << cell.replicas;
+    } else if (!(cell.convergence.epsilon > 0.0)) {
+      bad << "'eps': expected a number > 0, got " << cell.convergence.epsilon;
+    } else if (cell.convergence.max_steps < 0) {
+      bad << "'max-steps': expected an integer >= 0, got "
+          << cell.convergence.max_steps;
+    }
+    if (!bad.str().empty()) {
+      throw std::runtime_error("spec key " + bad.str());
+    }
+  }
+}
 
 std::vector<SweepPoint> expand_grid(const ExperimentSpec& spec) {
   std::vector<SweepPoint> grid{SweepPoint{}};
@@ -584,16 +613,10 @@ BatchResult run_experiment_with_default_sinks(const ExperimentSpec& spec) {
 
 BatchResult run_experiment_with_default_sinks(const ExperimentSpec& spec,
                                               const RunContext& context) {
-  // Validate the scenario (and its row channel, if a row-consuming flag
-  // is set) BEFORE any file sink opens: opening truncates, and a typo'd
-  // --scenario must not wipe a pre-existing output file.
-  const Scenario& scenario = resolve_scenario(spec);
-  const bool wants_row_channel =
-      !spec.rows_csv_path.empty() || !spec.hist_csv_path.empty() ||
-      !spec.hist_column.empty() || !spec.quantiles.empty();
-  if (wants_row_channel) {
-    require_row_channel(scenario);
-  }
+  // Validate the whole spec BEFORE any file sink opens: opening
+  // truncates, and a typo'd --scenario or a bad sweep value must not
+  // wipe a pre-existing output file.
+  validate_spec(spec);
 
   // File sinks open their paths at construction, so a typo'd --csv /
   // --rows-csv / --hist-csv directory fails right here -- with the path

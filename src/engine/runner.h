@@ -125,6 +125,15 @@ struct RunContext {
   MetricsRegistry* metrics = nullptr;
 };
 
+/// Checks everything about `spec` that can fail before any work runs,
+/// with one-line errors: the scenario name, its row channel when a
+/// row-consuming output (rows-csv, hist-csv, hist-column, quantiles) is
+/// set, and every grid cell -- its sweep overrides applied to a copy,
+/// then replicas >= 1, eps > 0 and max-steps >= 0.  The default-sink
+/// wrapper and serve mode call it before SpecSinks opens (and
+/// truncates) any output file.
+void validate_spec(const ExperimentSpec& spec);
+
 /// Runs the full batch: looks up the scenario, expands the grid, builds
 /// the per-cell graph (cached) and initial opinions, schedules every
 /// cell's replicas over one pool, and streams aggregate rows to `sinks`

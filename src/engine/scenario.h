@@ -140,6 +140,14 @@ class ScenarioRegistrar {
   const ::opindyn::engine::ScenarioRegistrar registrar_##ClassName{ \
       std::make_unique<ClassName>()};
 
+/// Registers one configured instance of a scenario class that serves
+/// several names (e.g. the forced-kind registrations of cross_model):
+/// `Id` names the registrar and the remaining arguments go to the
+/// constructor, whose first argument is the registered name.
+#define OPINDYN_REGISTER_SCENARIO_AS(Id, ClassName, ...)         \
+  const ::opindyn::engine::ScenarioRegistrar registrar_##Id{     \
+      std::make_unique<ClassName>(__VA_ARGS__)};
+
 /// Forces the translation unit holding the built-in scenario registrars
 /// to be linked (a static library would otherwise drop it).  Idempotent;
 /// called by the batch runner and the CLI.

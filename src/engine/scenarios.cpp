@@ -6,10 +6,13 @@
 // trajectory workloads.  Each scenario self-registers, so `opindyn
 // list` and the batch runner discover them by name.
 //
-// Single-model scenarios force their own ModelKind through
+// Every scenario that runs a model to eps-convergence does it through
+// submit_converging (scenario_runs.h).  The single-model scenarios
+// (node, edge, lazy, weighted_median) are registrations of the
+// cross_model class that force their own ModelKind through
 // config_for_kind (which also drops knobs the kind does not read); the
-// cross_model scenario honours `model=` verbatim, so `model` is a legal
-// sweep axis there.
+// cross_model registration honours `model=` verbatim, so `model` is a
+// legal sweep axis there.
 //
 // Scenarios run in two phases (see scenario.h): start() submits replica
 // batches to the shared CellScheduler without blocking -- heavy per-cell
@@ -21,20 +24,22 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/coalescing.h"
 #include "src/core/degroot.h"
 #include "src/core/friedkin_johnsen.h"
-#include "src/core/gossip_model.h"
 #include "src/core/hegselmann_krause_model.h"
-#include "src/core/voter_model.h"
+#include "src/core/initial_values.h"
 #include "src/core/convergence.h"
 #include "src/core/model.h"
 #include "src/core/theory.h"
 #include "src/engine/scenario.h"
 #include "src/engine/scenario_format.h"
+#include "src/engine/scenario_runs.h"
 #include "src/graph/algorithms.h"
 #include "src/service/cancel_token.h"
 #include "src/spectral/spectra.h"
@@ -44,118 +49,19 @@ namespace opindyn {
 namespace engine {
 namespace {
 
-/// Aggregated eps-convergence statistics of one averaging-process
-/// configuration (replica r uses stream fork(subseed(seed, salt), r), so
-/// every sub-experiment of a scenario gets its own independent stream
-/// family).
-struct AveragingSummary {
-  RunningStats value;
-  RunningStats steps;
-  std::int64_t diverged = 0;
-};
-
-std::shared_ptr<ReplicaBatch> submit_averaging(const RunInput& in,
-                                               const ModelConfig& config,
-                                               std::uint64_t salt = 0) {
-  const ExperimentSpec& spec = in.spec;
-  return in.scheduler.submit(
-      spec.replicas, salt == 0 ? spec.seed : subseed(spec.seed, salt), 3,
-      [in, config](std::int64_t, Rng& rng, std::span<double> out,
-                   RowEmitter&) {
-        auto process = make_process(in.graph, config, in.initial);
-        const ConvergenceResult res =
-            run_until_converged(*process, rng, in.spec.convergence);
-        out[0] = res.final_value;
-        out[1] = static_cast<double>(res.steps);
-        out[2] = res.converged ? 0.0 : 1.0;
-      });
-}
-
-AveragingSummary fold_averaging(ReplicaBatch& batch) {
+/// The E[F] / Var(F) / T_eps / diverged cells of a submit_converging
+/// batch (the columns of cross_model and its forced-kind registrations).
+std::vector<std::string> averaging_row(ReplicaBatch& batch) {
   const std::vector<RunningStats>& stats = batch.stats();
-  AveragingSummary summary;
-  summary.value = stats[0];
-  summary.steps = stats[1];
-  summary.diverged = static_cast<std::int64_t>(std::llround(stats[2].sum()));
-  return summary;
+  const std::int64_t diverged =
+      batch.replicas() - std::llround(stats[kConverged].sum());
+  return {fmt(stats[kValue].mean()),
+          fmt(stats[kValue].mean_ci_halfwidth(), 3),
+          fmt_sci(stats[kValue].population_variance(), 3),
+          fmt_fixed(stats[kSteps].mean(), 1),
+          fmt_fixed(stats[kSteps].mean_ci_halfwidth(), 1),
+          std::to_string(diverged)};
 }
-
-std::vector<std::string> averaging_columns() {
-  return {"E[F]", "+-CI(F)", "Var(F)", "T_eps", "+-CI(T)", "diverged"};
-}
-
-std::vector<std::string> averaging_row(const AveragingSummary& s) {
-  return {fmt(s.value.mean()),
-          fmt(s.value.mean_ci_halfwidth(), 3),
-          fmt_sci(s.value.population_variance(), 3),
-          fmt_fixed(s.steps.mean(), 1),
-          fmt_fixed(s.steps.mean_ci_halfwidth(), 1),
-          std::to_string(s.diverged)};
-}
-
-/// One batch that folds a single configured averaging run into one row.
-CellFold averaging_fold(const RunInput& in, const ModelConfig& config) {
-  auto batch = submit_averaging(in, config);
-  return [batch] {
-    return CellRows{{averaging_row(fold_averaging(*batch))}, {}};
-  };
-}
-
-/// NodeModel (Definition 2.1) run to eps-convergence.
-class NodeScenario final : public Scenario {
- public:
-  std::string name() const override { return "node"; }
-  std::string description() const override {
-    return "NodeModel (Def 2.1): random node averages with k sampled "
-           "neighbours; reports F and T_eps (Thm 2.2).";
-  }
-  std::vector<std::string> columns() const override {
-    return averaging_columns();
-  }
-  CellFold start(const RunInput& in) const override {
-    return averaging_fold(in, config_for_kind(in.spec.model,
-                                              ModelKind::node));
-  }
-};
-OPINDYN_REGISTER_SCENARIO(NodeScenario)
-
-/// EdgeModel (Definition 2.3) run to eps-convergence.
-class EdgeScenario final : public Scenario {
- public:
-  std::string name() const override { return "edge"; }
-  std::string description() const override {
-    return "EdgeModel (Def 2.3): one endpoint of a random arc moves "
-           "toward the other; reports F and T_eps (Thm 2.4).";
-  }
-  std::vector<std::string> columns() const override {
-    return averaging_columns();
-  }
-  CellFold start(const RunInput& in) const override {
-    return averaging_fold(in, config_for_kind(in.spec.model,
-                                              ModelKind::edge));
-  }
-};
-OPINDYN_REGISTER_SCENARIO(EdgeScenario)
-
-/// Lazy NodeModel: each step is a fair-coin no-op (the Appendix-B
-/// analysis variant; doubles T_eps, leaves F unchanged).
-class LazyScenario final : public Scenario {
- public:
-  std::string name() const override { return "lazy"; }
-  std::string description() const override {
-    return "Lazy NodeModel: fair-coin no-op per step (Prop B.1 variant); "
-           "same F, ~2x T_eps.";
-  }
-  std::vector<std::string> columns() const override {
-    return averaging_columns();
-  }
-  CellFold start(const RunInput& in) const override {
-    ModelConfig config = config_for_kind(in.spec.model, ModelKind::node);
-    config.lazy = true;
-    return averaging_fold(in, config);
-  }
-};
-OPINDYN_REGISTER_SCENARIO(LazyScenario)
 
 /// Both processes on the same input, side by side.
 class NodeVsEdgeScenario final : public Scenario {
@@ -172,16 +78,16 @@ class NodeVsEdgeScenario final : public Scenario {
   CellFold start(const RunInput& in) const override {
     const ModelConfig node = config_for_kind(in.spec.model, ModelKind::node);
     const ModelConfig edge = config_for_kind(in.spec.model, ModelKind::edge);
-    auto node_batch = submit_averaging(in, node, 0);
-    auto edge_batch = submit_averaging(in, edge, 1);
+    auto node_batch = submit_converging(in, node, in.spec.convergence, 0);
+    auto edge_batch = submit_converging(in, edge, in.spec.convergence, 1);
     return [node_batch, edge_batch] {
-      const AveragingSummary ns = fold_averaging(*node_batch);
-      const AveragingSummary es = fold_averaging(*edge_batch);
+      const std::vector<RunningStats>& ns = node_batch->stats();
+      const std::vector<RunningStats>& es = edge_batch->stats();
       return CellRows{
-          {{fmt_fixed(ns.steps.mean(), 1), fmt_fixed(es.steps.mean(), 1),
-            fmt_fixed(ns.steps.mean() / es.steps.mean(), 3),
-            fmt_sci(ns.value.population_variance(), 3),
-            fmt_sci(es.value.population_variance(), 3)}},
+          {{fmt_fixed(ns[kSteps].mean(), 1), fmt_fixed(es[kSteps].mean(), 1),
+            fmt_fixed(ns[kSteps].mean() / es[kSteps].mean(), 3),
+            fmt_sci(ns[kValue].population_variance(), 3),
+            fmt_sci(es[kValue].population_variance(), 3)}},
           {}};
     };
   }
@@ -206,86 +112,91 @@ std::shared_ptr<ReplicaBatch> submit_node_prediction(
             theory::node_model_rho(spectrum.lambda2, config.alpha, config.k,
                                    in.graph.node_count(), config.lazy),
             probe.phi_exact(), in.spec.convergence.epsilon);
-        double norm = 0.0;
-        for (const double x : in.initial) {
-          norm += x * x;
-        }
         out[2] = theory::node_convergence_bound(
-            in.graph.node_count(), norm, in.spec.convergence.epsilon,
-            spectrum.lambda2);
+            in.graph.node_count(), initial::l2_squared(in.initial),
+            in.spec.convergence.epsilon, spectrum.lambda2);
       });
 }
 
-/// NodeModel T_eps against the Prop. B.1 prediction -- sweep k to get the
-/// remark after Theorem 2.2 ((1 + 1/k) dependence).
-class KAblationScenario final : public Scenario {
- public:
-  std::string name() const override { return "k_ablation"; }
-  std::string description() const override {
-    return "NodeModel T_eps vs the Prop B.1 prediction; sweep k (and "
-           "sampling) for the remark after Thm 2.2.";
-  }
-  std::vector<std::string> columns() const override {
-    return {"T_eps", "+-CI(T)", "T predicted (B.1)", "measured/predicted"};
-  }
-  SpectrumNeeds reads_spectra() const override {
-    return {.walk = true};
-  }
-  CellFold start(const RunInput& in) const override {
-    const ModelConfig config =
-        config_for_kind(in.spec.model, ModelKind::node);
-    auto measured = submit_averaging(in, config);
-    auto prediction = submit_node_prediction(in, config);
-    return [measured, prediction] {
-      const AveragingSummary s = fold_averaging(*measured);
-      const double predicted = prediction->sample(0, 1);
-      return CellRows{{{fmt_fixed(s.steps.mean(), 1),
-                        fmt_fixed(s.steps.mean_ci_halfwidth(), 1),
-                        fmt_fixed(predicted, 1),
-                        fmt_fixed(s.steps.mean() / predicted, 3)}},
-                      {}};
-    };
-  }
-};
-OPINDYN_REGISTER_SCENARIO(KAblationScenario)
+/// Formats the row of a NodePredictionScenario cell from the measured
+/// T_eps statistics and the submit_node_prediction batch.
+using PredictionColumns = std::vector<std::string> (*)(
+    const RunningStats& steps, ReplicaBatch& prediction);
 
-/// NodeModel convergence against both the exact B.1 prediction and the
-/// Theorem 2.2(1) scale n log(n ||xi||^2 / eps) / (1 - lambda2(P)) --
-/// the engine port of bench_thm22_convergence; sweep graph / n / alpha /
-/// k to reproduce its three tables.
-class Thm22ConvergenceScenario final : public Scenario {
+/// NodeModel T_eps against the spectral Prop. B.1 prediction: one
+/// measured batch and one prediction batch per cell, formatted by the
+/// registration's column adapter (k_ablation, thm22_convergence).
+class NodePredictionScenario final : public Scenario {
  public:
-  std::string name() const override { return "thm22_convergence"; }
-  std::string description() const override {
-    return "Thm 2.2(1): NodeModel T_eps vs the exact B.1 prediction and "
-           "the theorem's n log(n||xi||^2/eps)/(1-lambda2) scale.";
-  }
-  std::vector<std::string> columns() const override {
-    return {"1-l2(P)", "T measured", "+-CI(T)", "T predicted (B.1)",
-            "theorem scale", "meas/pred"};
-  }
+  NodePredictionScenario(std::string name, std::string description,
+                         std::vector<std::string> columns,
+                         PredictionColumns format)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        columns_(std::move(columns)),
+        format_(format) {}
+
+  std::string name() const override { return name_; }
+  std::string description() const override { return description_; }
+  std::vector<std::string> columns() const override { return columns_; }
   SpectrumNeeds reads_spectra() const override {
     return {.walk = true};
   }
   CellFold start(const RunInput& in) const override {
     const ModelConfig config =
         config_for_kind(in.spec.model, ModelKind::node);
-    auto measured = submit_averaging(in, config);
+    auto measured = submit_converging(in, config, in.spec.convergence);
     auto prediction = submit_node_prediction(in, config);
-    return [measured, prediction] {
-      const AveragingSummary s = fold_averaging(*measured);
-      const double predicted = prediction->sample(0, 1);
-      return CellRows{{{fmt_sci(prediction->sample(0, 0), 2),
-                        fmt_fixed(s.steps.mean(), 0),
-                        fmt_fixed(s.steps.mean_ci_halfwidth(), 0),
-                        fmt_fixed(predicted, 0),
-                        fmt_fixed(prediction->sample(0, 2), 0),
-                        fmt_fixed(s.steps.mean() / predicted, 3)}},
-                      {}};
+    return [measured, prediction, format = format_] {
+      return CellRows{{format(measured->stats()[kSteps], *prediction)}, {}};
     };
   }
+
+ private:
+  std::string name_;
+  std::string description_;
+  std::vector<std::string> columns_;
+  PredictionColumns format_;
 };
-OPINDYN_REGISTER_SCENARIO(Thm22ConvergenceScenario)
+
+/// k_ablation: sweep k to get the remark after Theorem 2.2 ((1 + 1/k)
+/// dependence).
+std::vector<std::string> k_ablation_columns(const RunningStats& steps,
+                                            ReplicaBatch& prediction) {
+  const double predicted = prediction.sample(0, 1);
+  return {fmt_fixed(steps.mean(), 1), fmt_fixed(steps.mean_ci_halfwidth(), 1),
+          fmt_fixed(predicted, 1), fmt_fixed(steps.mean() / predicted, 3)};
+}
+OPINDYN_REGISTER_SCENARIO_AS(
+    k_ablation, NodePredictionScenario, "k_ablation",
+    "NodeModel T_eps vs the Prop B.1 prediction; sweep k (and "
+    "sampling) for the remark after Thm 2.2.",
+    std::vector<std::string>{"T_eps", "+-CI(T)", "T predicted (B.1)",
+                             "measured/predicted"},
+    k_ablation_columns)
+
+/// thm22_convergence: also against the Theorem 2.2(1) scale
+/// n log(n ||xi||^2 / eps) / (1 - lambda2(P)) -- the engine port of
+/// bench_thm22_convergence; sweep graph / n / alpha / k to reproduce its
+/// three tables.
+std::vector<std::string> thm22_convergence_columns(const RunningStats& steps,
+                                                   ReplicaBatch& prediction) {
+  const double predicted = prediction.sample(0, 1);
+  return {fmt_sci(prediction.sample(0, 0), 2),
+          fmt_fixed(steps.mean(), 0),
+          fmt_fixed(steps.mean_ci_halfwidth(), 0),
+          fmt_fixed(predicted, 0),
+          fmt_fixed(prediction.sample(0, 2), 0),
+          fmt_fixed(steps.mean() / predicted, 3)};
+}
+OPINDYN_REGISTER_SCENARIO_AS(
+    thm22_convergence, NodePredictionScenario, "thm22_convergence",
+    "Thm 2.2(1): NodeModel T_eps vs the exact B.1 prediction and "
+    "the theorem's n log(n||xi||^2/eps)/(1-lambda2) scale.",
+    std::vector<std::string>{"1-l2(P)", "T measured", "+-CI(T)",
+                             "T predicted (B.1)", "theorem scale",
+                             "meas/pred"},
+    thm22_convergence_columns)
 
 /// The w.h.p. tail of Theorems 2.2(1)/2.4(1): per-replica T_eps rows
 /// (the first streaming consumer) plus quantiles normalised by the
@@ -313,15 +224,7 @@ class WhpTailScenario final : public Scenario {
       ConvergenceOptions convergence = in.spec.convergence;
       convergence.use_plain_potential =
           kind == ModelKind::edge || convergence.use_plain_potential;
-      batches[i] = in.scheduler.submit(
-          in.spec.replicas,
-          i == 0 ? in.spec.seed : subseed(in.spec.seed, 1), 1,
-          [in, config, convergence](std::int64_t, Rng& rng,
-                                    std::span<double> out, RowEmitter&) {
-            auto process = make_process(in.graph, config, in.initial);
-            out[0] = static_cast<double>(
-                run_until_converged(*process, rng, convergence).steps);
-          });
+      batches[i] = submit_converging(in, config, convergence, i);
     }
     const RowStream* const stream = in.rows;
     return [batches, stream] {
@@ -331,7 +234,11 @@ class WhpTailScenario final : public Scenario {
       for (int i = 0; i < 2; ++i) {
         const std::string model = i == 0 ? "NodeModel" : "EdgeModel";
         ReplicaBatch& batch = *batches[i];
-        std::vector<double> times(batch.samples());
+        std::vector<double> times;
+        times.reserve(static_cast<std::size_t>(batch.replicas()));
+        for (std::int64_t r = 0; r < batch.replicas(); ++r) {
+          times.push_back(batch.sample(r, kSteps));
+        }
         std::sort(times.begin(), times.end());
         const auto quantile = [&times](double q) {
           return times[static_cast<std::size_t>(
@@ -346,7 +253,7 @@ class WhpTailScenario final : public Scenario {
           continue;
         }
         for (std::int64_t r = 0; r < batch.replicas(); ++r) {
-          const double t = batch.sample(r, 0);
+          const double t = batch.sample(r, kSteps);
           streamed.row().text(model).integer(r).fixed(t, 0).fixed(
               t / median, 4);
         }
@@ -426,28 +333,6 @@ class TrajectoryScenario final : public Scenario {
 };
 OPINDYN_REGISTER_SCENARIO(TrajectoryScenario)
 
-/// The value-coded initial state of the discrete scenarios: n distinct
-/// opinions 0..n-1 (VoterModel assigns dense ids by value, so these are
-/// the classic all-distinct voter start).
-std::vector<double> distinct_opinions(const Graph& graph) {
-  std::vector<double> opinions(
-      static_cast<std::size_t>(graph.node_count()));
-  for (std::size_t u = 0; u < opinions.size(); ++u) {
-    opinions[u] = static_cast<double>(u);
-  }
-  return opinions;
-}
-
-/// Exact-stopping convergence options for the discrete models: checking
-/// VoterModel::converged (distinct-count == 1, an O(1) read) every step
-/// reports the true consensus time instead of an interval-rounded one,
-/// and consumes the identical rng stream as the per-step loop.
-ConvergenceOptions per_step_convergence(const ExperimentSpec& spec) {
-  ConvergenceOptions convergence = spec.convergence;
-  convergence.check_interval = 1;
-  return convergence;
-}
-
 /// Discrete voter model run to consensus, through the same
 /// AveragingProcess machinery as every other kind.
 class VoterScenario final : public Scenario {
@@ -461,28 +346,14 @@ class VoterScenario final : public Scenario {
     return {"consensus T", "+-CI(T)", "consensus rate"};
   }
   CellFold start(const RunInput& in) const override {
-    const ModelConfig config =
-        config_for_kind(in.spec.model, ModelKind::voter);
-    const ConvergenceOptions convergence = per_step_convergence(in.spec);
-    const std::vector<double> opinions = distinct_opinions(in.graph);
-    auto batch = in.scheduler.submit(
-        in.spec.replicas, in.spec.seed, 2,
-        [in, config, convergence, opinions](std::int64_t, Rng& rng,
-                                            std::span<double> out,
-                                            RowEmitter&) {
-          auto process = make_process(in.graph, config, opinions);
-          const ConvergenceResult res =
-              run_until_converged(*process, rng, convergence);
-          if (res.converged) {
-            out[0] = static_cast<double>(res.steps);
-          }
-          out[1] = res.converged ? 1.0 : 0.0;
-        });
+    auto batch = submit_converging(
+        in, config_for_kind(in.spec.model, ModelKind::voter),
+        in.spec.convergence);
     return [batch] {
       const std::vector<RunningStats>& stats = batch->stats();
-      return CellRows{{{fmt_fixed(stats[0].mean(), 1),
-                        fmt_fixed(stats[0].mean_ci_halfwidth(), 1),
-                        fmt_fixed(stats[1].mean(), 3)}},
+      return CellRows{{{fmt_fixed(stats[kHitSteps].mean(), 1),
+                        fmt_fixed(stats[kHitSteps].mean_ci_halfwidth(), 1),
+                        fmt_fixed(stats[kConverged].mean(), 3)}},
                       {}};
     };
   }
@@ -501,15 +372,24 @@ class GossipScenario final : public Scenario {
     return {"E[F]", "Var(F)", "T_eps", "+-CI(T)", "avg drift"};
   }
   CellFold start(const RunInput& in) const override {
+    const ModelConfig config =
+        config_for_kind(in.spec.model, ModelKind::gossip);
+    // Gossip conserves the plain average exactly, so it stops on the
+    // plain potential and reports Avg (not the degree-weighted M that
+    // submit_converging records) for E[F] and the drift.
+    ConvergenceOptions convergence = in.spec.convergence;
+    convergence.use_plain_potential = true;
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 3,
-        [in](std::int64_t, Rng& rng, std::span<double> out, RowEmitter&) {
-          const GossipRunResult res = run_gossip_to_convergence(
-              in.graph, in.initial, rng, in.spec.convergence.epsilon,
-              in.spec.convergence.max_steps);
-          out[0] = res.final_value;
+        [in, config, convergence](std::int64_t, Rng& rng,
+                                  std::span<double> out, RowEmitter&) {
+          auto process = make_process(in.graph, config, in.initial);
+          const double start = process->state().average();
+          const ConvergenceResult res =
+              run_until_converged(*process, rng, convergence);
+          out[0] = process->state().average();
           out[1] = static_cast<double>(res.steps);
-          out[2] = res.average_drift;
+          out[2] = std::abs(out[0] - start);
         });
     return [batch] {
       const std::vector<RunningStats>& stats = batch->stats();
@@ -630,21 +510,9 @@ class AveragingVsVoterScenario final : public Scenario {
     const ExperimentSpec& spec = in.spec;
     const double n = static_cast<double>(in.graph.node_count());
 
-    const ModelConfig voter_config =
-        config_for_kind(spec.model, ModelKind::voter);
-    const ConvergenceOptions voter_convergence = per_step_convergence(spec);
-    const std::vector<double> opinions = distinct_opinions(in.graph);
-    auto voter = in.scheduler.submit(
-        spec.replicas, subseed(spec.seed, 1), 1,
-        [in, voter_config, voter_convergence, opinions](
-            std::int64_t, Rng& rng, std::span<double> out, RowEmitter&) {
-          auto process = make_process(in.graph, voter_config, opinions);
-          const ConvergenceResult res =
-              run_until_converged(*process, rng, voter_convergence);
-          if (res.converged) {
-            out[0] = static_cast<double>(res.steps);
-          }
-        });
+    auto voter = submit_converging(
+        in, config_for_kind(spec.model, ModelKind::voter), spec.convergence,
+        1);
 
     auto coalescence = in.scheduler.submit(
         spec.replicas, subseed(spec.seed, 2), 1,
@@ -656,21 +524,14 @@ class AveragingVsVoterScenario final : public Scenario {
           }
         });
 
-    const ModelConfig config = config_for_kind(spec.model, ModelKind::node);
     ConvergenceOptions convergence = spec.convergence;
     convergence.epsilon = 1.0 / (n * n);
-    auto averaging = in.scheduler.submit(
-        spec.replicas, spec.seed, 1,
-        [in, config, convergence](std::int64_t, Rng& rng,
-                                  std::span<double> out, RowEmitter&) {
-          auto process = make_process(in.graph, config, in.initial);
-          out[0] = static_cast<double>(
-              run_until_converged(*process, rng, convergence).steps);
-        });
+    auto averaging = submit_converging(
+        in, config_for_kind(spec.model, ModelKind::node), convergence);
 
     return [voter, coalescence, averaging, n] {
-      const double voter_mean = voter->stats()[0].mean();
-      const double averaging_mean = averaging->stats()[0].mean();
+      const double voter_mean = voter->stats()[kHitSteps].mean();
+      const double averaging_mean = averaging->stats()[kSteps].mean();
       return CellRows{
           {{fmt_fixed(voter_mean, 1),
             fmt_fixed(coalescence->stats()[0].mean(), 1),
@@ -698,34 +559,25 @@ class GossipVsUnilateralScenario final : public Scenario {
   }
   CellFold start(const RunInput& in) const override {
     const ExperimentSpec& spec = in.spec;
-    const ModelConfig gossip_config =
-        config_for_kind(spec.model, ModelKind::gossip);
     // Gossip preserves Avg exactly, so its stopping rule is stated for
     // the plain potential (as the original hand-rolled bench did).
     ConvergenceOptions gossip_convergence = spec.convergence;
     gossip_convergence.use_plain_potential = true;
-    auto gossip = in.scheduler.submit(
-        spec.replicas, subseed(spec.seed, 1), 2,
-        [in, gossip_config, gossip_convergence](
-            std::int64_t, Rng& rng, std::span<double> out, RowEmitter&) {
-          auto process = make_process(in.graph, gossip_config, in.initial);
-          const ConvergenceResult res =
-              run_until_converged(*process, rng, gossip_convergence);
-          out[0] = res.final_value;
-          out[1] = static_cast<double>(res.steps);
-        });
-
-    const ModelConfig node = config_for_kind(spec.model, ModelKind::node);
-    const ModelConfig edge = config_for_kind(spec.model, ModelKind::edge);
-    auto node_batch = submit_averaging(in, node, 0);
-    auto edge_batch = submit_averaging(in, edge, 2);
+    auto gossip = submit_converging(
+        in, config_for_kind(spec.model, ModelKind::gossip),
+        gossip_convergence, 1);
+    auto node_batch = submit_converging(
+        in, config_for_kind(spec.model, ModelKind::node), spec.convergence, 0);
+    auto edge_batch = submit_converging(
+        in, config_for_kind(spec.model, ModelKind::edge), spec.convergence, 2);
 
     return [in, gossip, node_batch, edge_batch] {
       std::vector<std::vector<std::string>> rows;
       const std::vector<RunningStats>& gs = gossip->stats();
-      rows.push_back({"pairwise gossip", fmt_sci(gs[0].mean(), 2),
-                      fmt_sci(gs[0].population_variance(), 2),
-                      fmt_fixed(gs[1].mean(), 1), fmt_sci(0.0, 2), "yes"});
+      rows.push_back({"pairwise gossip", fmt_sci(gs[kValue].mean(), 2),
+                      fmt_sci(gs[kValue].population_variance(), 2),
+                      fmt_fixed(gs[kSteps].mean(), 1), fmt_sci(0.0, 2),
+                      "yes"});
 
       // Prop. 5.8 is stated for regular graphs and the NodeModel only.
       const std::string predicted =
@@ -737,10 +589,10 @@ class GossipVsUnilateralScenario final : public Scenario {
       const std::pair<const char*, std::shared_ptr<ReplicaBatch>> models[] =
           {{"NodeModel", node_batch}, {"EdgeModel", edge_batch}};
       for (const auto& [label, batch] : models) {
-        const AveragingSummary s = fold_averaging(*batch);
-        rows.push_back({label, fmt_sci(s.value.mean(), 2),
-                        fmt_sci(s.value.population_variance(), 2),
-                        fmt_fixed(s.steps.mean(), 1),
+        const std::vector<RunningStats>& s = batch->stats();
+        rows.push_back({label, fmt_sci(s[kValue].mean(), 2),
+                        fmt_sci(s[kValue].population_variance(), 2),
+                        fmt_fixed(s[kSteps].mean(), 1),
                         std::string(label) == "NodeModel" ? predicted
                                                           : "n/a",
                         "no"});
@@ -751,80 +603,91 @@ class GossipVsUnilateralScenario final : public Scenario {
 };
 OPINDYN_REGISTER_SCENARIO(GossipVsUnilateralScenario)
 
-/// Runs whatever `model=` selects, verbatim -- the one scenario where
-/// the model kind itself is a sweep axis (`--sweep=model:node,edge,
-/// voter,weighted_median`).  Aggregates the standard eps-convergence
-/// columns and streams one (F, T_eps) row per replica for the
-/// histogram / quantile sinks.
+/// Runs one model to eps-convergence and aggregates the standard
+/// averaging columns.  Registered as `cross_model`, it runs whatever
+/// `model=` selects verbatim -- the one scenario where the model kind
+/// itself is a sweep axis (`--sweep=model:node,edge,voter,
+/// weighted_median`) -- and streams one (replica, F, T_eps) row per
+/// replica for the histogram / quantile sinks.  The single-model
+/// registrations force their kind through config_for_kind (which drops
+/// the knobs that kind does not read), optionally make it lazy, and
+/// stream nothing.
 class CrossModelScenario final : public Scenario {
  public:
-  std::string name() const override { return "cross_model"; }
-  std::string description() const override {
-    return "Runs the model= kind verbatim (model is a sweep axis here); "
-           "aggregate F/T_eps plus per-replica streamed rows.";
-  }
+  CrossModelScenario(std::string name, std::string description,
+                     std::optional<ModelKind> forced = std::nullopt,
+                     bool lazy = false)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        forced_(forced),
+        lazy_(lazy) {}
+
+  std::string name() const override { return name_; }
+  std::string description() const override { return description_; }
   std::vector<std::string> columns() const override {
-    return averaging_columns();
+    return {"E[F]", "+-CI(F)", "Var(F)", "T_eps", "+-CI(T)", "diverged"};
   }
   std::vector<std::string> row_columns() const override {
+    if (forced_.has_value()) {
+      return {};
+    }
     return {"replica", "F", "T_eps"};
   }
   CellFold start(const RunInput& in) const override {
+    ModelConfig config = in.spec.model;
+    if (forced_.has_value()) {
+      config = config_for_kind(config, *forced_);
+      config.lazy = config.lazy || lazy_;
+    }
     // Validate up front so a bad model/knob combination fails before
     // any replica is scheduled (one line, to the CLI).
-    validate_model_config(in.spec.model);
-    const ModelConfig config = in.spec.model;
-    // The discrete kinds stop on their own converged() predicate; check
-    // it every step so T is exact (an O(1) read for voter).
-    const ConvergenceOptions convergence =
-        config.kind == ModelKind::voter ? per_step_convergence(in.spec)
-                                        : in.spec.convergence;
-    const std::vector<double> initial =
-        config.kind == ModelKind::voter ? distinct_opinions(in.graph)
-                                        : in.initial;
-    auto batch = in.scheduler.submit(
-        in.spec.replicas, in.spec.seed, 3,
-        [in, config, convergence, initial](std::int64_t r, Rng& rng,
-                                           std::span<double> out,
-                                           RowEmitter& rows) {
-          auto process = make_process(in.graph, config, initial);
-          const ConvergenceResult res =
-              run_until_converged(*process, rng, convergence);
-          out[0] = res.final_value;
-          out[1] = static_cast<double>(res.steps);
-          out[2] = res.converged ? 0.0 : 1.0;
-          if (in.rows != nullptr) {
-            rows.row().integer(r).general(res.final_value).integer(
-                res.steps);
-          }
-        },
-        in.rows);
-    return [batch] {
-      return CellRows{{averaging_row(fold_averaging(*batch))}, {}};
-    };
+    validate_model_config(config);
+    auto batch = submit_converging(in, config, in.spec.convergence, 0,
+                                   in.rows);
+    return [batch] { return CellRows{{averaging_row(*batch)}, {}}; };
   }
+
+ private:
+  std::string name_;
+  std::string description_;
+  std::optional<ModelKind> forced_;
+  bool lazy_;
 };
-OPINDYN_REGISTER_SCENARIO(CrossModelScenario)
+OPINDYN_REGISTER_SCENARIO_AS(
+    cross_model, CrossModelScenario, "cross_model",
+    "Runs the model= kind verbatim (model is a sweep axis here); "
+    "aggregate F/T_eps plus per-replica streamed rows.")
+
+/// NodeModel (Definition 2.1) run to eps-convergence.
+OPINDYN_REGISTER_SCENARIO_AS(
+    node, CrossModelScenario, "node",
+    "NodeModel (Def 2.1): random node averages with k sampled "
+    "neighbours; reports F and T_eps (Thm 2.2).",
+    ModelKind::node)
+
+/// EdgeModel (Definition 2.3) run to eps-convergence.
+OPINDYN_REGISTER_SCENARIO_AS(
+    edge, CrossModelScenario, "edge",
+    "EdgeModel (Def 2.3): one endpoint of a random arc moves "
+    "toward the other; reports F and T_eps (Thm 2.4).",
+    ModelKind::edge)
+
+/// Lazy NodeModel: each step is a fair-coin no-op (the Appendix-B
+/// analysis variant; doubles T_eps, leaves F unchanged).
+OPINDYN_REGISTER_SCENARIO_AS(
+    lazy, CrossModelScenario, "lazy",
+    "Lazy NodeModel: fair-coin no-op per step (Prop B.1 variant); "
+    "same F, ~2x T_eps.",
+    ModelKind::node, /*lazy=*/true)
 
 /// Weighted-median dynamics (arXiv:1909.06474) run to eps-convergence:
 /// the median is not an average, so F concentrates differently and the
 /// centered potential can stall on bimodal inputs -- watch `diverged`.
-class WeightedMedianScenario final : public Scenario {
- public:
-  std::string name() const override { return "weighted_median"; }
-  std::string description() const override {
-    return "Weighted-median dynamics: random node moves to the lower "
-           "median of k sampled neighbours; reports F and T_eps.";
-  }
-  std::vector<std::string> columns() const override {
-    return averaging_columns();
-  }
-  CellFold start(const RunInput& in) const override {
-    return averaging_fold(
-        in, config_for_kind(in.spec.model, ModelKind::weighted_median));
-  }
-};
-OPINDYN_REGISTER_SCENARIO(WeightedMedianScenario)
+OPINDYN_REGISTER_SCENARIO_AS(
+    weighted_median, CrossModelScenario, "weighted_median",
+    "Weighted-median dynamics: random node moves to the lower "
+    "median of k sampled neighbours; reports F and T_eps.",
+    ModelKind::weighted_median)
 
 /// Hegselmann-Krause bounded confidence (arXiv:1910.14465) over a fixed
 /// horizon: HK fragments into clusters instead of converging, so the

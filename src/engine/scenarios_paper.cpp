@@ -25,6 +25,7 @@
 #include "src/core/theory.h"
 #include "src/engine/scenario.h"
 #include "src/engine/scenario_format.h"
+#include "src/engine/scenario_runs.h"
 #include "src/graph/algorithms.h"
 #include "src/spectral/spectra.h"
 #include "src/support/metrics.h"
@@ -64,24 +65,6 @@ std::vector<double> apply_update(const std::vector<double>& xi,
       alpha * xi[static_cast<std::size_t>(sel.node)] +
       (1.0 - alpha) * sum / static_cast<double>(sel.sample.size());
   return out;
-}
-
-/// Submits a batch that runs the configured model to eps-convergence;
-/// metric 0 = F, metric 1 = T_eps.
-std::shared_ptr<ReplicaBatch> submit_converging(
-    const RunInput& in, const ModelConfig& config,
-    const ConvergenceOptions& convergence, std::uint64_t salt) {
-  return in.scheduler.submit(
-      in.spec.replicas,
-      salt == 0 ? in.spec.seed : subseed(in.spec.seed, salt), 2,
-      [in, config, convergence](std::int64_t, Rng& rng,
-                                std::span<double> out, RowEmitter&) {
-        auto process = make_process(in.graph, config, in.initial);
-        const ConvergenceResult res =
-            run_until_converged(*process, rng, convergence);
-        out[0] = res.final_value;
-        out[1] = static_cast<double>(res.steps);
-      });
 }
 
 /// Per-replica rows ["replica", metric] out of a finished batch, as one
@@ -383,7 +366,7 @@ class Thm22VarianceScenario final : public Scenario {
     ModelConfig config = in.spec.model;
     config.kind = ModelKind::node;
     auto measured =
-        submit_converging(in, config, in.spec.convergence, 0);
+        submit_converging(in, config, in.spec.convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x22), 3,
         [in, config](std::int64_t, Rng&, std::span<double> out,
@@ -404,7 +387,7 @@ class Thm22VarianceScenario final : public Scenario {
         });
     const RowStream* const stream = in.rows;
     return [in, measured, prediction, stream] {
-      const RunningStats& value = measured->stats()[0];
+      const RunningStats& value = measured->stats()[kValue];
       const double var = value.population_variance();
       const double exact = prediction->sample(0, 0);
       const double n = static_cast<double>(in.graph.node_count());
@@ -417,7 +400,7 @@ class Thm22VarianceScenario final : public Scenario {
            sci_or_na(prediction->sample(0, 1), 2),
            sci_or_na(prediction->sample(0, 2), 2)});
       if (stream != nullptr) {
-        rows.replica = replica_rows(*stream, *measured, 0, 4, true);
+        rows.replica = replica_rows(*stream, *measured, kValue, 4, true);
       }
       return rows;
     };
@@ -452,7 +435,7 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
     config.kind = ModelKind::edge;
     ConvergenceOptions convergence = in.spec.convergence;
     convergence.use_plain_potential = true;  // the Prop. D.1 potential
-    auto measured = submit_converging(in, config, convergence, 0);
+    auto measured = submit_converging(in, config, convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x24), 3,
         [in, config, convergence](std::int64_t, Rng&,
@@ -473,7 +456,7 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
     const std::int64_t m = in.graph.edge_count();
     const RowStream* const stream = in.rows;
     return [measured, prediction, m, stream] {
-      const RunningStats& steps = measured->stats()[1];
+      const RunningStats& steps = measured->stats()[kSteps];
       const double predicted = prediction->sample(0, 1);
       CellRows rows;
       rows.aggregate.push_back(
@@ -484,7 +467,7 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
            fmt_fixed(prediction->sample(0, 2), 0),
            fmt_fixed(steps.mean() / predicted, 3)});
       if (stream != nullptr) {
-        rows.replica = replica_rows(*stream, *measured, 1, 0, false);
+        rows.replica = replica_rows(*stream, *measured, kSteps, 0, false);
       }
       return rows;
     };
@@ -548,7 +531,7 @@ class Thm24EdgeVarianceScenario final : public Scenario {
           models[] = {{"EdgeModel", edge_batch},
                       {"NodeModel k=1", node_batch}};
       for (const auto& [label, batch] : models) {
-        const RunningStats& value = batch->stats()[0];
+        const RunningStats& value = batch->stats()[kValue];
         const double var = value.population_variance();
         rows.aggregate.push_back(
             {label, fmt_fixed(value.mean(), 4),
@@ -558,7 +541,7 @@ class Thm24EdgeVarianceScenario final : public Scenario {
         if (stream != nullptr) {
           for (std::int64_t r = 0; r < batch->replicas(); ++r) {
             streamed.row().text(label).integer(r).sci(
-                batch->sample(r, 0), 4);
+                batch->sample(r, kValue), 4);
           }
         }
       }
@@ -595,7 +578,7 @@ class Prop58VarianceScenario final : public Scenario {
     ModelConfig config = in.spec.model;
     config.kind = ModelKind::node;
     auto measured =
-        submit_converging(in, config, in.spec.convergence, 0);
+        submit_converging(in, config, in.spec.convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x58), 2,
         [in, config](std::int64_t, Rng&, std::span<double> out,
@@ -609,7 +592,7 @@ class Prop58VarianceScenario final : public Scenario {
         });
     const RowStream* const stream = in.rows;
     return [in, measured, prediction, stream] {
-      const RunningStats& value = measured->stats()[0];
+      const RunningStats& value = measured->stats()[kValue];
       const double var = value.population_variance();
       const double exact = prediction->sample(0, 0);
       CellRows rows;
@@ -619,7 +602,7 @@ class Prop58VarianceScenario final : public Scenario {
            fmt_sci(var, 3), fmt_sci(value.variance_ci_halfwidth(), 1),
            fixed_or_na(var / exact, 3)});
       if (stream != nullptr) {
-        rows.replica = replica_rows(*stream, *measured, 0, 4, true);
+        rows.replica = replica_rows(*stream, *measured, kValue, 4, true);
       }
       return rows;
     };
@@ -739,7 +722,7 @@ class PropB2NodeScenario final : public Scenario {
     ModelConfig config = in.spec.model;
     config.kind = ModelKind::node;
     auto measured =
-        submit_converging(in, config, in.spec.convergence, 0);
+        submit_converging(in, config, in.spec.convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0xB2), 3,
         [in, config](std::int64_t, Rng&, std::span<double> out,
@@ -760,7 +743,7 @@ class PropB2NodeScenario final : public Scenario {
         });
     const RowStream* const stream = in.rows;
     return [measured, prediction, stream] {
-      const RunningStats& steps = measured->stats()[1];
+      const RunningStats& steps = measured->stats()[kSteps];
       const double lower = prediction->sample(0, 1);
       const double upper = prediction->sample(0, 2);
       CellRows rows;
@@ -771,7 +754,7 @@ class PropB2NodeScenario final : public Scenario {
            fmt_fixed(upper, 0), fmt_fixed(steps.mean() / lower, 3),
            fmt_fixed(steps.mean() / upper, 3)});
       if (stream != nullptr) {
-        rows.replica = replica_rows(*stream, *measured, 1, 0, false);
+        rows.replica = replica_rows(*stream, *measured, kSteps, 0, false);
       }
       return rows;
     };
@@ -802,7 +785,7 @@ class PropB2EdgeScenario final : public Scenario {
     config.kind = ModelKind::edge;
     ConvergenceOptions convergence = in.spec.convergence;
     convergence.use_plain_potential = true;
-    auto measured = submit_converging(in, config, convergence, 0);
+    auto measured = submit_converging(in, config, convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0xB3), 2,
         [in, config, convergence](std::int64_t, Rng&,
@@ -818,7 +801,7 @@ class PropB2EdgeScenario final : public Scenario {
     const std::int64_t m = in.graph.edge_count();
     const RowStream* const stream = in.rows;
     return [measured, prediction, m, stream] {
-      const RunningStats& steps = measured->stats()[1];
+      const RunningStats& steps = measured->stats()[kSteps];
       const double lower = prediction->sample(0, 1);
       CellRows rows;
       rows.aggregate.push_back(
@@ -827,7 +810,7 @@ class PropB2EdgeScenario final : public Scenario {
            fmt_fixed(steps.mean_ci_halfwidth(), 0), fmt_fixed(lower, 0),
            fmt_fixed(steps.mean() / lower, 3)});
       if (stream != nullptr) {
-        rows.replica = replica_rows(*stream, *measured, 1, 0, false);
+        rows.replica = replica_rows(*stream, *measured, kSteps, 0, false);
       }
       return rows;
     };

@@ -427,6 +427,8 @@ struct JobStreamService::Impl {
         // Deadline or drain hit while the job sat in the queue.
         throw CancelledError(job.token->reason());
       }
+      // Validated before the sinks open: opening truncates the files.
+      engine::validate_spec(job.spec);
       // summary_out = nullptr: stdout carries records only.
       engine::SpecSinks spec_sinks(job.spec, nullptr);
       engine::RunContext context;

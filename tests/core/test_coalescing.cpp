@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "src/core/convergence.h"
 #include "src/core/voter_model.h"
 #include "src/graph/generators.h"
 #include "src/support/assert.h"
@@ -78,9 +79,13 @@ TEST(VoterDuality, CoalescenceTimeMatchesVoterConsensusTimeDistribution) {
     constexpr int trials = 1500;
     for (int t = 0; t < trials; ++t) {
       Rng rng_v = Rng::fork(100, static_cast<std::uint64_t>(t));
-      const auto voter =
-          run_voter_to_consensus(g, opinions, rng_v, 100'000'000);
-      ASSERT_TRUE(voter.reached_consensus);
+      VoterModel model(g, opinions);
+      ConvergenceOptions options;
+      options.max_steps = 100'000'000;
+      options.check_interval = 1;  // exact consensus time
+      const ConvergenceResult voter =
+          run_until_converged(model, rng_v, options);
+      ASSERT_TRUE(voter.converged);
       voter_times.add(static_cast<double>(voter.steps));
 
       Rng rng_c = Rng::fork(200, static_cast<std::uint64_t>(t));

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <span>
 #include <sstream>
 
@@ -348,6 +349,47 @@ TEST(EngineDeterminism, FailedValidationLeavesExistingOutputIntact) {
   EXPECT_THROW(run_experiment_with_default_sinks(spec),
                std::runtime_error);
   EXPECT_EQ(read_file(path), "precious,rows\n1,2\n");
+  std::remove(path.c_str());
+}
+
+// Every grid cell is resolved and range-checked before any output file
+// opens: an out-of-range value or a bad sweep value fails with a
+// one-line error naming the key, and a pre-existing CSV keeps its bytes.
+TEST(EngineDeterminism, OutOfRangeAndBadSweepValuesLeaveExistingOutputIntact) {
+  const std::string path = ::testing::TempDir() + "opindyn_kept_output.csv";
+  const struct {
+    std::map<std::string, std::string> override_keys;
+    const char* key;
+  } cases[] = {
+      {{{"replicas", "0"}}, "'replicas'"},
+      {{{"eps", "0"}}, "'eps'"},
+      {{{"max-steps", "-1"}}, "'max-steps'"},
+      {{{"sweep", "replicas:4,0"}}, "'replicas'"},
+      {{{"sweep", "alpha:0.5,abc"}}, "'alpha'"},
+      {{{"sweep", "eps:1e-6,0"}}, "'eps'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.key);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << "precious,rows\n1,2\n";
+    }
+    std::map<std::string, std::string> keys = {
+        {"scenario", "node"}, {"graph", "cycle"}, {"n", "16"},
+        {"csv", path},        {"table", "false"}};
+    keys.insert(c.override_keys.begin(), c.override_keys.end());
+    const ExperimentSpec spec = parse_spec(keys);
+    try {
+      run_experiment_with_default_sinks(spec);
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(c.key), std::string::npos) << message;
+      EXPECT_EQ(message.find("precondition"), std::string::npos) << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    }
+    EXPECT_EQ(read_file(path), "precious,rows\n1,2\n");
+  }
   std::remove(path.c_str());
 }
 

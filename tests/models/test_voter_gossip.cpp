@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/core/convergence.h"
 #include "src/core/gossip_model.h"
 #include "src/core/initial_values.h"
 #include "src/core/voter_model.h"
@@ -12,6 +13,16 @@
 namespace opindyn {
 namespace {
 
+/// Runs `model` to consensus through the shared convergence loop,
+/// asking the O(1) consensus predicate after every step.
+ConvergenceResult run_to_consensus(VoterModel& model, Rng& rng,
+                                   std::int64_t max_steps) {
+  ConvergenceOptions options;
+  options.max_steps = max_steps;
+  options.check_interval = 1;
+  return run_until_converged(model, rng, options);
+}
+
 TEST(Voter, ReachesConsensusOnSmallGraph) {
   const Graph g = gen::complete(10);
   std::vector<int> opinions(10);
@@ -19,12 +30,12 @@ TEST(Voter, ReachesConsensusOnSmallGraph) {
     opinions[static_cast<std::size_t>(i)] = i;
   }
   Rng rng(1);
-  const VoterRunResult result =
-      run_voter_to_consensus(g, opinions, rng, 1000000);
-  ASSERT_TRUE(result.reached_consensus);
+  VoterModel model(g, opinions);
+  const ConvergenceResult result = run_to_consensus(model, rng, 1000000);
+  ASSERT_TRUE(result.converged);
   EXPECT_GT(result.steps, 0);
-  EXPECT_GE(result.winning_opinion, 0);
-  EXPECT_LT(result.winning_opinion, 10);
+  EXPECT_GE(model.opinion(0), 0.0);
+  EXPECT_LT(model.opinion(0), 10.0);
 }
 
 TEST(Voter, ConsensusPreservesSomeInitialOpinion) {
@@ -32,10 +43,9 @@ TEST(Voter, ConsensusPreservesSomeInitialOpinion) {
   std::vector<int> opinions(12, 7);
   opinions[3] = 42;
   Rng rng(2);
-  const VoterRunResult result =
-      run_voter_to_consensus(g, opinions, rng, 10000000);
-  ASSERT_TRUE(result.reached_consensus);
-  EXPECT_TRUE(result.winning_opinion == 7 || result.winning_opinion == 42);
+  VoterModel model(g, opinions);
+  ASSERT_TRUE(run_to_consensus(model, rng, 10000000).converged);
+  EXPECT_TRUE(model.opinion(0) == 7.0 || model.opinion(0) == 42.0);
 }
 
 TEST(Voter, AlreadyUnanimousIsImmediateConsensus) {
@@ -68,8 +78,9 @@ TEST(Voter, WinnerProbabilityOnCompleteGraphIsProportional) {
   constexpr int trials = 2000;
   for (int t = 0; t < trials; ++t) {
     Rng rng(static_cast<std::uint64_t>(t) + 100);
-    const auto result = run_voter_to_consensus(g, opinions, rng, 1000000);
-    wins += (result.reached_consensus && result.winning_opinion == 1) ? 1 : 0;
+    VoterModel model(g, opinions);
+    const bool converged = run_to_consensus(model, rng, 1000000).converged;
+    wins += (converged && model.opinion(0) == 1.0) ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(wins) / trials, 0.1, 0.03);
 }
@@ -83,7 +94,7 @@ TEST(Gossip, PreservesAverageExactly) {
   const Graph g = gen::lollipop(5, 4);
   Rng init_rng(4);
   const auto xi = initial::uniform(init_rng, g.node_count(), -3.0, 3.0);
-  PairwiseGossip gossip(g, xi);
+  GossipModel gossip(g, xi);
   const double avg0 = gossip.state().average();
   Rng rng(5);
   for (int i = 0; i < 100000; ++i) {
@@ -107,11 +118,17 @@ TEST(Gossip, ConvergesToExactAverageWithZeroVariance) {
   RunningStats finals;
   for (int r = 0; r < 50; ++r) {
     Rng rng(static_cast<std::uint64_t>(r) + 50);
-    const GossipRunResult result =
-        run_gossip_to_convergence(g, xi, rng, 1e-18, 10000000);
+    GossipModel gossip(g, xi);
+    const double start = gossip.state().average();
+    ConvergenceOptions options;
+    options.epsilon = 1e-18;
+    options.max_steps = 10000000;
+    options.use_plain_potential = true;
+    const ConvergenceResult result = run_until_converged(gossip, rng, options);
     ASSERT_TRUE(result.converged);
-    EXPECT_NEAR(result.average_drift, 0.0, 1e-9);
-    finals.add(result.final_value);
+    const double final_value = gossip.state().average();
+    EXPECT_NEAR(final_value, start, 1e-9);
+    finals.add(final_value);
   }
   EXPECT_NEAR(finals.mean(), avg0, 1e-8);
   EXPECT_LT(finals.population_variance(), 1e-16);
@@ -119,7 +136,7 @@ TEST(Gossip, ConvergesToExactAverageWithZeroVariance) {
 
 TEST(Gossip, StepAveragesBothEndpoints) {
   const Graph g = gen::path(2);
-  PairwiseGossip gossip(g, {0.0, 10.0});
+  GossipModel gossip(g, {0.0, 10.0});
   Rng rng(7);
   gossip.step(rng);
   EXPECT_DOUBLE_EQ(gossip.state().value(0), 5.0);

@@ -194,6 +194,36 @@ TEST(ServeSession, FaultIsolationMalformedAndThrowingJobs) {
   EXPECT_EQ(summary.find("ok")->as_int(), 1);
 }
 
+// A job whose spec fails validation -- an out-of-range value or a bad
+// sweep value in any cell -- is an error record naming the key, and its
+// csv= file is never opened, so existing bytes survive.
+TEST(ServeSession, InvalidJobSpecsLeaveTheirCsvIntact) {
+  const std::string csv_path =
+      ::testing::TempDir() + "serve_session_kept.csv";
+  {
+    std::ofstream out(csv_path, std::ios::binary);
+    out << "precious,rows\n1,2\n";
+  }
+  const std::string job = "scenario=node graph=cycle n=16 csv=" + csv_path;
+  const std::string input = job + " replicas=0\n" + job + " eps=0\n" + job +
+                            " sweep=replicas:4,0\n" + job +
+                            " sweep=alpha:0.5,abc\n";
+  const auto records = serve_records(input, service::ServeOptions{});
+  const char* keys[] = {"'replicas'", "'eps'", "'replicas'", "'alpha'"};
+  for (std::int64_t id = 1; id <= 4; ++id) {
+    const json::Value* record = find_job_record(records, id);
+    ASSERT_NE(record, nullptr) << "job " << id;
+    EXPECT_EQ(record->find("status")->as_string(), "error");
+    const std::string error = record->find("error")->as_string();
+    EXPECT_NE(error.find(keys[id - 1]), std::string::npos) << error;
+  }
+  std::ifstream in(csv_path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), "precious,rows\n1,2\n");
+  std::remove(csv_path.c_str());
+}
+
 // One huge job line (multi-MB, no newline for longer than the cap) must
 // cost one structured error record, not the session: the next line is
 // read and run.
