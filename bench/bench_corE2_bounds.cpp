@@ -6,16 +6,18 @@
 //        checked against Monte-Carlo trajectories.
 #include <iostream>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "src/core/convergence.h"
 #include "src/core/initial_values.h"
 #include "src/core/model.h"
 #include "src/core/theory.h"
+#include "src/engine/experiment_spec.h"
 #include "src/graph/isoperimetric.h"
 #include "src/spectral/spectra.h"
 #include "src/support/cell_scheduler.h"
+#include "src/support/rng.h"
 #include "src/support/table.h"
 
 namespace {
@@ -49,10 +51,10 @@ std::vector<RunningStats> martingale_at_checkpoints(
 }  // namespace
 
 int main() {
-  bench::print_header(
-      "CE2: Corollary E.2 bounds",
-      "(i) Cheeger-style spectral bound with exact i(G); "
-      "(ii)/(iii) early-time variance envelopes, 4000 replicas.");
+  std::cout << "\n# CE2: Corollary E.2 bounds\n"
+               "(i) Cheeger-style spectral bound with exact i(G); "
+               "(ii)/(iii) early-time variance envelopes, 4000 replicas."
+               "\n\n";
 
   std::cout << "## (i) lambda2(L) >= i(G)^2 / (2 d_max)\n\n";
   Table cheeger({"graph", "i(G) exact", "d_max", "bound i^2/(2 d_max)",
@@ -61,7 +63,7 @@ int main() {
   for (const std::string family :
        {"cycle", "complete", "star", "path", "hypercube", "barbell",
         "lollipop", "binary_tree"}) {
-    const Graph g = bench::make_graph(family, 16);
+    const Graph g = engine::build_graph({.family = family, .n = 16});
     const double ig = isoperimetric_number_exact(g);
     const double bound =
         theory::cheeger_lambda2_lower_bound(ig, g.max_degree());
@@ -79,7 +81,7 @@ int main() {
   std::cout << cheeger.to_markdown() << "\n";
 
   std::cout << "## (ii) NodeModel: Var(M(t)) <= t (d_max K / 2m)^2\n\n";
-  const Graph g = bench::make_graph("lollipop", 16);
+  const Graph g = engine::build_graph({.family = "lollipop", .n = 16});
   Rng init_rng(3);
   auto xi = initial::uniform(init_rng, g.node_count(), -1.0, 1.0);
   initial::center_degree_weighted(g, xi);

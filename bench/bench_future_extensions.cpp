@@ -13,13 +13,17 @@
 #include <cmath>
 #include <iostream>
 #include <span>
+#include <string>
+#include <vector>
 
-#include "bench/bench_common.h"
 #include "src/core/convergence.h"
 #include "src/core/initial_values.h"
 #include "src/core/model.h"
 #include "src/core/moments.h"
+#include "src/engine/experiment_spec.h"
+#include "src/graph/generators.h"
 #include "src/support/cell_scheduler.h"
+#include "src/support/rng.h"
 #include "src/support/table.h"
 
 namespace {
@@ -27,10 +31,10 @@ using namespace opindyn;
 }  // namespace
 
 int main() {
-  bench::print_header(
-      "FUT: Section 6 future-work directions, numerically",
-      "(1) third moment of F from the exact 3-walk chain; "
-      "(2) Var(F) on irregular graphs from the numerical 2-walk chain.");
+  std::cout << "\n# FUT: Section 6 future-work directions, numerically\n"
+               "(1) third moment of F from the exact 3-walk chain; "
+               "(2) Var(F) on irregular graphs from the numerical 2-walk "
+               "chain.\n\n";
 
   std::cout << "## (1) third central moment of F (NodeModel, alpha=0.5, "
                "k=1)\n\n";
@@ -89,7 +93,7 @@ int main() {
   Rng init_rng(9);
   for (const std::string family :
        {"star", "double_star", "lollipop", "binary_tree", "path"}) {
-    const Graph g = bench::make_graph(family, 12);
+    const Graph g = engine::build_graph({.family = family, .n = 12});
     auto xi = initial::gaussian(init_rng, g.node_count(), 0.0, 1.0);
 
     for (const ModelKind kind : {ModelKind::node, ModelKind::edge}) {

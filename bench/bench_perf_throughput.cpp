@@ -1,11 +1,11 @@
-// PERF -- engine microbenchmarks (google-benchmark): steps/second of the
-// two processes across graph sizes (single-step recorded path vs the
-// ISSUE-5 burst kernel), the cost of extremum tracking, the
-// incremental-potential ablation (OpinionState's O(1) accumulators vs a
-// naive O(n) recompute per step), and the cell-level scheduling of the
+// PERF -- engine microbenchmarks (google-benchmark) for what no gated
+// tool measures: the incremental-potential ablation (OpinionState's
+// O(1) accumulators vs a naive O(n) recompute per step, against the
+// single-step path of both processes and its extremum-tracking
+// variant), neighbour sampling, and the cell-level scheduling of the
 // batch runner (many small cells must scale with the thread count).
-// `bench/perf_baseline.cpp` distills the step benchmarks into the
-// tracked BENCH_*.json baseline.
+// The burst kernels are gated by `bench/perf_baseline` against
+// BENCH_8.json, and rng draws by perfbench's per-layer rows.
 #include <benchmark/benchmark.h>
 
 #include "src/core/edge_model.h"
@@ -45,35 +45,6 @@ BENCHMARK(BM_NodeModelStep)
     ->Args({16384, 1})
     ->Args({16384, 4});
 
-// The burst kernel on the same grid: one virtual call per 4096 steps,
-// no per-step allocation or dispatch.  Compare items/sec against
-// BM_NodeModelStep for the devirtualization win.
-void BM_NodeModelStepBurst(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const auto k = state.range(1);
-  Rng graph_rng(1);
-  const Graph g = gen::random_regular(graph_rng, n, 4);
-  Rng init_rng(2);
-  NodeModelParams params;
-  params.alpha = 0.5;
-  params.k = k;
-  NodeModel model(g, initial::gaussian(init_rng, n, 0.0, 1.0), params);
-  Rng rng(3);
-  constexpr std::int64_t kBurst = 4096;
-  for (auto _ : state) {
-    model.step_burst(rng, kBurst);
-    benchmark::DoNotOptimize(model.state().phi());
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_NodeModelStepBurst)
-    ->Args({64, 1})
-    ->Args({64, 4})
-    ->Args({1024, 1})
-    ->Args({1024, 4})
-    ->Args({16384, 1})
-    ->Args({16384, 4});
-
 void BM_EdgeModelStep(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   Rng graph_rng(1);
@@ -90,24 +61,6 @@ void BM_EdgeModelStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EdgeModelStep)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_EdgeModelStepBurst(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng graph_rng(1);
-  const Graph g = gen::random_regular(graph_rng, n, 4);
-  Rng init_rng(2);
-  EdgeModelParams params;
-  params.alpha = 0.5;
-  EdgeModel model(g, initial::gaussian(init_rng, n, 0.0, 1.0), params);
-  Rng rng(3);
-  constexpr std::int64_t kBurst = 4096;
-  for (auto _ : state) {
-    model.step_burst(rng, kBurst);
-    benchmark::DoNotOptimize(model.state().phi());
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_EdgeModelStepBurst)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_NodeModelStepWithExtrema(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
@@ -128,28 +81,6 @@ void BM_NodeModelStepWithExtrema(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeModelStepWithExtrema)->Arg(1024)->Arg(16384);
 
-// Tracked-extrema burst: K(t) scenarios step in bursts and read the
-// discrepancy at check intervals, which is exactly this shape.
-void BM_NodeModelBurstWithExtrema(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng graph_rng(1);
-  const Graph g = gen::random_regular(graph_rng, n, 4);
-  Rng init_rng(2);
-  NodeModelParams params;
-  params.alpha = 0.5;
-  params.k = 1;
-  params.track_extrema = true;
-  NodeModel model(g, initial::gaussian(init_rng, n, 0.0, 1.0), params);
-  Rng rng(3);
-  constexpr std::int64_t kBurst = 4096;
-  for (auto _ : state) {
-    model.step_burst(rng, kBurst);
-    benchmark::DoNotOptimize(model.state().discrepancy());
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_NodeModelBurstWithExtrema)->Arg(1024)->Arg(16384);
-
 // Ablation: what a naive harness would pay if it recomputed phi from
 // scratch at every step instead of using the incremental accumulators.
 void BM_NaivePhiRecompute(benchmark::State& state) {
@@ -169,14 +100,6 @@ void BM_NaivePhiRecompute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NaivePhiRecompute)->Arg(1024)->Arg(16384);
-
-void BM_RngNextBelow(benchmark::State& state) {
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.next_below(12345));
-  }
-}
-BENCHMARK(BM_RngNextBelow);
 
 void BM_SampleWithoutReplacement(benchmark::State& state) {
   Rng rng(7);

@@ -15,13 +15,14 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench/bench_common.h"
 #include "src/core/convergence.h"
 #include "src/core/degroot.h"
 #include "src/core/friedkin_johnsen.h"
 #include "src/core/initial_values.h"
 #include "src/core/node_model.h"
 #include "src/graph/algorithms.h"
+#include "src/graph/generators.h"
+#include "src/support/rng.h"
 #include "src/support/stats.h"
 #include "src/support/table.h"
 
@@ -30,10 +31,10 @@ using namespace opindyn;
 }  // namespace
 
 int main() {
-  bench::print_header(
-      "REL: related opinion-dynamics models (Section 3)",
-      "Same preferential-attachment network (n = 64) and the same initial "
-      "opinions for every model; lambda/alpha = 0.7, k = 2.");
+  std::cout << "\n# REL: related opinion-dynamics models (Section 3)\n"
+               "Same preferential-attachment network (n = 64) and the same "
+               "initial opinions for every model; lambda/alpha = 0.7, "
+               "k = 2.\n\n";
 
   Rng graph_rng(3);
   const Graph g = gen::preferential_attachment(graph_rng, 64, 2);

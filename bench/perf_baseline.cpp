@@ -17,15 +17,8 @@
 // randomness), and one row per generalized model kind (voter, gossip,
 // weighted_median, hegselmann_krause) so every burst kernel in the
 // family is gated.  The model name is part of the perf_check workload
-// identity.
-//
-// Reference columns:
-//   pre_pr_sps  -- seed-build single-step throughput on this container
-//                  (bench_perf_throughput at PR 5), where measured.
-//   bench5_sps  -- the checked-in BENCH_5.json burst_sps for the same
-//                  workload, i.e. the PR-5 kernel this one replaces.
-// Ratios against them are only meaningful on the machine the reference
-// was measured on; re-measure both sides when moving hardware (see
+// identity.  The numbers are only comparable on the machine that
+// measured them; re-measure both sides when moving hardware (see
 // README "Performance").  The build object records compiler, flags and
 // the burst-kernel ISA (portable vs avx2), so a BENCH document is
 // self-describing about which kernels produced it.
@@ -70,13 +63,6 @@ struct Workload {
   /// Degree-sorted value mirror inside bursts (non-identity only on
   /// the irregular families).
   bool reorder = false;
-  /// Steps/sec of the same workload on the pre-PR-5 seed build (0 = not
-  /// measured); single-step path, per-step discrepancy reads when
-  /// track_extrema.
-  double pre_pr_sps = 0.0;
-  /// burst_sps of the same workload in the checked-in BENCH_5.json
-  /// (0 = workload not present there).
-  double bench5_sps = 0.0;
   /// Node-model neighbour sampling.  The k = 8 row runs WITH
   /// replacement: without-replacement needs min_degree >= k, and the
   /// configuration model's whole-graph rejection makes a simple
@@ -84,31 +70,20 @@ struct Workload {
   SamplingMode sampling = SamplingMode::without_replacement;
 };
 
-// Pre-PR-5 reference: seed-build bench_perf_throughput on this
-// container (Release, one core).  BENCH_5 reference: the checked-in
-// BENCH_5.json burst_sps column.
 const Workload kWorkloads[] = {
-    // The original BENCH_5 matrix (random 4-regular graphs).
-    {ModelKind::node, "random_regular", 1024, 1, false, false, 17.45e6,
-     118.944e6},
-    {ModelKind::node, "random_regular", 1024, 4, false, false, 10.28e6,
-     47.7216e6},
-    {ModelKind::node, "random_regular", 16384, 1, false, false, 18.45e6,
-     89.8955e6},
-    {ModelKind::node, "random_regular", 16384, 4, false, false, 10.34e6,
-     37.8529e6},
-    {ModelKind::edge, "random_regular", 1024, 1, false, false, 19.86e6,
-     233.021e6},
-    {ModelKind::edge, "random_regular", 16384, 1, false, false, 18.53e6,
-     179.784e6},
-    {ModelKind::node, "random_regular", 1024, 1, true, false, 7.71e6,
-     128.184e6},
-    {ModelKind::node, "random_regular", 16384, 1, true, false, 2.34e6,
-     92.4238e6},
+    // The core matrix: both models on random 4-regular graphs.
+    {ModelKind::node, "random_regular", 1024, 1},
+    {ModelKind::node, "random_regular", 1024, 4},
+    {ModelKind::node, "random_regular", 16384, 1},
+    {ModelKind::node, "random_regular", 16384, 4},
+    {ModelKind::edge, "random_regular", 1024, 1},
+    {ModelKind::edge, "random_regular", 16384, 1},
+    {ModelKind::node, "random_regular", 1024, 1, true},
+    {ModelKind::node, "random_regular", 16384, 1, true},
     // Remaining devirtualized kernel variants: the k = 8 fused draw
     // (with replacement -- see Workload::sampling) and the
     // tracked-extrema edge rows.
-    {ModelKind::node, "random_regular", 16384, 8, false, false, 0.0, 0.0,
+    {ModelKind::node, "random_regular", 16384, 8, false, false,
      SamplingMode::with_replacement},
     {ModelKind::edge, "random_regular", 1024, 1, true},
     {ModelKind::edge, "random_regular", 16384, 1, true},
@@ -305,9 +280,7 @@ int main(int argc, char** argv) {
       "recorded per-step path, burst = chunked batched-rng kernel) over "
       "every devirtualized kernel variant, the reorder mirror, an "
       "n-scaling curve to 10M nodes, and the generalized model family "
-      "(voter, gossip, weighted_median, hegselmann_krause); pre_pr_sps / "
-      "bench5_sps are the seed-build and BENCH_5 kernel references for "
-      "this container");
+      "(voter, gossip, weighted_median, hegselmann_krause)");
   doc.emplace_back(
       "regenerate",
       "cmake -B build -S . && cmake --build build --target perf_baseline "
@@ -346,14 +319,6 @@ int main(int argc, char** argv) {
     row.emplace_back("single_step_sps", single);
     row.emplace_back("burst_sps", burst);
     row.emplace_back("burst_over_single", burst / single);
-    if (w.pre_pr_sps > 0.0) {
-      row.emplace_back("pre_pr_sps", w.pre_pr_sps);
-      row.emplace_back("burst_over_pre_pr", burst / w.pre_pr_sps);
-    }
-    if (w.bench5_sps > 0.0) {
-      row.emplace_back("bench5_sps", w.bench5_sps);
-      row.emplace_back("burst_over_bench5", burst / w.bench5_sps);
-    }
     workloads.push_back(json::Value(std::move(row)));
     std::cerr << model_kind_name(w.kind) << " "
               << w.graph << " n=" << w.n << " k=" << w.k

@@ -1,13 +1,14 @@
 // perf_check -- the CI perf regression gate.
 //
 // Compares a freshly measured perf_baseline JSON against the checked-in
-// reference (BENCH_5.json) and fails when any workload's throughput
+// reference (BENCH_8.json) and fails when any workload's throughput
 // dropped by more than the tolerance:
 //
-//   perf_check --baseline BENCH_5.json --current fresh.json
+//   perf_check --baseline BENCH_8.json --current fresh.json
 //       [--max-drop 0.15] [--metric burst_sps]
 //
-// Workloads are matched by identity (model, n, k, track_extrema) -- a
+// Workloads are matched by identity (model, graph, n, k, track_extrema,
+// reorder) -- a
 // workload present in the baseline but missing from the current run is
 // itself a failure, so the gate cannot be silenced by deleting rows.
 // Every workload is printed with its ratio.
