@@ -19,9 +19,9 @@
 // family is gated.  The model name is part of the perf_check workload
 // identity.  The numbers are only comparable on the machine that
 // measured them; re-measure both sides when moving hardware (see
-// README "Performance").  The build object records compiler, flags and
-// the burst-kernel ISA (portable vs avx2), so a BENCH document is
-// self-describing about which kernels produced it.
+// README "Performance").  The build object records the git hash,
+// compiler and flags, so a BENCH document is self-describing about
+// which build produced it.
 #include <chrono>
 #include <cmath>
 #include <cstdint>

@@ -1,64 +1,41 @@
-// Shared building blocks for the chunked burst kernels (kernel v2).
+// Shared constants for the chunked burst kernels (kernel v2).
 //
-// node_model.cpp and edge_model.cpp split each burst into fixed-size
-// chunks processed in phases:
+// node_model.cpp, edge_model.cpp and weighted_median_model.cpp run each
+// burst as fixed-size chunks of one fused loop, software-pipelined in
+// groups of 8 steps:
 //
-//   A. draw    -- consume the rng in EXACT step() order into small
-//                 index buffers (SoA),
-//   B. gather  -- translate adjacency/arc positions to value slots,
-//   C. apply   -- walk the chunk sequentially, doing the exact
-//                 floating-point update and bookkeeping of set_value.
+//   draw   -- consume the rng in EXACT step() order for the whole
+//             group (the node-style kernels also resolve the drawn
+//             adjacency positions to neighbour slots here),
+//   apply  -- walk the group sequentially, doing the exact
+//             floating-point update and bookkeeping of set_value.
 //
-// Phase B is where SIMD lives: AVX2 gathers when the translation units
-// are compiled with OPINDYN_SIMD_AVX2 (see src/CMakeLists.txt), plain
-// loops otherwise.  Both variants only MOVE data -- no floating-point
-// operation is reordered or fused -- so the scalar and AVX2 builds are
-// bit-identical by construction.  Neighbour VALUES are never
-// pre-gathered: phase C reads them live in step order, which is the
-// exact sequential semantics even when an earlier step in the chunk
-// wrote the node a later step reads.
+// Neighbour VALUES are never pre-gathered: the apply half reads them
+// live in step order, which is the exact sequential semantics even
+// when an earlier step in the group wrote the node a later step reads.
+// A chunk settles the recompute cadence with one cursor advance unless
+// it straddles the recompute threshold (or the run is lazy), in which
+// case it accounts per update.
 //
-// All position buffers are int32: the chunked kernels are only entered
-// when 2m < 2^31 (AVX2 gathers index with SIGNED 32-bit lanes); larger
-// graphs take the generic scalar path.
+// Positions are held in int32: the chunked kernels are only entered
+// when 2m < 2^31; larger graphs take the generic scalar path.
 #ifndef OPINDYN_CORE_BURST_KERNELS_H
 #define OPINDYN_CORE_BURST_KERNELS_H
 
 #include <cstdint>
 
-#if defined(OPINDYN_SIMD_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace opindyn {
 namespace burst {
 
-/// Steps per chunk.  Small enough that the index buffers live in L1
-/// and intra-chunk conflicts stay rare, large enough to amortise the
-/// phase transitions.
+/// Steps per chunk.  Small enough that the per-chunk bookkeeping stays
+/// cheap and the recompute check rarely falls inside one, large enough
+/// to amortise the cadence check across the chunk.
 inline constexpr int kChunkSteps = 64;
 
-/// Largest arc count the chunked kernels handle (signed 32-bit gather
-/// lanes); beyond this the models fall back to their generic loops.
+/// Largest arc count the chunked kernels handle (arc and adjacency
+/// positions are int32); beyond this the models fall back to their
+/// generic loops.
 inline constexpr std::int64_t kMaxChunkedArcs = std::int64_t{1} << 31;
-
-/// out[i] = table[pos[i]] for i in [0, count).
-inline void translate_indices(const std::int32_t* table,
-                              const std::int32_t* pos, std::int32_t* out,
-                              int count) noexcept {
-  int i = 0;
-#if defined(OPINDYN_SIMD_AVX2)
-  for (; i + 8 <= count; i += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + i));
-    const __m256i v = _mm256_i32gather_epi32(table, idx, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-#endif
-  for (; i < count; ++i) {
-    out[i] = table[static_cast<std::size_t>(pos[i])];
-  }
-}
 
 }  // namespace burst
 }  // namespace opindyn

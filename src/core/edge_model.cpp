@@ -10,8 +10,8 @@ namespace opindyn {
 namespace {
 
 // Arc-resolution policies: how a kernel instantiation turns a drawn
-// arc index into (updating slot, neighbour slot, stationary weight)
-// arrays for one chunk.  All calls inline into the chunk loop.
+// arc index into its updating slot, neighbour slot and stationary
+// weight.  All calls inline into the burst loop.
 
 /// Regular graph with power-of-two degree: arc -> source is a shift
 /// (arcs are emitted row by row, d per node) and pi = d / 2m is one
@@ -22,14 +22,6 @@ struct EdgeRegularPow2Topo {
   const NodeId* adj;
   int shift;
   double pi;
-  void resolve(const std::int32_t* pos, std::int32_t* uslot,
-               std::int32_t* vslot, double* pis, int count) const noexcept {
-    (void)pis;
-    burst::translate_indices(adj, pos, vslot, count);
-    for (int i = 0; i < count; ++i) {
-      uslot[i] = pos[i] >> shift;
-    }
-  }
   double uniform_pi() const noexcept { return pi; }
   NodeId source(std::int32_t p) const noexcept { return p >> shift; }
   NodeId target(std::int32_t p) const noexcept {
@@ -47,14 +39,6 @@ struct EdgeGeneralTopo {
   const NodeId* adj;
   const NodeId* src;
   const double* pi;
-  void resolve(const std::int32_t* pos, std::int32_t* uslot,
-               std::int32_t* vslot, double* pis, int count) const noexcept {
-    burst::translate_indices(adj, pos, vslot, count);
-    burst::translate_indices(src, pos, uslot, count);
-    for (int i = 0; i < count; ++i) {
-      pis[i] = pi[static_cast<std::size_t>(uslot[i])];
-    }
-  }
   double uniform_pi() const noexcept { return 0.0; }  // unused
   NodeId source(std::int32_t p) const noexcept {
     return src[static_cast<std::size_t>(p)];
@@ -77,15 +61,6 @@ struct EdgeReorderTopo {
   const NodeId* src_internal;
   const NodeId* src_original;
   const double* pi;
-  void resolve(const std::int32_t* pos, std::int32_t* uslot,
-               std::int32_t* vslot, double* pis, int count) const noexcept {
-    burst::translate_indices(adj_internal, pos, vslot, count);
-    burst::translate_indices(src_internal, pos, uslot, count);
-    for (int i = 0; i < count; ++i) {
-      pis[i] = pi[static_cast<std::size_t>(
-          src_original[static_cast<std::size_t>(pos[i])])];
-    }
-  }
   double uniform_pi() const noexcept { return 0.0; }  // unused
   NodeId source(std::int32_t p) const noexcept {
     return src_internal[static_cast<std::size_t>(p)];
@@ -102,16 +77,13 @@ struct EdgeReorderTopo {
 /// The burst kernel.  Consumes the rng in EXACT step() order and
 /// performs set_value's arithmetic through a register-resident cursor,
 /// so the result is bit-identical to n_steps repeated step() calls.
-/// Portable builds run one fused loop per step (draw, resolve the arc
-/// inline, apply -- no intermediate buffers); OPINDYN_SIMD_AVX2 builds
-/// batch-draw each chunk with Rng::fill_below (stream-identical to
-/// sequential next_below) and resolve the whole chunk's slots with
-/// vpgatherdd before the sequential apply.  Neighbour values are read
-/// live either way (exact sequential semantics).  Recompute cadence is
-/// counted per chunk via the cursor countdown, exactly as in the node
-/// kernel.  Track is compile-time for the same reason as there: the
-/// per-step extrema check otherwise survives in every non-tracking hot
-/// loop.
+/// One fused loop per step (draw, resolve the arc inline, apply -- no
+/// intermediate buffers), software-pipelined in groups of 8 draws.
+/// Neighbour values are read live (exact sequential semantics).
+/// Recompute cadence is counted per chunk via the cursor countdown,
+/// exactly as in the node kernel.  Track is compile-time for the same
+/// reason as there: the per-step extrema check otherwise survives in
+/// every non-tracking hot loop.
 template <bool Track, class Topo, class Sync>
 void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                     OpinionState& state, double* vals, std::uint64_t arcs,
@@ -124,7 +96,6 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     state.recompute();
     cursor = state.begin_burst();
   };
-#if !defined(OPINDYN_SIMD_AVX2)
   const auto apply_arc = [&](std::int32_t p) {
     const std::int32_t us = topo.source(p);
     const std::int32_t vs = topo.target(p);
@@ -147,9 +118,9 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     if (!lazy && cursor.countdown() > chunk) [[likely]] {
       // Software-pipelined 8-wide: each group's draws are hoisted
       // ahead of its applies, decoupling the serial rng chain from the
-      // load->fp->store chains so their latencies overlap.  Same
-      // legality as the chunked phase split: draws depend on no value,
-      // and each apply still reads its neighbours live, in step order.
+      // load->fp->store chains so their latencies overlap.  Legal
+      // because draws depend on no value, and each apply still reads
+      // its neighbours live, in step order.
       // 8 measured best on a wide OoO core (4 leaves latency unhidden,
       // 16 spills the group to the stack).
       std::int64_t c = 0;
@@ -179,66 +150,6 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     }
     done += chunk;
   }
-#else
-  std::uint64_t raw[burst::kChunkSteps];
-  std::int32_t pos[burst::kChunkSteps];
-  std::int32_t uslot[burst::kChunkSteps];
-  std::int32_t vslot[burst::kChunkSteps];
-  double pis[burst::kChunkSteps];
-  std::int64_t done = 0;
-  while (done < n_steps) {
-    const int chunk = static_cast<int>(
-        std::min<std::int64_t>(burst::kChunkSteps, n_steps - done));
-    // Phase A: draw the chunk's arcs in exact step() order.
-    int emitted;
-    if (lazy) {
-      emitted = 0;
-      for (int c = 0; c < chunk; ++c) {
-        if (rng.next_bool(0.5)) {
-          continue;  // lazy no-op: consumes the coin, still counts a step
-        }
-        raw[emitted++] = rng.next_below(arcs);
-      }
-    } else {
-      rng.fill_below(arcs, raw, static_cast<std::size_t>(chunk));
-      emitted = chunk;
-    }
-    // Phase B: resolve the whole chunk's slots up front with
-    // vpgatherdd through the translation arrays.
-    for (int e = 0; e < emitted; ++e) {
-      pos[e] = static_cast<std::int32_t>(raw[e]);
-    }
-    topo.resolve(pos, uslot, vslot, pis, emitted);
-    // Phase C: sequential apply with set_value's exact arithmetic;
-    // neighbour values are read live.
-    const auto apply_entry = [&](int e) {
-      const std::int32_t us = uslot[e];
-      const double old = vals[static_cast<std::size_t>(us)];
-      const double nv = vals[static_cast<std::size_t>(vslot[e])];
-      // apply_update computes (0.0 + value(v)) / 1.0; the division by
-      // one is exact, the leading add is kept for the -0.0 case.
-      const double x = a * old + one_minus_a * (0.0 + nv);
-      cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[e], old, x);
-      vals[static_cast<std::size_t>(us)] = x;
-    };
-    if (cursor.countdown() > emitted) [[likely]] {
-      for (int e = 0; e < emitted; ++e) {
-        apply_entry(e);
-      }
-      cursor.advance(emitted);
-    } else {
-      // Recompute falls inside this chunk: per-update cadence check at
-      // exactly the count where set_value's tail recompute would fire.
-      for (int e = 0; e < emitted; ++e) {
-        apply_entry(e);
-        if (cursor.advance_one()) {
-          recompute_now();
-        }
-      }
-    }
-    done += chunk;
-  }
-#endif
   state.end_burst(cursor);
 }
 

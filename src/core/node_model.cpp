@@ -17,25 +17,18 @@ namespace {
 /// registers per step.
 /// Consumes the rng in EXACT step() order and performs set_value's
 /// arithmetic through a register-resident cursor, so the result is
-/// bit-identical to n_steps repeated step() calls.  Two shapes behind
-/// one contract:
+/// bit-identical to n_steps repeated step() calls.
 ///
-///  - Portable builds run a fused loop, software-pipelined in groups
-///    of 8 steps: the group's draws (two serial rng calls per step at
-///    K = 1) resolve to neighbour/target slots first, then the FP
-///    applies walk the group in step order reading values live.  The
-///    rng state chain is the long pole, so hoisting it ahead of the
-///    accumulator chains is worth ~1.4x over a straight per-step loop.
-///  - OPINDYN_SIMD_AVX2 builds split each chunk into phases (see
-///    burst_kernels.h): serial draws into SoA position buffers, a
-///    vpgatherdd adjacency translation, then the sequential apply.
-///
-/// Both consume the identical rng stream and apply in the identical
-/// order; only instruction scheduling differs.  The recompute cadence
-/// is counted per chunk through the cursor countdown: a chunk that
-/// cannot reach the recompute threshold settles its bookkeeping with
-/// one advance(), and only chunks straddling the threshold (or lazy
-/// runs, whose update count is coin-dependent) check per update.
+/// One fused loop, software-pipelined in groups of 8 steps: the
+/// group's draws (two serial rng calls per step at K = 1) resolve to
+/// neighbour/target slots first, then the FP applies walk the group in
+/// step order reading values live.  The rng state chain is the long
+/// pole, so hoisting it ahead of the accumulator chains is worth ~1.4x
+/// over a straight per-step loop.  The recompute cadence is counted
+/// per chunk through the cursor countdown: a chunk that cannot reach
+/// the recompute threshold settles its bookkeeping with one advance(),
+/// and only chunks straddling the threshold (or lazy runs, whose
+/// update count is coin-dependent) check per update.
 template <int K, SamplingMode Mode, bool Track, class Topo, class Sync>
 void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                     OpinionState& state, double* vals, NodeId n,
@@ -50,7 +43,6 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     state.recompute();
     cursor = state.begin_burst();
   };
-#if !defined(OPINDYN_SIMD_AVX2)
   const NodeId* adj = topo.adjacency();
   // One full process step: draws in exact step() order, neighbour
   // values read live (nothing is written until after every draw of the
@@ -106,8 +98,8 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
       // run ahead while the FP accumulator chains of the previous
       // group drain.  Draw order and apply order both stay exactly
       // step()'s, the draw phase reads no values, and the apply phase
-      // reads them in step order -- bit-identical by the same argument
-      // as the phase-split chunks.
+      // reads them in step order, so a step that reads a node written
+      // earlier in the group sees the new value, exactly as in step().
       constexpr int kGroup = 8;
       std::int64_t c = 0;
       for (; c + kGroup <= chunk; c += kGroup) {
@@ -179,96 +171,6 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     }
     done += chunk;
   }
-#else
-  std::int32_t slots[burst::kChunkSteps];
-  double pis[burst::kChunkSteps];
-  std::int32_t pos[burst::kChunkSteps * K];
-  std::int32_t nbr[burst::kChunkSteps * K];
-  std::int64_t done = 0;
-  while (done < n_steps) {
-    const int chunk = static_cast<int>(
-        std::min<std::int64_t>(burst::kChunkSteps, n_steps - done));
-    // Phase A: serial draws, exact step() order.
-    int emitted = 0;
-    for (int c = 0; c < chunk; ++c) {
-      if (lazy && rng.next_bool(0.5)) {
-        continue;  // lazy no-op: consumes the coin, still counts a step
-      }
-      const auto u = static_cast<NodeId>(rng.next_below(nn));
-      const std::int64_t base = topo.row_base(u);
-      const std::int32_t d = topo.degree(u);
-      std::int32_t* p = pos + emitted * K;
-      if constexpr (Mode == SamplingMode::without_replacement) {
-        // Floyd's subset draw, fused with position emission; draw and
-        // push order match sample_without_replacement exactly.
-        std::int32_t picked[K];
-        for (int i = 0; i < K; ++i) {
-          const std::int32_t j = d - K + i;
-          const auto t = static_cast<std::int32_t>(
-              rng.next_below(static_cast<std::uint64_t>(j) + 1));
-          bool duplicate = false;
-          for (int q = 0; q < i; ++q) {
-            duplicate |= picked[q] == t;
-          }
-          const std::int32_t idx = duplicate ? j : t;
-          picked[i] = idx;
-          p[i] = static_cast<std::int32_t>(base + idx);
-        }
-      } else {
-        for (int i = 0; i < K; ++i) {
-          p[i] = static_cast<std::int32_t>(
-              base + static_cast<std::int64_t>(rng.next_below(
-                         static_cast<std::uint64_t>(d))));
-        }
-      }
-      slots[emitted] = topo.slot(u);
-      if constexpr (!Topo::kUniformPi) {
-        pis[emitted] = topo.stationary(u);
-      }
-      ++emitted;
-    }
-    // Phase B: translate the chunk's adjacency positions with
-    // vpgatherdd.  Neighbour VALUES are read live in phase C (exact
-    // sequential semantics, nothing stale to manage): a value-prefetch
-    // pass plus conflict screen measured slower than the live loads on
-    // every tested core.
-    burst::translate_indices(topo.adjacency(), pos, nbr, emitted * K);
-    // Phase C: sequential apply with set_value's exact arithmetic.
-    const auto apply_entry = [&](int e) {
-      double sum = 0.0;
-      if constexpr (K == 1) {
-        sum += vals[static_cast<std::size_t>(nbr[e])];
-      } else {
-        for (int i = 0; i < K; ++i) {
-          sum += vals[static_cast<std::size_t>(nbr[e * K + i])];
-        }
-      }
-      // sum / 1.0 is bit-exactly sum, so k = 1 skips the division.
-      const double mean = K == 1 ? sum : sum / k_count;
-      const std::int32_t slot = slots[e];
-      const double old = vals[static_cast<std::size_t>(slot)];
-      const double x = a * old + one_minus_a * mean;
-      cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[e], old, x);
-      vals[static_cast<std::size_t>(slot)] = x;
-    };
-    if (cursor.countdown() > emitted) [[likely]] {
-      for (int e = 0; e < emitted; ++e) {
-        apply_entry(e);
-      }
-      cursor.advance(emitted);
-    } else {
-      // Recompute falls inside this chunk: per-update cadence check at
-      // exactly the count where set_value's tail recompute would fire.
-      for (int e = 0; e < emitted; ++e) {
-        apply_entry(e);
-        if (cursor.advance_one()) {
-          recompute_now();
-        }
-      }
-    }
-    done += chunk;
-  }
-#endif
   state.end_burst(cursor);
 }
 

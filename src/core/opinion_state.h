@@ -148,7 +148,7 @@ class OpinionState {
   void recompute();
 
   // --- Burst cursor -------------------------------------------------
-  // The SIMD burst kernels update values by the thousand; going through
+  // The burst kernels update values by the thousand; going through
   // set_value would reload and re-store every accumulator through the
   // member pointer each step.  A BurstCursor holds the accumulators in
   // locals (registers) for the duration of a burst and performs the

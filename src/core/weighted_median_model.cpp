@@ -15,14 +15,10 @@ namespace {
 /// (burst_kernels.h).  Consumes the rng in EXACT step() order and picks
 /// the identical order statistic through the shared lower_median_inplace
 /// helper, so the result is bit-identical to n_steps repeated step()
-/// calls.  Two shapes behind one contract, mirroring run_node_burst:
-///
-///  - Portable builds run a fused loop, software-pipelined in groups of
-///    8 steps: the group's draws resolve to neighbour slots first, then
-///    the applies walk the group in step order reading values live.
-///  - OPINDYN_SIMD_AVX2 builds split each chunk into phases: serial
-///    draws into SoA position buffers, a vpgatherdd adjacency
-///    translation, then the sequential apply.
+/// calls.  One fused loop, mirroring run_node_burst: software-pipelined
+/// in groups of 8 steps, the group's draws resolve to neighbour slots
+/// first, then the applies walk the group in step order reading values
+/// live.
 ///
 /// Unlike the mean rule there is no FP arithmetic at all -- the update
 /// moves an existing value bit pattern -- so bit-identity reduces to
@@ -39,7 +35,6 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
     state.recompute();
     cursor = state.begin_burst();
   };
-#if !defined(OPINDYN_SIMD_AVX2)
   const NodeId* adj = topo.adjacency();
   // One full process step: draws in exact step() order, sampled values
   // read live in draw order (nothing is written until the step's draws
@@ -160,83 +155,6 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
     }
     done += chunk;
   }
-#else
-  std::int32_t slots[burst::kChunkSteps];
-  double pis[burst::kChunkSteps];
-  std::int32_t pos[burst::kChunkSteps * K];
-  std::int32_t nbr[burst::kChunkSteps * K];
-  std::int64_t done = 0;
-  while (done < n_steps) {
-    const int chunk = static_cast<int>(
-        std::min<std::int64_t>(burst::kChunkSteps, n_steps - done));
-    // Phase A: serial draws, exact step() order.
-    int emitted = 0;
-    for (int c = 0; c < chunk; ++c) {
-      if (lazy && rng.next_bool(0.5)) {
-        continue;  // lazy no-op: consumes the coin, still counts a step
-      }
-      const auto u = static_cast<NodeId>(rng.next_below(nn));
-      const std::int64_t base = topo.row_base(u);
-      const std::int32_t d = topo.degree(u);
-      std::int32_t* p = pos + emitted * K;
-      if constexpr (Mode == SamplingMode::without_replacement) {
-        std::int32_t picked[K];
-        for (int i = 0; i < K; ++i) {
-          const std::int32_t j = d - K + i;
-          const auto t = static_cast<std::int32_t>(
-              rng.next_below(static_cast<std::uint64_t>(j) + 1));
-          bool duplicate = false;
-          for (int q = 0; q < i; ++q) {
-            duplicate |= picked[q] == t;
-          }
-          const std::int32_t idx = duplicate ? j : t;
-          picked[i] = idx;
-          p[i] = static_cast<std::int32_t>(base + idx);
-        }
-      } else {
-        for (int i = 0; i < K; ++i) {
-          p[i] = static_cast<std::int32_t>(
-              base + static_cast<std::int64_t>(rng.next_below(
-                         static_cast<std::uint64_t>(d))));
-        }
-      }
-      slots[emitted] = topo.slot(u);
-      if constexpr (!Topo::kUniformPi) {
-        pis[emitted] = topo.stationary(u);
-      }
-      ++emitted;
-    }
-    // Phase B: translate the chunk's adjacency positions with
-    // vpgatherdd; values are read live in phase C.
-    burst::translate_indices(topo.adjacency(), pos, nbr, emitted * K);
-    // Phase C: sequential apply picking the shared order statistic.
-    const auto apply_entry = [&](int e) {
-      double m[K];
-      for (int i = 0; i < K; ++i) {
-        m[i] = vals[static_cast<std::size_t>(nbr[e * K + i])];
-      }
-      const double x = K == 1 ? m[0] : lower_median_inplace(m, K);
-      const std::int32_t slot = slots[e];
-      const double old = vals[static_cast<std::size_t>(slot)];
-      cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[e], old, x);
-      vals[static_cast<std::size_t>(slot)] = x;
-    };
-    if (cursor.countdown() > emitted) [[likely]] {
-      for (int e = 0; e < emitted; ++e) {
-        apply_entry(e);
-      }
-      cursor.advance(emitted);
-    } else {
-      for (int e = 0; e < emitted; ++e) {
-        apply_entry(e);
-        if (cursor.advance_one()) {
-          recompute_now();
-        }
-      }
-    }
-    done += chunk;
-  }
-#endif
   state.end_burst(cursor);
 }
 

@@ -176,9 +176,8 @@ OPINDYN_REGISTER_SCENARIO_AS(
     k_ablation_columns)
 
 /// thm22_convergence: also against the Theorem 2.2(1) scale
-/// n log(n ||xi||^2 / eps) / (1 - lambda2(P)) -- the engine port of
-/// bench_thm22_convergence; sweep graph / n / alpha / k to reproduce its
-/// three tables.
+/// n log(n ||xi||^2 / eps) / (1 - lambda2(P)).  The three paper tables
+/// are examples/specs/thm22_convergence_{families,sizes,k}.spec.
 std::vector<std::string> thm22_convergence_columns(const RunningStats& steps,
                                                    ReplicaBatch& prediction) {
   const double predicted = prediction.sample(0, 1);
@@ -200,7 +199,7 @@ OPINDYN_REGISTER_SCENARIO_AS(
 
 /// The w.h.p. tail of Theorems 2.2(1)/2.4(1): per-replica T_eps rows
 /// (the first streaming consumer) plus quantiles normalised by the
-/// median for both models -- the engine port of bench_whp_tail.
+/// median for both models; the paper table is examples/specs/whp_tail.spec.
 class WhpTailScenario final : public Scenario {
  public:
   std::string name() const override { return "whp_tail"; }

@@ -89,8 +89,8 @@ class Graph {
   std::vector<std::pair<NodeId, NodeId>> undirected_edges() const;
 
   // Raw CSR arrays for the burst kernels (see core/node_model.cpp,
-  // core/edge_model.cpp): the kernels stream these through SIMD gathers
-  // and must not pay a per-access accessor.  Layout contract:
+  // core/edge_model.cpp): the kernels index these directly in their hot
+  // loops and must not pay a per-access accessor.  Layout contract:
   //   offsets_data()[u] .. offsets_data()[u+1]  -- u's row (sorted asc),
   //   adjacency_data()[j]                       -- target of arc j,
   //   arc_source_data()[j]                      -- source of arc j.

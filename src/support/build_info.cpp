@@ -17,9 +17,6 @@
 #ifndef OPINDYN_BUILD_TYPE
 #define OPINDYN_BUILD_TYPE "unknown"
 #endif
-#ifndef OPINDYN_BUILD_SIMD
-#define OPINDYN_BUILD_SIMD "scalar"
-#endif
 
 namespace opindyn {
 
@@ -31,7 +28,6 @@ const BuildInfo& build_info() {
     b.flags = OPINDYN_BUILD_FLAGS;
     b.build_type = OPINDYN_BUILD_TYPE;
     b.cxx_standard = std::to_string(__cplusplus);  // e.g. "202002"
-    b.simd = OPINDYN_BUILD_SIMD;
 #ifdef OPINDYN_CHECKED_HOT_PATH
     b.checked_hot_path = true;
 #else
@@ -50,7 +46,6 @@ json::Value build_info_json() {
   block.emplace_back("flags", b.flags);
   block.emplace_back("build_type", b.build_type);
   block.emplace_back("cxx_standard", b.cxx_standard);
-  block.emplace_back("simd", b.simd);
   block.emplace_back("checked_hot_path", b.checked_hot_path);
   return json::Value(std::move(block));
 }
@@ -64,7 +59,6 @@ std::string build_info_text() {
       << "  build type:       " << b.build_type << "\n"
       << "  C++ standard:     " << b.cxx_standard << "\n"
       << "  flags:            " << b.flags << "\n"
-      << "  burst kernels:    " << b.simd << "\n"
       << "  checked hot path: " << (b.checked_hot_path ? "on" : "off")
       << "\n";
   return out.str();

@@ -21,7 +21,6 @@ struct BuildInfo {
   std::string flags;       // CXX flags incl. the build-type set
   std::string build_type;  // e.g. "Release"
   std::string cxx_standard;
-  std::string simd;  // burst-kernel ISA: "avx2" or "scalar"
   bool checked_hot_path = false;  // OPINDYN_CHECKED_HOT_PATH state
 };
 

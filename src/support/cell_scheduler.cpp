@@ -6,7 +6,6 @@
 
 #include "src/service/cancel_token.h"
 #include "src/support/assert.h"
-#include "src/support/parallel.h"
 
 namespace opindyn {
 

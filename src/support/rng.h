@@ -81,8 +81,8 @@ class Rng {
 
   /// Fills out[0..count) with draws uniform in [0, bound), consuming
   /// EXACTLY the stream of `count` sequential next_below(bound) calls
-  /// (same words drawn, same rejections).  The burst kernels use this
-  /// to split random-index generation from the gather/apply phases: the
+  /// (same words drawn, same rejections).  The HK burst kernel uses this
+  /// to split random-index generation from its sequential apply: the
   /// rejection threshold is hoisted out of the loop and the compiler
   /// can pipeline the multiply-shift across iterations, which a
   /// one-at-a-time call chain hides.

@@ -6,9 +6,13 @@
 
 namespace opindyn {
 
+std::size_t default_parallelism() noexcept {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = default_parallelism();
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {

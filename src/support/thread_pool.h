@@ -15,9 +15,13 @@
 
 namespace opindyn {
 
+/// Worker count that "0 threads" means everywhere: all hardware
+/// threads, at least one.
+std::size_t default_parallelism() noexcept;
+
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (>= 1).  0 means hardware_concurrency.
+  /// Spawns `threads` workers (>= 1).  0 means default_parallelism().
   explicit ThreadPool(std::size_t threads = 0);
 
   ThreadPool(const ThreadPool&) = delete;

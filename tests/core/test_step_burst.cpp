@@ -52,8 +52,12 @@ void expect_bit_identical(const Process& single, const Process& burst) {
 }
 
 TEST(StepBurst, NodeModelMatchesSingleStepsForEveryVariant) {
-  Rng graph_rng(101);
-  const Graph g = gen::random_regular(graph_rng, 24, 5);
+  // Degree 8 makes every specialised k legal without replacement; at
+  // k = 8 the subset is the whole row, Floyd's hardest duplicate case.
+  // (A circulant: the pairing model almost never accepts degree 8.)
+  const Graph g = gen::circulant(24, {1, 3, 7, 10});
+  ASSERT_TRUE(g.is_regular());
+  ASSERT_EQ(g.min_degree(), 8);
   Rng init_rng(7);
   const auto xi = initial::gaussian(init_rng, g.node_count(), 0.0, 1.0);
   constexpr std::int64_t kTotal = 600;
@@ -61,7 +65,7 @@ TEST(StepBurst, NodeModelMatchesSingleStepsForEveryVariant) {
     for (const SamplingMode sampling :
          {SamplingMode::without_replacement,
           SamplingMode::with_replacement}) {
-      for (const std::int64_t k : {std::int64_t{1}, std::int64_t{4}}) {
+      for (const std::int64_t k : {1, 2, 3, 4, 8}) {
         NodeModelParams params;
         params.alpha = 0.45;
         params.k = k;
@@ -89,25 +93,38 @@ TEST(StepBurst, NodeModelMatchesSingleStepsForEveryVariant) {
 }
 
 TEST(StepBurst, EdgeModelMatchesSingleSteps) {
-  const Graph g = gen::lollipop(6, 6);  // irregular: degree spread matters
-  Rng init_rng(13);
-  const auto xi = initial::uniform(init_rng, g.node_count(), -2.0, 2.0);
+  // The lollipop is irregular (degree spread matters: the general arc
+  // topology); the 4-regular graph takes the power-of-two shift
+  // topology with one uniform pi.
+  Rng graph_rng(57);
+  const std::vector<Graph> graphs = {gen::lollipop(6, 6),
+                                     gen::random_regular(graph_rng, 20, 4)};
   constexpr std::int64_t kTotal = 600;
-  for (const bool lazy : {false, true}) {
-    EdgeModelParams params;
-    params.alpha = 0.6;
-    params.lazy = lazy;
-    EdgeModel single(g, xi, params);
-    EdgeModel burst(g, xi, params);
-    Rng rng_single(42);
-    Rng rng_burst(42);
-    for (std::int64_t i = 0; i < kTotal; ++i) {
-      single.step(rng_single);
+  for (const Graph& g : graphs) {
+    Rng init_rng(13);
+    const auto xi = initial::uniform(init_rng, g.node_count(), -2.0, 2.0);
+    for (const bool lazy : {false, true}) {
+      for (const bool track : {false, true}) {
+        EdgeModelParams params;
+        params.alpha = 0.6;
+        params.lazy = lazy;
+        params.track_extrema = track;
+        EdgeModel single(g, xi, params);
+        EdgeModel burst(g, xi, params);
+        Rng rng_single(42);
+        Rng rng_burst(42);
+        for (std::int64_t i = 0; i < kTotal; ++i) {
+          single.step(rng_single);
+        }
+        run_in_bursts(burst, rng_burst, kTotal);
+        SCOPED_TRACE("regular=" + std::to_string(g.is_regular()) +
+                     " lazy=" + std::to_string(lazy) +
+                     " track=" + std::to_string(track));
+        expect_bit_identical(single, burst);
+        EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
+        EXPECT_EQ(rng_single(), rng_burst());
+      }
     }
-    run_in_bursts(burst, rng_burst, kTotal);
-    SCOPED_TRACE("lazy=" + std::to_string(lazy));
-    expect_bit_identical(single, burst);
-    EXPECT_EQ(rng_single(), rng_burst());
   }
 }
 

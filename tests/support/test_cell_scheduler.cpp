@@ -156,6 +156,11 @@ TEST(CellScheduler, SynchronousRunMatchesHistoricalReplicaScheduler) {
   EXPECT_LT(stats[0].mean(), 1.0);
 }
 
+TEST(CellScheduler, ZeroThreadsMeansAtLeastOne) {
+  // 0 resolves to every hardware thread, and never to an empty pool.
+  EXPECT_GE(CellScheduler(0).threads(), 1u);
+}
+
 TEST(CellScheduler, SubseedIsStableAndSaltSensitive) {
   EXPECT_EQ(subseed(1, 2), subseed(1, 2));
   EXPECT_NE(subseed(1, 2), subseed(1, 3));

@@ -4,14 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/support/ascii_plot.h"
 #include "src/support/assert.h"
 #include "src/support/histogram.h"
-#include "src/support/parallel.h"
 #include "src/support/thread_pool.h"
 
 namespace opindyn {
@@ -166,36 +164,6 @@ TEST(AsciiPlot, EmptyInputDoesNotCrash) {
   EXPECT_NE(plot.find("no plottable points"), std::string::npos);
 }
 
-TEST(ParallelFor, VisitsEveryIndexOnce) {
-  constexpr std::int64_t count = 10000;
-  std::vector<std::atomic<int>> visits(count);
-  parallel_for(count, [&](std::int64_t i) {
-    visits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& v : visits) {
-    EXPECT_EQ(v.load(), 1);
-  }
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(100,
-                   [](std::int64_t i) {
-                     if (i == 57) {
-                       throw std::runtime_error("boom");
-                     }
-                   },
-                   4),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, ZeroAndSingleThreadWork) {
-  parallel_for(0, [](std::int64_t) { FAIL(); });
-  std::int64_t sum = 0;
-  parallel_for(10, [&](std::int64_t i) { sum += i; }, 1);
-  EXPECT_EQ(sum, 45);
-}
-
 TEST(ThreadPool, ExecutesAllSubmittedTasks) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4u);
@@ -208,10 +176,6 @@ TEST(ThreadPool, ExecutesAllSubmittedTasks) {
     f.wait();
   }
   EXPECT_EQ(done.load(), 100);
-}
-
-TEST(DefaultParallelism, IsAtLeastOne) {
-  EXPECT_GE(default_parallelism(), 1u);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(Rng, NextBelowIsApproximatelyUniform) {
 }
 
 TEST(Rng, FillBelowMatchesSequentialNextBelowExactly) {
-  // The burst kernels batch their draws through fill_below; the stream
+  // The HK burst kernel batches its draws through fill_below; the stream
   // contract is EXACT equality with sequential next_below, including
   // the state left behind (checked via the next raw draw).
   for (const std::uint64_t bound :
