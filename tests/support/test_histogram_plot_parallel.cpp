@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -176,6 +178,35 @@ TEST(ThreadPool, ExecutesAllSubmittedTasks) {
     f.wait();
   }
   EXPECT_EQ(done.load(), 100);
+}
+
+TEST(ThreadPool, ZeroThreadsMeansDefaultParallelism) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.thread_count(), default_parallelism());
+}
+
+TEST(ThreadPool, TaskExceptionReachesItsFutureOnly) {
+  ThreadPool pool(2);
+  std::future<void> failing =
+      pool.submit([] { throw std::runtime_error("boom"); });
+  std::future<void> passing = pool.submit([] {});
+  EXPECT_THROW(failing.get(), std::runtime_error);
+  EXPECT_NO_THROW(passing.get());
+}
+
+TEST(ThreadPool, DestructorDrainsQueuedTasks) {
+  std::int64_t sum = 0;
+  {
+    ThreadPool pool(1);
+    for (std::int64_t i = 0; i < 10; ++i) {
+      pool.submit([&sum, i] { sum += i; });
+    }
+  }
+  EXPECT_EQ(sum, 45);
+}
+
+TEST(DefaultParallelism, IsAtLeastOne) {
+  EXPECT_GE(default_parallelism(), 1u);
 }
 
 }  // namespace
