@@ -2,8 +2,9 @@
 // tool measures: the incremental-potential ablation (OpinionState's
 // O(1) accumulators vs a naive O(n) recompute per step, against the
 // single-step path of both processes and its extremum-tracking
-// variant), neighbour sampling, and the cell-level scheduling of the
-// batch runner (many small cells must scale with the thread count).
+// variant), neighbour sampling, the dense Jacobi eigensolve behind every
+// spectral prediction, and the cell-level scheduling of the batch runner
+// (many small cells must scale with the thread count).
 // The burst kernels are gated by `bench/perf_baseline` against
 // BENCH_8.json, and rng draws by perfbench's per-layer rows.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "src/core/node_model.h"
 #include "src/engine/runner.h"
 #include "src/graph/generators.h"
+#include "src/spectral/spectra.h"
 #include "src/support/rng.h"
 #include "src/support/sampling.h"
 
@@ -111,6 +113,26 @@ void BM_SampleWithoutReplacement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleWithoutReplacement)->Arg(1)->Arg(4)->Arg(16);
+
+// One lazy-walk eigensolve (jacobi_eigen on S = D^{1/2} P D^{-1/2}) of a
+// fixed random-regular graph.  n = 120 and 248 guard the row-stride rule:
+// padding them by a plain 8 doubles would make the stride a power of two.
+void BM_JacobiEigen(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  Rng graph_rng(1);
+  const Graph g = gen::random_regular(graph_rng, n, 4);
+  for (auto _ : state) {
+    const WalkSpectrum spectrum = lazy_walk_spectrum(g);
+    benchmark::DoNotOptimize(spectrum.gap);
+  }
+}
+BENCHMARK(BM_JacobiEigen)
+    ->Arg(64)
+    ->Arg(120)
+    ->Arg(128)
+    ->Arg(248)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 // The ISSUE-2 acceptance scenario: a sweep of many small cells (24
 // cells x 4 replicas of cycle(24)) through the batch runner.  Before

@@ -8,6 +8,23 @@
 #include "src/support/assert.h"
 
 namespace opindyn {
+namespace {
+
+/// Row stride of the working copies: n rounded up to whole 64-byte lines,
+/// plus one line if the line count is even.  An odd line count spreads a
+/// column walk over every L1 set, where a stride of n doubles sends all
+/// rows to 4 of the 64 sets at n = 128 (and plain n + 8 padding makes the
+/// stride a power of two at n = 120 and 248).
+std::size_t leading_dimension(std::size_t n) {
+  constexpr std::size_t kLine = 64 / sizeof(double);
+  std::size_t lines = (n + kLine - 1) / kLine;
+  if (lines % 2 == 0) {
+    ++lines;
+  }
+  return lines * kLine;
+}
+
+}  // namespace
 
 EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
                                 int max_sweeps) {
@@ -15,32 +32,37 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
   OPINDYN_EXPECTS(symmetric.symmetry_defect() <= 1e-9,
                   "eigen solver needs a symmetric matrix");
   const std::size_t n = symmetric.rows();
+  const std::size_t ld = leading_dimension(n);
 
-  // a[c * n + r] = A(r, c): the working copy is A transposed, so the
+  // a[c * ld + r] = A(r, c): the working copy is A transposed, so the
   // columns p and q a rotation reads are the contiguous rows p and q of
   // `a`.  Rotations write rows and columns p, q symmetrically, so this
   // differs from a plain copy only in which triangle is read first when
   // the input is symmetric merely within the 1e-9 tolerance -- and there
   // it reads exactly the elements the column-wise formulation reads.
-  std::vector<double> a(n * n);
+  std::vector<double> a(n * ld);
   for (std::size_t r = 0; r < n; ++r) {
     const double* source = symmetric.row(r);
     for (std::size_t c = 0; c < n; ++c) {
-      a[c * n + r] = source[c];
+      a[c * ld + r] = source[c];
     }
   }
   // vt = V^T: row k is eigenvector column k, so the rotation's two
   // eigenvector columns are contiguous too.
-  std::vector<double> vt(n * n, 0.0);
+  std::vector<double> vt(n * ld, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    vt[i * n + i] = 1.0;
+    vt[i * ld + i] = 1.0;
   }
+  // stale_below[c]: the pivot p of this sweep's last rotation through
+  // column c, so p <= c.  The upper cells a[r][c], r < p, missed the
+  // mirror.
+  std::vector<std::size_t> stale_below(n, 0);
 
   auto off_diagonal_norm = [&]() {
     double sum = 0.0;
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a[q * n + p];
+        const double apq = a[q * ld + p];
         sum += apq * apq;
       }
     }
@@ -54,11 +76,11 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
       break;
     }
     for (std::size_t p = 0; p < n; ++p) {
-      double* const row_p = a.data() + p * n;
-      double* const v_p = vt.data() + p * n;
+      double* const row_p = a.data() + p * ld;
+      double* const v_p = vt.data() + p * ld;
       for (std::size_t q = p + 1; q < n; ++q) {
-        double* const row_q = a.data() + q * n;
-        double* const v_q = vt.data() + q * n;
+        double* const row_q = a.data() + q * ld;
+        double* const v_q = vt.data() + q * ld;
         const double apq = row_q[p];
         if (std::abs(apq) <= tolerance * 1e-3) {
           continue;
@@ -90,12 +112,16 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
         rotate(0, p);
         rotate(p + 1, q);
         rotate(q + 1, n);
-        // Mirror into columns p and q.  At i = p and i = q this rewrites
-        // the diagonal with itself and the zeroed pair with zero.
-        for (std::size_t i = 0; i < n; ++i) {
-          a[i * n + p] = row_p[i];
-          a[i * n + q] = row_q[i];
+        // Mirror into columns p and q of the rows this pivot's later
+        // rotations read (i > p; at i = q this rewrites the diagonal
+        // with itself and the zeroed pair with zero).  Rows i < p are
+        // not read again this sweep and wait for the restore below.
+        for (std::size_t i = p + 1; i < n; ++i) {
+          a[i * ld + p] = row_p[i];
+          a[i * ld + q] = row_q[i];
         }
+        stale_below[p] = p;
+        stale_below[q] = p;
         for (std::size_t i = 0; i < n; ++i) {
           const double vip = v_p[i];
           const double viq = v_q[i];
@@ -104,20 +130,29 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
         }
       }
     }
+    // Restore the upper cells the sweep left stale from their lower
+    // partners, which every write kept current.
+    for (std::size_t c = 0; c < n; ++c) {
+      for (std::size_t r = 0; r < stale_below[c]; ++r) {
+        a[r * ld + c] = a[c * ld + r];
+      }
+      stale_below[c] = 0;
+    }
   }
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return a[x * n + x] < a[y * n + y];
+    return a[x * ld + x] < a[y * ld + y];
   });
 
   EigenDecomposition result;
   result.values.reserve(n);
   result.vectors.reserve(n);
   for (const std::size_t k : order) {
-    result.values.push_back(a[k * n + k]);
-    std::vector<double> column(vt.data() + k * n, vt.data() + (k + 1) * n);
+    result.values.push_back(a[k * ld + k]);
+    const double* const v_k = vt.data() + k * ld;
+    std::vector<double> column(v_k, v_k + n);
     const double len = norm2(column);
     if (len > 0.0) {
       scale(column, 1.0 / len);

@@ -7,7 +7,10 @@
 // -- not merely to a tolerance.  Each case also pins the code path it
 // exercises: regular walk and Laplacian matrices, an irregular symmetrised
 // walk matrix, zero sweeps, the exact-zero skip branch, a Lanczos
-// tridiagonal and an input symmetric only within the 1e-9 contract.
+// tridiagonal, an input symmetric only within the 1e-9 contract, row
+// strides with odd and even line counts, and runs capped after one to
+// three sweeps (whose state shows whether the end-of-sweep restore of
+// the deferred mirror is exact).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,9 +120,11 @@ EigenDecomposition reference_jacobi_eigen(const Matrix& symmetric,
 
 /// Asserts every value and vector component is bit-for-bit equal (so
 /// -0.0 vs 0.0 or two different NaNs would fail, unlike ==).
-void expect_bitwise_equal(const Matrix& m, const std::string& what) {
-  const EigenDecomposition expected = reference_jacobi_eigen(m);
-  const EigenDecomposition actual = jacobi_eigen(m);
+void expect_bitwise_equal(const Matrix& m, const std::string& what,
+                          double tolerance = 1e-13, int max_sweeps = 100) {
+  const EigenDecomposition expected =
+      reference_jacobi_eigen(m, tolerance, max_sweeps);
+  const EigenDecomposition actual = jacobi_eigen(m, tolerance, max_sweeps);
   ASSERT_EQ(actual.values.size(), expected.values.size()) << what;
   ASSERT_EQ(actual.vectors.size(), expected.vectors.size()) << what;
   for (std::size_t k = 0; k < expected.values.size(); ++k) {
@@ -260,6 +265,70 @@ TEST(JacobiOracle, SymmetricOnlyWithinTolerance) {
   }
   ASSERT_GT(m.symmetry_defect(), 0.0);
   expect_bitwise_equal(m, "near-symmetric");
+}
+
+TEST(JacobiOracle, SizesAcrossTheRowStrideRule) {
+  // n = 120, 129 and 248 fill an odd number of 64-byte lines, n = 127 and
+  // 256 an even one (padded by a line), and 127 and 129 end mid-line.
+  // The reference walks columns of an unpadded matrix, so n = 256 alone
+  // costs it about a second: one seed per size.
+  for (const NodeId n : {120, 127, 129, 248, 256}) {
+    Rng rng(1);
+    expect_bitwise_equal(lazy_walk_matrix(gen::random_regular(rng, n, 4)),
+                         "walk n=" + std::to_string(n));
+  }
+}
+
+TEST(JacobiOracle, CappedSweepsMatchTheReferenceState) {
+  // After one to three sweeps the solve is far from converged, so every
+  // upper cell a later sweep reads must have been restored exactly.
+  Rng rng(17);
+  Matrix dense(37, 37, 0.0);
+  for (std::size_t r = 0; r < dense.rows(); ++r) {
+    for (std::size_t c = r; c < dense.cols(); ++c) {
+      const double x = rng.next_gaussian();
+      dense.at(r, c) = x;
+      dense.at(c, r) = x;
+    }
+  }
+  Rng graph_rng(19);
+  const Matrix walk = lazy_walk_matrix(gen::random_regular(graph_rng, 72, 4));
+  for (const int sweeps : {1, 2, 3}) {
+    const std::string tag = " sweeps=" + std::to_string(sweeps);
+    expect_bitwise_equal(dense, "dense" + tag, 1e-13, sweeps);
+    expect_bitwise_equal(walk, "walk" + tag, 1e-13, sweeps);
+  }
+}
+
+TEST(JacobiOracle, NearSymmetricBlockDiagonal) {
+  // Two dense blocks whose cross-block cells are exactly 0 in one
+  // triangle and 1e-12 in the other: the solver reads the upper triangle
+  // A(p, q) for its skip test, so one orientation skips an asymmetric
+  // pair and the other rotates it, and in-block rotations then mix the
+  // two triangles' values.
+  Rng rng(23);
+  constexpr std::size_t kN = 33;
+  constexpr std::size_t kSplit = 14;
+  Matrix zero_upper(kN, kN, 0.0);
+  Matrix zero_lower(kN, kN, 0.0);
+  for (std::size_t r = 0; r < kN; ++r) {
+    for (std::size_t c = r; c < kN; ++c) {
+      if ((r < kSplit) == (c < kSplit)) {
+        const double x = rng.next_gaussian();
+        zero_upper.at(r, c) = zero_upper.at(c, r) = x;
+        zero_lower.at(r, c) = zero_lower.at(c, r) = x;
+      } else {
+        zero_upper.at(c, r) = 1e-12;
+        zero_lower.at(r, c) = 1e-12;
+      }
+    }
+  }
+  ASSERT_GT(zero_upper.symmetry_defect(), 0.0);
+  for (const int sweeps : {1, 2, 100}) {
+    const std::string tag = " sweeps=" + std::to_string(sweeps);
+    expect_bitwise_equal(zero_upper, "zero upper" + tag, 1e-13, sweeps);
+    expect_bitwise_equal(zero_lower, "zero lower" + tag, 1e-13, sweeps);
+  }
 }
 
 TEST(JacobiOracle, KeepsTheSquareAndSymmetryContracts) {

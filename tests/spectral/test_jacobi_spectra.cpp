@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "src/graph/generators.h"
 #include "src/spectral/jacobi.h"
@@ -144,6 +146,54 @@ TEST(WalkSpectrum, F2IsAnEigenvectorOfP) {
   EXPECT_NEAR(pi_norm, 1.0, 1e-10);
 }
 
+// Q_d at d = 7 and 8 (n = 128 and 256) sits on the padded row strides of
+// the dense solver.  The lazy walk of Q_d has eigenvalues 1 - i/d and the
+// Laplacian 2i, each with multiplicity C(d, i), so the gap is 1/d.
+std::vector<double> hypercube_spectrum(int d, double base, double step) {
+  std::vector<double> values;
+  std::size_t multiplicity = 1;  // C(d, i)
+  for (int i = 0; i <= d; ++i) {
+    values.insert(values.end(), multiplicity, base + step * i);
+    multiplicity = multiplicity * static_cast<std::size_t>(d - i) /
+                   static_cast<std::size_t>(i + 1);
+  }
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+TEST(WalkSpectrum, HypercubeClosedFormAtPaddedSizes) {
+  for (const int d : {7, 8}) {
+    const Graph g = gen::hypercube(d);
+    const auto walk = lazy_walk_spectrum(g);
+    const auto walk_expected = hypercube_spectrum(d, 1.0, -1.0 / d);
+    ASSERT_EQ(walk.values.size(), walk_expected.size()) << g.name();
+    for (std::size_t k = 0; k < walk_expected.size(); ++k) {
+      EXPECT_NEAR(walk.values[k], walk_expected[k], 1e-10)
+          << g.name() << " walk value " << k;
+    }
+    EXPECT_NEAR(walk.gap, 1.0 / d, 1e-10) << g.name();
+
+    const auto lap = laplacian_spectrum(g);
+    const auto lap_expected = hypercube_spectrum(d, 0.0, 2.0);
+    ASSERT_EQ(lap.values.size(), lap_expected.size()) << g.name();
+    for (std::size_t k = 0; k < lap_expected.size(); ++k) {
+      EXPECT_NEAR(lap.values[k], lap_expected[k], 1e-9)
+          << g.name() << " laplacian value " << k;
+    }
+
+    // f_2 lies in the d-dimensional lambda_2 eigenspace: P f2 = lambda2
+    // f2 and ||f2||_pi = 1 hold for whichever vector the solver returns.
+    const auto pf = lazy_walk_matrix(g).multiply(walk.f2);
+    double pi_norm = 0.0;
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      const auto i = static_cast<std::size_t>(u);
+      EXPECT_NEAR(pf[i], walk.lambda2 * walk.f2[i], 1e-9) << g.name();
+      pi_norm += g.stationary(u) * walk.f2[i] * walk.f2[i];
+    }
+    EXPECT_NEAR(pi_norm, 1.0, 1e-10) << g.name();
+  }
+}
+
 TEST(WalkMatrix, RowStochastic) {
   for (const auto& g : {gen::star(6), gen::lollipop(4, 3)}) {
     EXPECT_NEAR(walk_matrix(g).stochasticity_defect(), 0.0, 1e-12);
@@ -190,7 +240,8 @@ TEST_P(SpectrumSizes, CycleLambda2MatchesClosedFormAcrossSizes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SpectrumSizes,
-                         ::testing::Values(3, 4, 6, 9, 16, 25, 40));
+                         ::testing::Values(3, 4, 6, 9, 16, 25, 40, 64, 120,
+                                           128, 256));
 
 }  // namespace
 }  // namespace opindyn
