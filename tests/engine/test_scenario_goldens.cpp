@@ -1,14 +1,20 @@
 // Pinned bytes of every scenario that runs a model to eps-convergence
-// through the shared replica helper: the aggregate `--csv` and, where
-// the scenario streams one, the per-replica `--rows-csv`, each as a
-// 64-bit FNV-1a digest plus a byte count.  The digests were taken from
-// the scenario layer before the single-model scenarios became forced-kind
-// registrations of cross_model and before gossip moved onto
-// run_until_converged; every run here must reproduce them at one and at
-// four threads, with metrics on.  The specs are small and cover the
-// branches the helper has to keep: sweeps, unconverged replicas (edge
-// and voter hit max-steps), the voter per-step stop, the plain potential
-// (edge / gossip rows), the spectral predictions and the fold-built rows.
+// through the shared replica helper, of the deterministic baselines
+// (degroot, friedkin_johnsen), and of the scenarios that run a model
+// over a fixed horizon (hegselmann_krause, martingale, duality): the
+// aggregate `--csv` and, where the scenario streams one, the per-replica
+// `--rows-csv`, each as a 64-bit FNV-1a digest plus a byte count.  The
+// digests were taken from the scenario layer before the single-model
+// scenarios became forced-kind registrations of cross_model, before
+// gossip moved onto run_until_converged, and before the baselines'
+// hand-written round loops and the hand-built HK / duality models were
+// replaced by make_process; every run here must reproduce them at one
+// and at four threads, with metrics on.  The specs are small and cover
+// the branches the helpers have to keep: sweeps, unconverged replicas
+// (edge and voter hit max-steps, degroot hits max-steps), the voter
+// per-step stop, the baselines' per-round stop, the plain potential
+// (edge / gossip rows), the spectral predictions, the default HK bound
+// and the fold-built rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -128,7 +134,31 @@ const ScenarioGolden kGoldens[] = {
       {"replicas", "6"}, {"seed", "16"}, {"init", "f2_laplacian"},
       {"center", "none"}, {"eps", "1e-4"}},
      0xa1af0a9bcbfbc59eULL, 131, 0x8639bd5e2238ca2fULL, 244},
-
+    {"degroot",
+     {{"scenario", "degroot"}, {"graph", "cycle"}, {"n", "16"}, {"seed", "3"},
+      {"init", "gaussian"}, {"eps", "1e-8"},
+      {"sweep", "max-steps:20,100000"}},
+     0xf22d9ebefa7f13f4ULL, 200, 0x0000000000000000ULL, 0},
+    {"friedkin_johnsen",
+     {{"scenario", "friedkin_johnsen"}, {"graph", "random_regular"},
+      {"degree", "4"}, {"n", "16"}, {"seed", "4"}, {"init", "gaussian"},
+      {"eps", "1e-10"}, {"sweep", "alpha:0.3,0.9"}},
+     0xb4a3cf20e1b5834fULL, 237, 0x0000000000000000ULL, 0},
+    {"hegselmann_krause",
+     {{"scenario", "hegselmann_krause"}, {"graph", "complete"}, {"n", "16"},
+      {"replicas", "8"}, {"seed", "5"}, {"init", "uniform"},
+      {"sweep", "confidence:0,0.6"}},
+     0xa6415a665715195eULL, 218, 0x0000000000000000ULL, 0},
+    {"duality",
+     {{"scenario", "duality"}, {"graph", "cycle"}, {"n", "12"},
+      {"replicas", "6"}, {"seed", "6"}, {"init", "gaussian"},
+      {"sweep", "k:1,2"}},
+     0x93f9a398638bc908ULL, 163, 0x64ab4aa309059957ULL, 479},
+    {"martingale",
+     {{"scenario", "martingale"}, {"graph", "star"}, {"n", "9"},
+      {"replicas", "6"}, {"seed", "7"}, {"init", "hub_spike"},
+      {"center", "none"}, {"sweep", "k:1,2"}},
+     0xa1f22f033ed0f653ULL, 290, 0x27def44d90dc3a08ULL, 256},
 };
 
 std::uint64_t fnv1a(const std::string& bytes) {
