@@ -211,7 +211,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   // are declared before the local scheduler so the scheduler is
   // destroyed (and its pool drained) first -- unit bodies reference the
   // cells.  When the context supplies shared infrastructure instead,
-  // the explicit drain below (drain_cells + the prefetch wait-all)
+  // the explicit drain below (submitted.wait_all + the prefetch wait-all)
   // guarantees no unit outlives this frame's locals.
   std::vector<std::unique_ptr<Cell>> cells;
   std::optional<GraphCache> local_graph_cache;
@@ -246,28 +246,14 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   // The units solving the scenario's declared spectra, one per graph.
   std::vector<std::shared_ptr<ReplicaBatch>> declared_solves;
 
-  // Runs every still-pending fold and declared solve to completion,
-  // discarding rows and errors: on any unwind (cancellation, a failing
-  // cell) the in-flight units of OTHER cells must finish before the
-  // cells they reference are destroyed -- with a shared scheduler there
-  // is no pool destructor between them and the frame's death.
-  const auto drain_cells = [&cells, &declared_solves] {
-    for (const auto& cell : cells) {
-      if (cell->fold) {
-        try {
-          cell->fold();
-        } catch (...) {
-        }
-        cell->fold = nullptr;
-      }
-    }
-    for (const auto& batch : declared_solves) {
-      try {
-        batch->wait();
-      } catch (...) {
-      }
-    }
-  };
+  // Every batch this run submits, prefetch to last cell.  On any unwind
+  // (cancellation, a failing cell) submitted.wait_all() lets the
+  // in-flight units finish before the cells they reference are
+  // destroyed: with a shared scheduler there is no pool destructor
+  // between them and the frame's death, and running the folds instead
+  // is not enough -- a fold whose first batch reports the cancellation
+  // never waits on the cell's other batches.
+  CellScheduler::SubmitLog submitted;
 
   bool interrupted = false;
   const char* interrupt_reason = nullptr;
@@ -491,13 +477,13 @@ BatchResult run_experiment(const ExperimentSpec& spec,
     interrupted = true;
     interrupt_reason = error.reason();
   } catch (...) {
-    drain_cells();
+    submitted.wait_all();
     throw;
   }
-  // On the success path every fold already ran, so this is a no-op; on
-  // the interrupted path it retires the remaining cells' units (a
+  // On the success path every batch is already done, so this is a
+  // no-op; on the interrupted path it retires the remaining units (a
   // cancelled batch skips its pending units, so this returns promptly).
-  drain_cells();
+  submitted.wait_all();
   result.interrupted = interrupted;
   if (interrupted && interrupt_reason != nullptr) {
     result.interrupt_reason = interrupt_reason;

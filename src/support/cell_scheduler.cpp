@@ -14,6 +14,8 @@ namespace {
 // The submit label is per-thread: serve-mode workers share a scheduler
 // and each tags its own submissions (see set_submit_label).
 thread_local std::string t_submit_label;
+// The innermost live SubmitLog of this thread (nullptr: none).
+thread_local CellScheduler::SubmitLog* t_submit_log = nullptr;
 
 }  // namespace
 
@@ -163,6 +165,21 @@ double ReplicaBatch::sample(std::int64_t replica, std::size_t metric) {
 CellScheduler::CellScheduler(std::size_t threads)
     : threads_(threads == 0 ? default_parallelism() : threads) {}
 
+CellScheduler::SubmitLog::SubmitLog() : previous_(t_submit_log) {
+  t_submit_log = this;
+}
+
+CellScheduler::SubmitLog::~SubmitLog() { t_submit_log = previous_; }
+
+void CellScheduler::SubmitLog::wait_all() noexcept {
+  for (const auto& batch : batches_) {
+    try {
+      batch->wait();
+    } catch (...) {
+    }
+  }
+}
+
 void CellScheduler::set_submit_label(std::string label) {
   t_submit_label = std::move(label);
 }
@@ -178,6 +195,9 @@ std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
   std::shared_ptr<ReplicaBatch> batch(
       new ReplicaBatch(replicas, seed, metrics, std::move(body), rows));
   batch->cancel_ = cancel::current();
+  if (t_submit_log != nullptr) {
+    t_submit_log->batches_.push_back(batch);
+  }
 
   if (metrics_registry_ != nullptr) {
     batch->metrics_registry_ = metrics_registry_;

@@ -157,6 +157,28 @@ class CellScheduler {
                                        ReplicaBatch::Body body,
                                        const RowStream* rows = nullptr);
 
+  /// Records every batch the constructing thread submits, to any
+  /// scheduler, while it lives.  A caller that can unwind before it has
+  /// waited on all it started -- the engine's runner, when a cell's fold
+  /// throws before it reaches the cell's other batches -- calls
+  /// wait_all() so no unit outlives the data its body references.
+  class SubmitLog {
+   public:
+    SubmitLog();
+    ~SubmitLog();
+    SubmitLog(const SubmitLog&) = delete;
+    SubmitLog& operator=(const SubmitLog&) = delete;
+
+    /// Blocks until every recorded batch has finished.  Their failures
+    /// and cancellations are the folds' to report, so they are dropped.
+    void wait_all() noexcept;
+
+   private:
+    friend class CellScheduler;
+    std::vector<std::shared_ptr<ReplicaBatch>> batches_;
+    SubmitLog* previous_;
+  };
+
   /// Synchronous convenience (the historical ReplicaScheduler::run):
   /// submit + wait + fold for bodies without row streaming.
   std::vector<RunningStats> run(

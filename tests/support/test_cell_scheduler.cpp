@@ -4,11 +4,14 @@
 // sample", and unit exceptions surface on wait().
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/support/cell_scheduler.h"
@@ -141,6 +144,49 @@ TEST(CellScheduler, UnitExceptionsSurfaceOnWait) {
         });
     EXPECT_THROW(batch->wait(), std::runtime_error) << threads;
   }
+}
+
+TEST(CellScheduler, SubmitLogWaitsForEveryBatchSubmittedInItsScope) {
+  // A caller that unwinds after waiting on only one of its batches (the
+  // runner, when a fold's first batch reports a cancellation) must still
+  // outlive the other batch's units: wait_all returns only once every
+  // batch submitted under the log has finished, and swallows failures.
+  CellScheduler scheduler(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> finished{0};
+  scheduler.submit(1, 1, 1, [](std::int64_t, Rng&, std::span<double>,
+                               RowEmitter&) {});  // before the log
+  CellScheduler::SubmitLog outer;
+  auto failing = scheduler.submit(
+      1, 2, 1, [&finished](std::int64_t, Rng&, std::span<double>,
+                           RowEmitter&) {
+        ++finished;
+        throw std::runtime_error("fails first");
+      });
+  {
+    // An inner log records its own scope only, then hands back.
+    CellScheduler::SubmitLog inner;
+    scheduler.submit(1, 3, 1, [](std::int64_t, Rng&, std::span<double>,
+                                 RowEmitter&) {});
+    inner.wait_all();
+  }
+  auto slow = scheduler.submit(
+      1, 4, 1, [&](std::int64_t, Rng&, std::span<double>, RowEmitter&) {
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+        ++finished;
+      });
+  EXPECT_THROW(failing->wait(), std::runtime_error);
+  EXPECT_FALSE(slow->done());
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  });
+  outer.wait_all();
+  EXPECT_TRUE(slow->done());
+  EXPECT_EQ(finished.load(), 2);
+  releaser.join();
 }
 
 TEST(CellScheduler, SynchronousRunMatchesHistoricalReplicaScheduler) {
