@@ -54,24 +54,23 @@ int main() {
                "mean final value", "sd of F over 50 runs"});
 
   {
+    // DeGroot's own stop rule (spread <= eps), checked every round.
     DeGrootModel degroot(g, xi, /*lazy=*/true);
-    while (degroot.discrepancy() > 1e-9 && degroot.rounds() < 100000) {
-      degroot.round();
-    }
+    Rng unused(0);  // synchronous rounds draw nothing
+    run_until_converged(degroot, unused,
+                        {.epsilon = 1e-9, .max_steps = 100000});
     table.new_row()
         .add("DeGroot")
         .add("all neighbours, sync")
         .add("yes (deterministic)")
-        .add_sci(degroot.discrepancy(), 1)
-        .add_fixed(degroot.values()[0], 3)
+        .add_sci(degroot.state().discrepancy(), 1)
+        .add_fixed(degroot.state().value(0), 3)
         .add_fixed(0.0, 3);
   }
   {
-    FriedkinJohnsen fj(g, xi, 0.7);
-    const auto star = fj.equilibrium();
-    while (fj.distance_to(star) > 1e-10 && fj.rounds() < 100000) {
-      fj.round();
-    }
+    // The FJ row reads the equilibrium z* itself, so no rounds run.
+    const FriedkinJohnsenModel fj(g, xi, 0.7);
+    const std::vector<double>& star = fj.equilibrium();
     double lo = star[0];
     double hi = star[0];
     double mean = 0.0;

@@ -168,13 +168,9 @@ std::unique_ptr<AveragingProcess> build_process(const Workload& w,
       return std::make_unique<WeightedMedianModel>(g, std::move(xi),
                                                    params);
     }
-    case ModelKind::hegselmann_krause: {
-      HegselmannKrauseParams params;
-      params.confidence = 0.25;
-      params.track_extrema = w.track_extrema;
-      return std::make_unique<HegselmannKrauseModel>(g, std::move(xi),
-                                                     params);
-    }
+    case ModelKind::hegselmann_krause:
+      return std::make_unique<HegselmannKrauseModel>(
+          g, std::move(xi), kDefaultConfidence, /*lazy=*/false);
     default:
       std::cerr << "perf_baseline: unsupported model kind\n";
       std::exit(1);

@@ -12,18 +12,18 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
                                       const ConvergenceOptions& options) {
   OPINDYN_EXPECTS(options.epsilon > 0.0, "epsilon must be positive");
   OPINDYN_EXPECTS(options.max_steps >= 0, "max_steps must be >= 0");
-  std::int64_t interval = options.check_interval;
-  if (interval <= 0) {
-    interval = std::max<std::int64_t>(1, process.graph().node_count() / 4);
-  }
+  const std::int64_t interval = options.check_interval > 0
+                                    ? options.check_interval
+                                    : process.default_check_interval();
 
   ConvergenceResult result;
   const std::int64_t start_time = process.time();
   const std::int64_t start_exact = process.exact_checks();
   // The stop decision is the process's own predicate, asked once before
   // the first burst and once after each.  The default screens in O(1)
-  // and confirms with the exact O(n) pass (see convergence.h); discrete
-  // rules (voter) substitute their own predicate.
+  // and confirms with the exact O(n) pass (see convergence.h); the rules
+  // that do not stop on phi substitute their own predicate (voter:
+  // consensus; DeGroot: spread; Friedkin-Johnsen: distance to z*).
   std::int64_t checks = 1;
   bool done = process.converged(options.epsilon, options.use_plain_potential);
   while (!done && process.time() - start_time < options.max_steps) {

@@ -1,5 +1,7 @@
-// Runs a process until eps-convergence (phi(xi(t)) <= eps, the criterion
-// of Section 4), checking every `check_interval` steps.  Each check is
+// Runs a process until its own stop rule, AveragingProcess::converged,
+// holds -- eps-convergence phi(xi(t)) <= eps (Section 4) unless the rule
+// overrides it -- checking every `check_interval` steps (0: the
+// process's default_check_interval()).  Each phi check is
 // screen-then-exact: OpinionState::phi_certainly_above reads the O(1)
 // running accumulators and subtracts a rigorous bound on their rounding
 // drift; when that proves phi > eps the check is settled, and only
@@ -19,7 +21,8 @@
 namespace opindyn {
 
 struct ConvergenceResult {
-  /// First checked time with phi <= eps (granularity = check_interval).
+  /// First checked time at which converged() held (granularity =
+  /// check_interval).
   std::int64_t steps = 0;
   bool converged = false;
   double final_phi = 0.0;
@@ -32,7 +35,8 @@ struct ConvergenceResult {
 struct ConvergenceOptions {
   double epsilon = 1e-10;
   std::int64_t max_steps = 1'000'000'000;
-  /// How often phi is checked; 0 picks max(1, n/4) automatically.
+  /// How often converged() is asked; 0 lets the process choose
+  /// (default_check_interval: max(1, n/4), one round for DeGroot / FJ).
   std::int64_t check_interval = 0;
   /// Use the plain potential phi_V instead of the pi-weighted phi
   /// (the EdgeModel analysis of Prop. D.1 uses phi_V).

@@ -7,9 +7,11 @@
 // full-neighbourhood-communication comparator: zero variance, but every
 // node must hear all neighbours every round.
 //
-// As an AveragingProcess, one "step" is one synchronous round and the
-// rng is never consumed (zero draws per step -- the degenerate end of
-// the draw-order-equivalence grid).
+// As an AveragingProcess, one "step" is one synchronous round (time()
+// counts rounds) and the rng is never consumed (zero draws per step --
+// the degenerate end of the draw-order-equivalence grid).  Its stop rule
+// is the spread max - min <= eps, checked after every round, so
+// run_until_converged reports the exact round count.
 #ifndef OPINDYN_CORE_DEGROOT_H
 #define OPINDYN_CORE_DEGROOT_H
 
@@ -27,31 +29,19 @@ class DeGrootModel final : public AveragingProcess {
   /// (needed for convergence on bipartite graphs).
   DeGrootModel(const Graph& graph, std::vector<double> initial, bool lazy);
 
-  /// One synchronous round: every node simultaneously averages its
-  /// neighbourhood.  Deterministic; counts one time step.
-  void round();
-
+  /// One round; a synchronous round has no chi(t), so the returned
+  /// selection is empty.
   NodeSelection step_recorded(Rng& rng) override;
+  /// `n_steps` synchronous rounds: every node simultaneously averages
+  /// its neighbourhood.
   void step_burst(Rng& rng, std::int64_t n_steps) override;
 
-  const std::vector<double>& values() const noexcept {
-    return state().values();
-  }
-  std::int64_t rounds() const noexcept { return time(); }
-
-  /// <pi, xi(t)>: invariant under the dynamics, equals the limit.
-  double weighted_average() const noexcept {
-    return state().weighted_average();
-  }
-
-  /// max - min of the current values.
-  double discrepancy() const { return state().discrepancy(); }
+  /// Consensus to within eps: discrepancy() = max - min <= eps.
+  bool converged(double epsilon, bool use_plain_potential) const override;
+  /// One round.
+  std::int64_t default_check_interval() const override { return 1; }
 
  private:
-  /// The round body without the time bump (shared by round(),
-  /// step_recorded and step_burst).
-  void round_impl();
-
   bool lazy_;
   std::vector<double> scratch_;
 };

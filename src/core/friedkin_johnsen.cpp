@@ -1,5 +1,6 @@
 #include "src/core/friedkin_johnsen.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -21,47 +22,44 @@ FriedkinJohnsenModel::FriedkinJohnsenModel(
   scratch_.resize(private_.size());
 }
 
-void FriedkinJohnsenModel::round_impl() {
-  const Graph& g = graph();
-  const double lambda = alpha();
-  const std::vector<double>& expressed = state().values();
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    double sum = 0.0;
-    for (const NodeId v : g.neighbors(u)) {
-      sum += expressed[static_cast<std::size_t>(v)];
-    }
-    const double social = sum / static_cast<double>(g.degree(u));
-    scratch_[static_cast<std::size_t>(u)] =
-        lambda * social +
-        (1.0 - lambda) * private_[static_cast<std::size_t>(u)];
-  }
-  OpinionState& s = mutable_state();
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    s.set_value(u, scratch_[static_cast<std::size_t>(u)]);
-  }
-}
-
-void FriedkinJohnsenModel::round() {
-  round_impl();
-  advance_time(1);
-}
-
-NodeSelection FriedkinJohnsenModel::step_recorded(Rng& /*rng*/) {
-  round_impl();
-  NodeSelection selection;  // a synchronous round has no chi(t)
-  apply(selection);
-  return selection;
+NodeSelection FriedkinJohnsenModel::step_recorded(Rng& rng) {
+  step_burst(rng, 1);
+  return {};
 }
 
 void FriedkinJohnsenModel::step_burst(Rng& /*rng*/, std::int64_t n_steps) {
   OPINDYN_EXPECTS(n_steps >= 0, "n_steps must be >= 0");
+  const Graph& g = graph();
+  const double lambda = alpha();
+  OpinionState& s = mutable_state();
+  const std::vector<double>& expressed = s.values();
   for (std::int64_t i = 0; i < n_steps; ++i) {
-    round_impl();
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      double sum = 0.0;
+      for (const NodeId v : g.neighbors(u)) {
+        sum += expressed[static_cast<std::size_t>(v)];
+      }
+      const double social = sum / static_cast<double>(g.degree(u));
+      scratch_[static_cast<std::size_t>(u)] =
+          lambda * social +
+          (1.0 - lambda) * private_[static_cast<std::size_t>(u)];
+    }
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      s.set_value(u, scratch_[static_cast<std::size_t>(u)]);
+    }
   }
   advance_time(n_steps);
 }
 
-std::vector<double> FriedkinJohnsenModel::equilibrium() const {
+bool FriedkinJohnsenModel::converged(double epsilon,
+                                     bool /*use_plain_potential*/) const {
+  return distance_to_equilibrium() <= epsilon;
+}
+
+const std::vector<double>& FriedkinJohnsenModel::equilibrium() const {
+  if (!equilibrium_.empty()) {
+    return equilibrium_;
+  }
   const auto n = static_cast<std::size_t>(graph().node_count());
   const double lambda = alpha();
   // A = I - lambda W; b = (1 - lambda) s.
@@ -75,16 +73,16 @@ std::vector<double> FriedkinJohnsenModel::equilibrium() const {
   for (std::size_t i = 0; i < n; ++i) {
     b[i] = (1.0 - lambda) * private_[i];
   }
-  return solve_dense(std::move(a), std::move(b));
+  equilibrium_ = solve_dense(std::move(a), std::move(b));
+  return equilibrium_;
 }
 
-double FriedkinJohnsenModel::distance_to(
-    const std::vector<double>& point) const {
+double FriedkinJohnsenModel::distance_to_equilibrium() const {
   const std::vector<double>& expressed = state().values();
-  OPINDYN_EXPECTS(point.size() == expressed.size(), "size mismatch");
+  const std::vector<double>& star = equilibrium();
   double dist = 0.0;
-  for (std::size_t i = 0; i < point.size(); ++i) {
-    dist = std::max(dist, std::abs(expressed[i] - point[i]));
+  for (std::size_t i = 0; i < star.size(); ++i) {
+    dist = std::max(dist, std::abs(expressed[i] - star[i]));
   }
   return dist;
 }

@@ -11,7 +11,10 @@
 //
 // As an AveragingProcess, the OpinionState holds the *expressed*
 // opinions, `alpha()` is the susceptibility lambda, one "step" is one
-// synchronous round, and the rng is never consumed.
+// synchronous round (time() counts rounds), and the rng is never
+// consumed.  FJ never reaches consensus, so its stop rule is not phi
+// but the distance max_u |z_u - z*_u| <= eps to the equilibrium, which
+// is solved once per model and checked after every round.
 #ifndef OPINDYN_CORE_FRIEDKIN_JOHNSEN_H
 #define OPINDYN_CORE_FRIEDKIN_JOHNSEN_H
 
@@ -32,37 +35,33 @@ class FriedkinJohnsenModel final : public AveragingProcess {
                        std::vector<double> private_opinions,
                        double susceptibility);
 
-  /// One synchronous round over all agents; counts one time step.
-  void round();
-
+  /// One round; a synchronous round has no chi(t), so the returned
+  /// selection is empty.
   NodeSelection step_recorded(Rng& rng) override;
+  /// `n_steps` synchronous rounds over all agents.
   void step_burst(Rng& rng, std::int64_t n_steps) override;
 
-  const std::vector<double>& expressed() const noexcept {
-    return state().values();
-  }
-  const std::vector<double>& private_opinions() const noexcept {
-    return private_;
-  }
-  std::int64_t rounds() const noexcept { return time(); }
-  double susceptibility() const noexcept { return alpha(); }
+  /// Within eps of the equilibrium: distance_to_equilibrium() <= eps.
+  bool converged(double epsilon, bool use_plain_potential) const override;
+  /// One round.
+  std::int64_t default_check_interval() const override { return 1; }
 
-  /// Exact equilibrium z* = (1-lambda)(I - lambda W)^{-1} s via a dense
-  /// solve.  The iteration contracts toward this point at rate lambda.
-  std::vector<double> equilibrium() const;
+  /// Exact equilibrium z* = (1-lambda)(I - lambda W)^{-1} s; the
+  /// iteration contracts toward it at rate lambda.  The dense O(n^3)
+  /// solve runs on the first call only; s and lambda never change, so
+  /// later calls return the cached point.
+  const std::vector<double>& equilibrium() const;
 
-  /// max_u |z_u - z*_u| for a supplied equilibrium (avoids re-solving).
-  double distance_to(const std::vector<double>& point) const;
+  /// max_u |z_u - z*_u|.
+  double distance_to_equilibrium() const;
 
  private:
-  void round_impl();
-
   std::vector<double> private_;
   std::vector<double> scratch_;
+  // Empty until equilibrium() first solves it: a cache, not state, so
+  // const reads may fill it (a process is never shared across threads).
+  mutable std::vector<double> equilibrium_;
 };
-
-/// Source-compatible alias for the pre-refactor class name.
-using FriedkinJohnsen = FriedkinJohnsenModel;
 
 /// The limited-information randomised FJ of [27]: per step, one uniform
 /// node updates toward the average of k sampled neighbours' expressed

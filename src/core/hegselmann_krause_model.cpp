@@ -22,7 +22,8 @@ namespace {
 /// accounted per update (advance_one): HK's update count is
 /// data-dependent, so there is no fixed per-chunk count to settle in
 /// bulk -- the O(deg) confidant scan dominates the decrement anyway.
-template <bool Track, class Topo>
+/// HK never tracks extrema, so the cursor runs untracked.
+template <class Topo>
 void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
                   double confidence, OpinionState& state, double* vals,
                   NodeId n, const Topo& topo) {
@@ -49,7 +50,7 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
       return;  // no-op step, exactly like the empty recorded selection
     }
     const double x = sum / (1.0 + static_cast<double>(confidants));
-    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
+    cursor.update<false>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
                          xu, x);
     vals[static_cast<std::size_t>(slot)] = x;
     if (cursor.advance_one()) {
@@ -82,14 +83,14 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
 
 }  // namespace
 
-HegselmannKrauseModel::HegselmannKrauseModel(
-    const Graph& graph, std::vector<double> initial,
-    const HegselmannKrauseParams& params)
+HegselmannKrauseModel::HegselmannKrauseModel(const Graph& graph,
+                                             std::vector<double> initial,
+                                             double confidence, bool lazy)
     : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0,
-                       params.track_extrema),
-      params_(params) {
-  OPINDYN_EXPECTS(params.confidence > 0.0,
-                  "hegselmann_krause needs confidence > 0");
+                       /*track_extrema=*/false),
+      confidence_(confidence),
+      lazy_(lazy) {
+  OPINDYN_EXPECTS(confidence > 0.0, "hegselmann_krause needs confidence > 0");
 }
 
 void HegselmannKrauseModel::apply_update(const NodeSelection& selection) {
@@ -111,7 +112,7 @@ void HegselmannKrauseModel::apply_update(const NodeSelection& selection) {
 
 NodeSelection HegselmannKrauseModel::step_recorded(Rng& rng) {
   NodeSelection selection;
-  if (params_.lazy && rng.next_bool(0.5)) {
+  if (lazy_ && rng.next_bool(0.5)) {
     apply(selection);  // records a no-op time step
     return selection;
   }
@@ -121,7 +122,7 @@ NodeSelection HegselmannKrauseModel::step_recorded(Rng& rng) {
   const double xu = state().value(u);
   selection.node = u;
   for (const NodeId v : g.neighbors(u)) {
-    if (std::abs(state().value(v) - xu) <= params_.confidence) {
+    if (std::abs(state().value(v) - xu) <= confidence_) {
       selection.sample.push_back(v);
     }
   }
@@ -137,40 +138,15 @@ void HegselmannKrauseModel::step_burst(Rng& rng, std::int64_t n_steps) {
   if (g.is_regular()) {
     NodeRegularTopo topo{g.adjacency_data(), g.min_degree(),
                          g.stationary(0)};
-    if (state.tracks_extrema()) {
-      run_hk_burst<true>(rng, n_steps, params_.lazy, params_.confidence,
-                         state, state.mutable_values(), n, topo);
-    } else {
-      run_hk_burst<false>(rng, n_steps, params_.lazy, params_.confidence,
-                          state, state.mutable_values(), n, topo);
-    }
+    run_hk_burst(rng, n_steps, lazy_, confidence_, state,
+                 state.mutable_values(), n, topo);
   } else {
     NodeIrregularTopo topo{g.offsets_data(), g.adjacency_data(),
                            state.stationary_data()};
-    if (state.tracks_extrema()) {
-      run_hk_burst<true>(rng, n_steps, params_.lazy, params_.confidence,
-                         state, state.mutable_values(), n, topo);
-    } else {
-      run_hk_burst<false>(rng, n_steps, params_.lazy, params_.confidence,
-                          state, state.mutable_values(), n, topo);
-    }
+    run_hk_burst(rng, n_steps, lazy_, confidence_, state,
+                 state.mutable_values(), n, topo);
   }
   advance_time(n_steps);
-}
-
-int HegselmannKrauseModel::cluster_count() const {
-  std::vector<double> sorted = state().values();
-  if (sorted.empty()) {
-    return 0;
-  }
-  std::sort(sorted.begin(), sorted.end());
-  int clusters = 1;
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] - sorted[i - 1] > params_.confidence) {
-      ++clusters;
-    }
-  }
-  return clusters;
 }
 
 }  // namespace opindyn

@@ -5,7 +5,8 @@
 // Unlike the unconditional rules, HK fragments into opinion clusters
 // separated by more than the confidence bound instead of reaching
 // global consensus -- the hegselmann_krause scenario counts those
-// clusters.  A step whose confidant set is empty is a natural no-op.
+// clusters (maximal runs of sorted values with gaps <= the bound).  A
+// step whose confidant set is empty is a natural no-op.
 #ifndef OPINDYN_CORE_HEGSELMANN_KRAUSE_MODEL_H
 #define OPINDYN_CORE_HEGSELMANN_KRAUSE_MODEL_H
 
@@ -18,28 +19,19 @@
 
 namespace opindyn {
 
-struct HegselmannKrauseParams {
-  /// Confidence bound eps > 0: neighbours further away are ignored.
-  double confidence = 0.25;
-  bool lazy = false;
-  /// Track max/min for O(1) discrepancy reads.
-  bool track_extrema = false;
-};
+/// The bound a hegselmann_krause scenario runs at when its spec sets no
+/// confidence=.
+inline constexpr double kDefaultConfidence = 0.25;
 
 class HegselmannKrauseModel final : public AveragingProcess {
  public:
+  /// `confidence` > 0 is the bound eps: neighbours further away are
+  /// ignored.  `lazy` adds the 1/2 no-op coin.
   HegselmannKrauseModel(const Graph& graph, std::vector<double> initial,
-                        const HegselmannKrauseParams& params);
+                        double confidence, bool lazy);
 
   NodeSelection step_recorded(Rng& rng) override;
   void step_burst(Rng& rng, std::int64_t n_steps) override;
-
-  const HegselmannKrauseParams& params() const noexcept { return params_; }
-
-  /// Number of opinion clusters at the current state: maximal groups of
-  /// sorted values with consecutive gaps <= the confidence bound.  O(n
-  /// log n); a diagnostic read, not part of the step path.
-  int cluster_count() const;
 
  protected:
   /// Confidence-bounded update: selection.sample holds the confidant
@@ -47,7 +39,8 @@ class HegselmannKrauseModel final : public AveragingProcess {
   void apply_update(const NodeSelection& selection) override;
 
  private:
-  HegselmannKrauseParams params_;
+  double confidence_;
+  bool lazy_;
 };
 
 }  // namespace opindyn

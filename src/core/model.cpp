@@ -206,13 +206,9 @@ std::unique_ptr<AveragingProcess> make_process(const Graph& graph,
       return std::make_unique<WeightedMedianModel>(graph, std::move(initial),
                                                    params);
     }
-    case ModelKind::hegselmann_krause: {
-      HegselmannKrauseParams params;
-      params.confidence = config.confidence;
-      params.lazy = config.lazy;
+    case ModelKind::hegselmann_krause:
       return std::make_unique<HegselmannKrauseModel>(
-          graph, std::move(initial), params);
-    }
+          graph, std::move(initial), config.confidence, config.lazy);
   }
   throw std::runtime_error("unknown ModelKind");
 }

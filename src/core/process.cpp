@@ -13,15 +13,6 @@ AveragingProcess::AveragingProcess(const Graph& graph,
 
 void AveragingProcess::step(Rng& rng) { (void)step_recorded(rng); }
 
-void AveragingProcess::step_burst(Rng& rng, std::int64_t n_steps) {
-  OPINDYN_EXPECTS(n_steps >= 0, "n_steps must be >= 0");
-  // Generic fallback for subclasses without a dedicated kernel; the two
-  // paper models override this with allocation-free loops.
-  for (std::int64_t i = 0; i < n_steps; ++i) {
-    (void)step_recorded(rng);
-  }
-}
-
 void AveragingProcess::apply(const NodeSelection& selection) {
   apply_update(selection);
   ++time_;

@@ -6,6 +6,7 @@
 #ifndef OPINDYN_CORE_PROCESS_H
 #define OPINDYN_CORE_PROCESS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -27,11 +28,11 @@ class AveragingProcess {
   void step(Rng& rng);
 
   /// Advances `n_steps` time steps.  Contract: consumes `rng` exactly as
-  /// `n_steps` calls to step() would and leaves bit-identical state; the
-  /// NodeModel/EdgeModel overrides run devirtualized, allocation-free
-  /// inner loops, so every long-horizon harness (run_until_converged,
-  /// the engine's replica bodies) should step through this.
-  virtual void step_burst(Rng& rng, std::int64_t n_steps);
+  /// `n_steps` calls to step() would and leaves bit-identical state.
+  /// Every rule implements it as its own devirtualized, allocation-free
+  /// loop, so every long-horizon harness (run_until_converged, the
+  /// engine's replica bodies) should step through this.
+  virtual void step_burst(Rng& rng, std::int64_t n_steps) = 0;
 
   /// Advances one step and returns the selection chi(t) that was made
   /// (empty sample = lazy no-op).  This is the recorded slow path the
@@ -50,6 +51,15 @@ class AveragingProcess {
   /// rules override this with their own predicate (the voter model
   /// stops at distinct-opinion count 1).
   virtual bool converged(double epsilon, bool use_plain_potential) const;
+
+  /// Steps between two converged() checks when the caller leaves the
+  /// interval to the process (ConvergenceOptions::check_interval = 0).
+  /// The default, max(1, n/4), keeps the O(n) exact pass to O(1) per
+  /// step for the asynchronous rules; the synchronous rounds (DeGroot,
+  /// Friedkin-Johnsen) already cost O(m) each and check after every one.
+  virtual std::int64_t default_check_interval() const {
+    return std::max<std::int64_t>(1, graph().node_count() / 4);
+  }
 
   /// How many O(n) exact potential passes converged() has run so far;
   /// run_until_converged reports its per-run delta as

@@ -211,8 +211,8 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   // are declared before the local scheduler so the scheduler is
   // destroyed (and its pool drained) first -- unit bodies reference the
   // cells.  When the context supplies shared infrastructure instead,
-  // the explicit drain below (submitted.wait_all + the prefetch wait-all)
-  // guarantees no unit outlives this frame's locals.
+  // the explicit drain below (submitted.wait_all) guarantees no unit
+  // outlives this frame's locals.
   std::vector<std::unique_ptr<Cell>> cells;
   std::optional<GraphCache> local_graph_cache;
   std::optional<SpectrumCache> local_spectrum_cache;
@@ -322,22 +322,10 @@ BatchResult run_experiment(const ExperimentSpec& spec,
               }
             }));
       }
-      // Wait on EVERY prefetch batch before letting an error unwind:
-      // later batches reference this frame's caches and keys, and a
-      // shared scheduler has no pool destructor to drain them.
-      std::exception_ptr prefetch_error;
+      // A failed build throws here; the unwind's wait_all() still waits
+      // out the other prefetch units, which use this frame's keys.
       for (const auto& batch : prefetch) {
-        try {
-          batch->wait();
-        } catch (...) {
-          if (!prefetch_error) {
-            prefetch_error = std::current_exception();
-          }
-        }
-      }
-      if (prefetch_error) {
-        scheduler.set_submit_label("");
-        std::rethrow_exception(prefetch_error);
+        batch->wait();
       }
 
       // Queue one unit per graph solving the spectra the scenario
@@ -474,9 +462,11 @@ BatchResult run_experiment(const ExperimentSpec& spec,
     // Cooperative cancellation is an outcome, not a failure: remember
     // the reason, let the drain below retire the remaining cells, and
     // return the flushed prefix.
+    scheduler.set_submit_label("");
     interrupted = true;
     interrupt_reason = error.reason();
   } catch (...) {
+    scheduler.set_submit_label("");
     submitted.wait_all();
     throw;
   }

@@ -4,9 +4,12 @@
 // run_until_converged and records every replica's result in the fixed
 // metric slots below, so each scenario only picks a model, its
 // convergence options and a salt, then folds the slots it reports.
+// run_to_horizon is the fixed-horizon counterpart for the scenarios that
+// read the state at a set time instead (hegselmann_krause, martingale).
 #ifndef OPINDYN_ENGINE_SCENARIO_RUNS_H
 #define OPINDYN_ENGINE_SCENARIO_RUNS_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -18,6 +21,8 @@
 #include "src/core/convergence.h"
 #include "src/core/model.h"
 #include "src/engine/scenario.h"
+#include "src/service/cancel_token.h"
+#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace engine {
@@ -74,6 +79,23 @@ inline std::shared_ptr<ReplicaBatch> submit_converging(
         }
       },
       rows);
+}
+
+/// Advances `process` to time `horizon` in bursts of max(1, n/4) steps
+/// and polls the cancel token before each, so a huge horizon stays
+/// cancellable; the step_burst contract makes the state and the rng
+/// stream identical to one burst of the whole horizon.  Counts the steps
+/// as engine.steps.
+inline void run_to_horizon(AveragingProcess& process, Rng& rng,
+                           std::int64_t horizon) {
+  const std::int64_t start = process.time();
+  const std::int64_t chunk =
+      std::max<std::int64_t>(1, process.graph().node_count() / 4);
+  while (process.time() < horizon) {
+    cancel::poll();
+    process.step_burst(rng, std::min(chunk, horizon - process.time()));
+  }
+  metrics::count("engine.steps", process.time() - start);
 }
 
 }  // namespace engine

@@ -6,9 +6,11 @@
 // trajectory workloads.  Each scenario self-registers, so `opindyn
 // list` and the batch runner discover them by name.
 //
-// Every scenario that runs a model to eps-convergence does it through
-// submit_converging (scenario_runs.h).  The single-model scenarios
-// (node, edge, lazy, weighted_median) are registrations of the
+// Every scenario builds its processes with make_process and runs a model
+// to its own stop rule through run_until_converged: via
+// submit_converging (scenario_runs.h), or in a one-replica batch for the
+// deterministic degroot / friedkin_johnsen baselines.  The single-model
+// scenarios (node, edge, lazy, weighted_median) are registrations of the
 // cross_model class that force their own ModelKind through
 // config_for_kind (which also drops knobs the kind does not read); the
 // cross_model registration honours `model=` verbatim, so `model` is a
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "src/core/coalescing.h"
-#include "src/core/degroot.h"
 #include "src/core/friedkin_johnsen.h"
 #include "src/core/hegselmann_krause_model.h"
 #include "src/core/initial_values.h"
@@ -403,6 +404,15 @@ class GossipScenario final : public Scenario {
 };
 OPINDYN_REGISTER_SCENARIO(GossipScenario)
 
+/// Runs a synchronous baseline (DeGroot, Friedkin-Johnsen) to its own
+/// stop rule, checked after every round whatever check-interval says,
+/// and returns the exact round count.
+double rounds_to_stop(AveragingProcess& process, Rng& rng,
+                      ConvergenceOptions options) {
+  options.check_interval = 0;
+  return static_cast<double>(run_until_converged(process, rng, options).steps);
+}
+
 /// DeGroot baseline: synchronous and deterministic, so one run suffices
 /// (wrapped in a one-replica batch so the cell still runs on the pool).
 class DeGrootScenario final : public Scenario {
@@ -416,20 +426,18 @@ class DeGrootScenario final : public Scenario {
     return {"rounds", "limit", "|limit - M(0)|", "final spread"};
   }
   CellFold start(const RunInput& in) const override {
+    ModelConfig config = config_for_kind(in.spec.model, ModelKind::degroot);
+    config.lazy = true;
     auto batch = in.scheduler.submit(
         1, in.spec.seed, 4,
-        [in](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
-          DeGrootModel model(in.graph, in.initial, /*lazy=*/true);
-          const double eps = in.spec.convergence.epsilon;
-          const std::int64_t max_rounds = in.spec.convergence.max_steps;
-          while (model.discrepancy() > eps && model.rounds() < max_rounds) {
-            model.round();
-          }
+        [in, config](std::int64_t, Rng& rng, std::span<double> out,
+                     RowEmitter&) {
+          auto process = make_process(in.graph, config, in.initial);
+          out[0] = rounds_to_stop(*process, rng, in.spec.convergence);
           const double m0 = degree_weighted_average(in.graph, in.initial);
-          out[0] = static_cast<double>(model.rounds());
-          out[1] = model.values()[0];
-          out[2] = std::abs(model.values()[0] - m0);
-          out[3] = model.discrepancy();
+          out[1] = process->state().value(0);
+          out[2] = std::abs(out[1] - m0);
+          out[3] = process->state().discrepancy();
         });
     return [batch] {
       return CellRows{
@@ -456,29 +464,25 @@ class FriedkinJohnsenScenario final : public Scenario {
     return {"rounds", "mean z*", "z* spread", "final distance"};
   }
   CellFold start(const RunInput& in) const override {
+    const ModelConfig config =
+        config_for_kind(in.spec.model, ModelKind::friedkin_johnsen);
     auto batch = in.scheduler.submit(
         1, in.spec.seed, 4,
-        [in](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
-          FriedkinJohnsen model(in.graph, in.initial, in.spec.model.alpha);
-          const std::vector<double> star = model.equilibrium();
-          const double eps = in.spec.convergence.epsilon;
-          const std::int64_t max_rounds = in.spec.convergence.max_steps;
-          while (model.distance_to(star) > eps &&
-                 model.rounds() < max_rounds) {
-            model.round();
-          }
-          double lo = star[0];
-          double hi = star[0];
+        [in, config](std::int64_t, Rng& rng, std::span<double> out,
+                     RowEmitter&) {
+          auto process = make_process(in.graph, config, in.initial);
+          out[0] = rounds_to_stop(*process, rng, in.spec.convergence);
+          const auto& model =
+              dynamic_cast<const FriedkinJohnsenModel&>(*process);
+          const std::vector<double>& star = model.equilibrium();
+          const auto [lo, hi] = std::minmax_element(star.begin(), star.end());
           double mean = 0.0;
           for (const double z : star) {
-            lo = std::min(lo, z);
-            hi = std::max(hi, z);
             mean += z / static_cast<double>(star.size());
           }
-          out[0] = static_cast<double>(model.rounds());
           out[1] = mean;
-          out[2] = hi - lo;
-          out[3] = model.distance_to(star);
+          out[2] = *hi - *lo;
+          out[3] = model.distance_to_equilibrium();
         });
     return [batch] {
       return CellRows{
@@ -688,6 +692,19 @@ OPINDYN_REGISTER_SCENARIO_AS(
     "median of k sampled neighbours; reports F and T_eps.",
     ModelKind::weighted_median)
 
+/// Number of opinion clusters in `values`: maximal runs of the sorted
+/// values whose consecutive gaps are <= the confidence bound.
+int cluster_count(std::vector<double> values, double confidence) {
+  std::sort(values.begin(), values.end());
+  int clusters = 1;
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    if (values[i] - values[i - 1] > confidence) {
+      ++clusters;
+    }
+  }
+  return clusters;
+}
+
 /// Hegselmann-Krause bounded confidence (arXiv:1910.14465) over a fixed
 /// horizon: HK fragments into clusters instead of converging, so the
 /// interesting read is the cluster count, not T_eps.
@@ -702,26 +719,25 @@ class HegselmannKrauseScenario final : public Scenario {
     return {"E[clusters]", "+-CI(clusters)", "E[spread]", "E[F]"};
   }
   CellFold start(const RunInput& in) const override {
-    const std::int64_t n = in.graph.node_count();
     const std::int64_t horizon =
-        in.spec.horizon > 0 ? in.spec.horizon : 16 * n;
-    HegselmannKrauseParams params;
-    // A spec that never mentions confidence= still runs: fall back to
-    // the params default instead of rejecting confidence == 0.
-    if (in.spec.model.confidence > 0.0) {
-      params.confidence = in.spec.model.confidence;
+        in.spec.horizon > 0 ? in.spec.horizon : 16 * in.graph.node_count();
+    ModelConfig config =
+        config_for_kind(in.spec.model, ModelKind::hegselmann_krause);
+    // A spec that never mentions confidence= still runs, at the model's
+    // default bound, instead of being rejected for confidence == 0.
+    if (!(config.confidence > 0.0)) {
+      config.confidence = kDefaultConfidence;
     }
-    params.lazy = in.spec.model.lazy;
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 3,
-        [in, params, horizon](std::int64_t, Rng& rng,
+        [in, config, horizon](std::int64_t, Rng& rng,
                               std::span<double> out, RowEmitter&) {
-          HegselmannKrauseModel model(in.graph, in.initial, params);
-          model.step_burst(rng, horizon);
-          out[0] = static_cast<double>(model.cluster_count());
-          out[1] = model.state().discrepancy();
-          out[2] = model.state().weighted_average();
-          metrics::count("engine.steps", horizon);
+          auto process = make_process(in.graph, config, in.initial);
+          run_to_horizon(*process, rng, horizon);
+          out[0] = static_cast<double>(
+              cluster_count(process->state().values(), config.confidence));
+          out[1] = process->state().discrepancy();
+          out[2] = process->state().weighted_average();
         });
     return [batch] {
       const std::vector<RunningStats>& stats = batch->stats();

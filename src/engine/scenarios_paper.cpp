@@ -19,7 +19,6 @@
 #include "src/core/diffusion.h"
 #include "src/core/initial_values.h"
 #include "src/core/model.h"
-#include "src/core/node_model.h"
 #include "src/core/qchain.h"
 #include "src/core/selection.h"
 #include "src/core/theory.h"
@@ -28,7 +27,6 @@
 #include "src/engine/scenario_runs.h"
 #include "src/graph/algorithms.h"
 #include "src/spectral/spectra.h"
-#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace engine {
@@ -109,21 +107,17 @@ class DualityScenario final : public Scenario {
     const std::int64_t steps =
         in.spec.horizon > 0 ? in.spec.horizon
                             : 4 * in.graph.node_count();
-    const ModelConfig config = in.spec.model;
+    const ModelConfig config =
+        config_for_kind(in.spec.model, ModelKind::node);
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 2,
         [in, config, steps](std::int64_t, Rng& rng, std::span<double> out,
                             RowEmitter&) {
-          NodeModelParams params;
-          params.alpha = config.alpha;
-          params.k = config.k;
-          params.lazy = config.lazy;
-          params.sampling = config.sampling;
-          NodeModel averaging(in.graph, in.initial, params);
+          auto averaging = make_process(in.graph, config, in.initial);
           SelectionSequence sequence;
           sequence.reserve(static_cast<std::size_t>(steps));
           for (std::int64_t t = 0; t < steps; ++t) {
-            sequence.push_back(averaging.step_recorded(rng));
+            sequence.push_back(averaging->step_recorded(rng));
           }
           DiffusionProcess diffusion(in.graph, config.alpha);
           diffusion.apply_reversed(sequence);
@@ -132,7 +126,7 @@ class DualityScenario final : public Scenario {
           double sum_diff = 0.0;
           for (NodeId u = 0; u < in.graph.node_count(); ++u) {
             const double diff =
-                std::abs(averaging.state().value(u) -
+                std::abs(averaging->state().value(u) -
                          w[static_cast<std::size_t>(u)]);
             max_diff = std::max(max_diff, diff);
             sum_diff += diff;
@@ -236,9 +230,8 @@ class MartingaleScenario final : public Scenario {
             return;  // slot stays NaN -> "n/a" row cells
           }
           auto process = make_process(in.graph, node, in.initial);
-          process->step_burst(rng, horizon - process->time());
+          run_to_horizon(*process, rng, horizon);
           out[0] = process->state().weighted_average();
-          metrics::count("engine.steps", process->time());
         });
 
     const RowStream* const stream = in.rows;

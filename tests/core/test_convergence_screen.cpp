@@ -14,7 +14,8 @@
 //    boundary with eps set to the exact value itself.
 //  * Identity: run_until_converged (screen first) and the reference loop
 //    agree on steps, converged, and the bits of final_phi / final_value
-//    over the burst-equivalence variant grid, both potentials, and
+//    over the burst-equivalence variant grid of the kinds that stop on
+//    phi, both potentials, and
 //    adversarial inputs (eps down to 1e-15, magnitudes 1e6, a 1e3 offset
 //    mean, check intervals straddling the 2^20 recompute boundary).
 //  * The proof obligation behind the bound V: at burst boundaries every
@@ -113,7 +114,8 @@ ReferenceRun expect_screen_transparent(const Graph& g,
 }
 
 /// Every knob combination validate_model_config accepts, for the kinds
-/// that stop on the default (potential) converged().
+/// with continuous opinions (all but voter).  DeGroot and
+/// Friedkin-Johnsen carry a potential too but stop on their own rule.
 std::vector<ModelConfig> variant_grid(double confidence) {
   std::vector<ModelConfig> grid;
   for (const ModelKind kind :
@@ -188,6 +190,10 @@ TEST(ConvergenceScreen, RunUntilConvergedMatchesExactEveryCheckReference) {
       const std::vector<double> xi =
           initial::gaussian(init_rng, g.node_count(), input.mean, input.stddev);
       for (const ModelConfig& config : grid) {
+        if (config.kind == ModelKind::degroot ||
+            config.kind == ModelKind::friedkin_johnsen) {
+          continue;  // not a phi stop: see StopRule in test_degroot_fj
+        }
         for (const bool plain : {false, true}) {
           for (const double eps : {1e-15, 1e-12, 1e-9, 1e-6}) {
             SCOPED_TRACE(std::string(input.name) + " " + g.name() + " " +

@@ -270,26 +270,43 @@ TEST(ServeSession, DeadlineExceededJobReportsCancelled) {
   EXPECT_EQ(records.back().find("cancelled")->as_int(), 1);
 }
 
-// Trajectory polls the ambient cancel token once per checkpoint and
-// gossip once per burst: two jobs that would run for minutes both come
-// back cancelled shortly after their 200 ms deadline.
+// Trajectory polls the ambient cancel token once per checkpoint, the
+// converging runs (gossip, and the degroot / friedkin_johnsen baselines
+// checked every round) once per burst, and the fixed-horizon runs
+// (hegselmann_krause, martingale's Monte-Carlo part) once per n/4-step
+// chunk: jobs that would run for minutes all come back cancelled shortly
+// after their 200 ms deadline.  friedkin_johnsen stays at n=256 because
+// its dense equilibrium solve does not poll.  One job worker per job and
+// one pool thread per replica unit (11 in all) start every job before
+// its deadline, so each must stop itself instead of being cancelled
+// while it waits in a queue.
 TEST(ServeSession, DeadlineCancelsTrajectoryAndGossipJobsWithinASecond) {
   const std::string input =
       "scenario=trajectory n=4096 replicas=2 horizon=4000000000 "
       "check-interval=100000 deadline_ms=200\n"
       "scenario=gossip n=4096 replicas=2 eps=1e-300 max-steps=4000000000 "
-      "deadline_ms=200\n";
+      "deadline_ms=200\n"
+      "scenario=degroot graph=cycle n=2048 eps=1e-300 deadline_ms=200\n"
+      "scenario=friedkin_johnsen graph=cycle n=256 eps=1e-300 "
+      "deadline_ms=200\n"
+      "scenario=hegselmann_krause graph=cycle n=4096 replicas=2 "
+      "horizon=100000000000 deadline_ms=200\n"
+      "scenario=martingale graph=cycle n=1024 replicas=2 "
+      "horizon=100000000000 deadline_ms=200\n";
+  service::ServeOptions options;
+  options.job_workers = 6;
+  options.threads = 11;
   const auto started = std::chrono::steady_clock::now();
-  const auto records = serve_records(input, service::ServeOptions{});
+  const auto records = serve_records(input, std::move(options));
   const auto elapsed = std::chrono::steady_clock::now() - started;
-  for (const std::int64_t id : {1, 2}) {
+  for (const std::int64_t id : {1, 2, 3, 4, 5, 6}) {
     const json::Value* record = find_job_record(records, id);
     ASSERT_NE(record, nullptr) << "job " << id;
     EXPECT_EQ(record->find("status")->as_string(), "cancelled") << "job "
                                                                  << id;
     EXPECT_EQ(record->find("reason")->as_string(), "deadline_ms exceeded");
   }
-  EXPECT_EQ(records.back().find("cancelled")->as_int(), 2);
+  EXPECT_EQ(records.back().find("cancelled")->as_int(), 6);
   EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
