@@ -10,8 +10,8 @@
 //
 // The workload matrix covers every devirtualized kernel variant (node
 // k in {1, 4, 8}, edge, tracked extrema for both models), the
-// irregular-topology path and the degree-sorted reorder mirror on a
-// preferential-attachment graph, an n-scaling curve per model on tori
+// irregular-topology path on a preferential-attachment graph, an
+// n-scaling curve per model on tori
 // from 1k to 10M nodes (the compact-graph milestone; deterministic
 // 4-regular, so the curve isolates memory behaviour from graph
 // randomness), and one row per generalized model kind (voter, gossip,
@@ -60,9 +60,6 @@ struct Workload {
   NodeId n = 0;
   std::int64_t k = 1;
   bool track_extrema = false;
-  /// Degree-sorted value mirror inside bursts (non-identity only on
-  /// the irregular families).
-  bool reorder = false;
   /// Node-model neighbour sampling.  The k = 8 row runs WITH
   /// replacement: without-replacement needs min_degree >= k, and the
   /// configuration model's whole-graph rejection makes a simple
@@ -83,16 +80,14 @@ const Workload kWorkloads[] = {
     // Remaining devirtualized kernel variants: the k = 8 fused draw
     // (with replacement -- see Workload::sampling) and the
     // tracked-extrema edge rows.
-    {ModelKind::node, "random_regular", 16384, 8, false, false,
+    {ModelKind::node, "random_regular", 16384, 8, false,
      SamplingMode::with_replacement},
     {ModelKind::edge, "random_regular", 1024, 1, true},
     {ModelKind::edge, "random_regular", 16384, 1, true},
-    // Irregular topology (CSR offsets + per-node pi) and the
-    // degree-sorted reorder mirror, on a heavy-tailed graph.
+    // Irregular topology (CSR offsets + per-node pi) on a heavy-tailed
+    // graph.
     {ModelKind::node, "pref_attach", 16384, 1},
-    {ModelKind::node, "pref_attach", 16384, 1, false, true},
     {ModelKind::edge, "pref_attach", 16384, 1},
-    {ModelKind::edge, "pref_attach", 16384, 1, false, true},
     // n-scaling curve per model: tori from 1k to 10M nodes (sides
     // 32, 128, 362, 1024, 3162).
     {ModelKind::node, "torus", 1024},
@@ -143,14 +138,12 @@ std::unique_ptr<AveragingProcess> build_process(const Workload& w,
       params.k = w.k;
       params.sampling = w.sampling;
       params.track_extrema = w.track_extrema;
-      params.reorder = w.reorder;
       return std::make_unique<NodeModel>(g, std::move(xi), params);
     }
     case ModelKind::edge: {
       EdgeModelParams params;
       params.alpha = 0.5;
       params.track_extrema = w.track_extrema;
-      params.reorder = w.reorder;
       return std::make_unique<EdgeModel>(g, std::move(xi), params);
     }
     case ModelKind::voter:
@@ -274,8 +267,8 @@ int main(int argc, char** argv) {
       "description",
       "steps/sec of the averaging-process stepping paths (single = "
       "recorded per-step path, burst = chunked batched-rng kernel) over "
-      "every devirtualized kernel variant, the reorder mirror, an "
-      "n-scaling curve to 10M nodes, and the generalized model family "
+      "every devirtualized kernel variant, the irregular-topology path, "
+      "an n-scaling curve to 10M nodes, and the generalized model family "
       "(voter, gossip, weighted_median, hegselmann_krause)");
   doc.emplace_back(
       "regenerate",
@@ -311,7 +304,6 @@ int main(int argc, char** argv) {
                          ? "without_replacement"
                          : "with_replacement");
     row.emplace_back("track_extrema", w.track_extrema);
-    row.emplace_back("reorder", w.reorder);
     row.emplace_back("single_step_sps", single);
     row.emplace_back("burst_sps", burst);
     row.emplace_back("burst_over_single", burst / single);
@@ -320,8 +312,7 @@ int main(int argc, char** argv) {
               << w.graph << " n=" << w.n << " k=" << w.k
               << (w.sampling == SamplingMode::with_replacement ? " withrep"
                                                                : "")
-              << (w.track_extrema ? " extrema" : "")
-              << (w.reorder ? " reorder" : "") << ": single "
+              << (w.track_extrema ? " extrema" : "") << ": single "
               << json_number(single / 1e6) << " M/s, burst "
               << json_number(burst / 1e6) << " M/s ("
               << json_number(burst / single) << "x)\n";

@@ -7,10 +7,10 @@
 //   perf_check --baseline BENCH_8.json --current fresh.json
 //       [--max-drop 0.15] [--metric burst_sps]
 //
-// Workloads are matched by identity (model, graph, n, k, track_extrema,
-// reorder) -- a
-// workload present in the baseline but missing from the current run is
-// itself a failure, so the gate cannot be silenced by deleting rows.
+// Workloads are matched by identity (model, graph, n, k, track_extrema)
+// -- a workload present in the baseline but missing from the current
+// run is itself a failure, so the gate cannot be silenced by deleting
+// rows.
 // Every workload is printed with its ratio.
 //
 // Exit codes distinguish the failure modes so a CI gate's red X is
@@ -41,24 +41,22 @@ using opindyn::json::Value;
 
 struct WorkloadKey {
   std::string model;
-  // Rows before BENCH_7 carried no graph/reorder fields; the defaults
-  // make old documents comparable against new ones.
+  // Rows before BENCH_7 carried no graph field; the defaults make old
+  // documents comparable against new ones.
   std::string graph = "random_regular";
   std::int64_t n = 0;
   std::int64_t k = 1;
   bool track_extrema = false;
-  bool reorder = false;
 
   std::string label() const {
     std::ostringstream out;
     out << model << " " << graph << " n=" << n << " k=" << k
-        << (track_extrema ? " extrema" : "") << (reorder ? " reorder" : "");
+        << (track_extrema ? " extrema" : "");
     return out.str();
   }
   bool operator==(const WorkloadKey& other) const {
     return model == other.model && graph == other.graph && n == other.n &&
-           k == other.k && track_extrema == other.track_extrema &&
-           reorder == other.reorder;
+           k == other.k && track_extrema == other.track_extrema;
   }
 };
 
@@ -74,9 +72,6 @@ WorkloadKey key_of(const Value& row) {
   }
   if (const Value* extrema = row.find("track_extrema")) {
     key.track_extrema = extrema->as_bool();
-  }
-  if (const Value* reorder = row.find("reorder")) {
-    key.reorder = reorder->as_bool();
   }
   return key;
 }

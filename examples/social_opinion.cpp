@@ -9,7 +9,7 @@
 // The example tracks the opinion spread over time, shows influencers
 // (high-degree nodes) pulling the consensus toward *their* initial
 // opinions -- E[F] is the degree-weighted average, not the plain one --
-// and renders the trajectory as an ASCII figure.
+// and prints the trajectory as a table.
 //
 //   ./example_social_opinion [--n=200] [--alpha=0.7] [--k=3]
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "src/core/node_model.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
-#include "src/support/ascii_plot.h"
 #include "src/support/cli.h"
 #include "src/support/table.h"
 
@@ -75,9 +74,6 @@ int main(int argc, char** argv) {
 
   Table timeline({"updates/person", "min budget", "mean budget",
                   "max budget", "spread (K)"});
-  Series spread_series;
-  spread_series.label = "opinion spread K(t)";
-  spread_series.marker = '*';
   const std::int64_t rounds = 400;
   for (std::int64_t round = 0; round <= rounds; ++round) {
     if (round % 50 == 0) {
@@ -90,21 +86,11 @@ int main(int argc, char** argv) {
           .add_fixed(process.state().max_value(), 0)
           .add_fixed(process.state().discrepancy(), 1);
     }
-    spread_series.x.push_back(static_cast<double>(process.time()));
-    spread_series.y.push_back(process.state().discrepancy());
     for (NodeId i = 0; i < n; ++i) {
       process.step(rng);
     }
   }
   std::cout << timeline.to_markdown() << "\n";
-
-  PlotOptions plot;
-  plot.title = "Opinion spread K(t) = max - min budget (log y)";
-  plot.x_label = "steps";
-  plot.y_label = "K";
-  plot.log_y = true;
-  plot.height = 14;
-  std::cout << ascii_plot({spread_series}, plot) << "\n";
 
   std::cout << "final consensus: $" << process.state().average()
             << "  (started at plain avg $" << plain_avg

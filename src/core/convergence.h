@@ -36,7 +36,8 @@ struct ConvergenceOptions {
   double epsilon = 1e-10;
   std::int64_t max_steps = 1'000'000'000;
   /// How often converged() is asked; 0 lets the process choose
-  /// (default_check_interval: max(1, n/4), one round for DeGroot / FJ).
+  /// (default_check_interval: max(1, n/4), one step for voter, one round
+  /// for DeGroot / FJ).
   std::int64_t check_interval = 0;
   /// Use the plain potential phi_V instead of the pi-weighted phi
   /// (the EdgeModel analysis of Prop. D.1 uses phi_V).

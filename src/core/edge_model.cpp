@@ -10,7 +10,7 @@ namespace opindyn {
 namespace {
 
 // Arc-resolution policies: how a kernel instantiation turns a drawn
-// arc index into its updating slot, neighbour slot and stationary
+// arc index into its updating node, neighbour node and stationary
 // weight.  All calls inline into the burst loop.
 
 /// Regular graph with power-of-two degree: arc -> source is a shift
@@ -27,13 +27,10 @@ struct EdgeRegularPow2Topo {
   NodeId target(std::int32_t p) const noexcept {
     return adj[static_cast<std::size_t>(p)];
   }
-  double pi_of(std::int32_t p, NodeId) const noexcept {
-    (void)p;
-    return pi;
-  }
+  double pi_of(NodeId) const noexcept { return pi; }
 };
 
-/// General graph, natural order: arc source/target arrays + per-node pi.
+/// General graph: arc source/target arrays + per-node pi.
 struct EdgeGeneralTopo {
   static constexpr bool kUniformPi = false;
   const NodeId* adj;
@@ -46,31 +43,8 @@ struct EdgeGeneralTopo {
   NodeId target(std::int32_t p) const noexcept {
     return adj[static_cast<std::size_t>(p)];
   }
-  double pi_of(std::int32_t p, NodeId u) const noexcept {
-    (void)p;
+  double pi_of(NodeId u) const noexcept {
     return pi[static_cast<std::size_t>(u)];
-  }
-};
-
-/// Degree-sorted mirror: slot arrays come from the layout's translated
-/// arc arrays (original arc order preserved); pi still keys on the
-/// ORIGINAL source node, read from the graph's own arc array.
-struct EdgeReorderTopo {
-  static constexpr bool kUniformPi = false;
-  const NodeId* adj_internal;
-  const NodeId* src_internal;
-  const NodeId* src_original;
-  const double* pi;
-  double uniform_pi() const noexcept { return 0.0; }  // unused
-  NodeId source(std::int32_t p) const noexcept {
-    return src_internal[static_cast<std::size_t>(p)];
-  }
-  NodeId target(std::int32_t p) const noexcept {
-    return adj_internal[static_cast<std::size_t>(p)];
-  }
-  double pi_of(std::int32_t p, NodeId) const noexcept {
-    return pi[static_cast<std::size_t>(
-        src_original[static_cast<std::size_t>(p)])];
   }
 };
 
@@ -84,29 +58,28 @@ struct EdgeReorderTopo {
 /// exactly as in the node kernel.  Track is compile-time for the same
 /// reason as there: the per-step extrema check otherwise survives in
 /// every non-tracking hot loop.
-template <bool Track, class Topo, class Sync>
+template <bool Track, class Topo>
 void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                     OpinionState& state, double* vals, std::uint64_t arcs,
-                    const Topo& topo, Sync&& sync) {
+                    const Topo& topo) {
   const double one_minus_a = 1.0 - a;
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.uniform_pi();
   const auto recompute_now = [&] {
-    sync();  // mirror kernels make values_ current first
     state.recompute();
     cursor = state.begin_burst();
   };
   const auto apply_arc = [&](std::int32_t p) {
-    const std::int32_t us = topo.source(p);
-    const std::int32_t vs = topo.target(p);
-    const double old = vals[static_cast<std::size_t>(us)];
-    const double nv = vals[static_cast<std::size_t>(vs)];
+    const std::int32_t u = topo.source(p);
+    const std::int32_t v = topo.target(p);
+    const double old = vals[static_cast<std::size_t>(u)];
+    const double nv = vals[static_cast<std::size_t>(v)];
     // apply_update computes (0.0 + value(v)) / 1.0; the division by
     // one is exact, the leading add is kept for the -0.0 case.
     const double x = a * old + one_minus_a * (0.0 + nv);
-    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.pi_of(p, us),
-                         old, x);
-    vals[static_cast<std::size_t>(us)] = x;
+    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.pi_of(u), old,
+                         x);
+    vals[static_cast<std::size_t>(u)] = x;
   };
   const auto one_step = [&] {
     apply_arc(static_cast<std::int32_t>(rng.next_below_nonzero(arcs)));
@@ -153,17 +126,14 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
   state.end_burst(cursor);
 }
 
-template <class Topo, class Sync>
+template <class Topo>
 void dispatch_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy,
                          double a, OpinionState& state, double* vals,
-                         std::uint64_t arcs, const Topo& topo,
-                         Sync&& sync) {
+                         std::uint64_t arcs, const Topo& topo) {
   if (state.tracks_extrema()) {
-    run_edge_burst<true>(rng, n_steps, lazy, a, state, vals, arcs, topo,
-                         sync);
+    run_edge_burst<true>(rng, n_steps, lazy, a, state, vals, arcs, topo);
   } else {
-    run_edge_burst<false>(rng, n_steps, lazy, a, state, vals, arcs, topo,
-                          sync);
+    run_edge_burst<false>(rng, n_steps, lazy, a, state, vals, arcs, topo);
   }
 }
 
@@ -175,14 +145,6 @@ EdgeModel::EdgeModel(const Graph& graph, std::vector<double> initial,
                        params.track_extrema),
       params_(params) {
   OPINDYN_EXPECTS(graph.edge_count() >= 1, "EdgeModel needs >= 1 edge");
-  if (params.reorder) {
-    layout_ = GraphLayout::degree_sorted(graph);
-    if (layout_->is_identity()) {
-      layout_.reset();
-    } else {
-      mirror_.resize(static_cast<std::size_t>(graph.node_count()));
-    }
-  }
 }
 
 NodeSelection EdgeModel::step_recorded(Rng& rng) {
@@ -208,31 +170,19 @@ void EdgeModel::step_burst(Rng& rng, std::int64_t n_steps) {
   }
   OpinionState& state = mutable_state();
   const auto arcs = static_cast<std::uint64_t>(g.arc_count());
-  const auto size = static_cast<std::size_t>(g.node_count());
   const NodeId d = g.min_degree();
-  if (layout_) {
-    layout_->scatter(state.values(), mirror_);
-    EdgeReorderTopo topo{layout_->adjacency_internal().data(),
-                         layout_->arc_source_internal().data(),
-                         g.arc_source_data(), state.stationary_data()};
-    auto sync = [this, &state, size] {
-      layout_->gather(mirror_, {state.mutable_values(), size});
-    };
-    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        mirror_.data(), arcs, topo, sync);
-    layout_->gather(mirror_, {state.mutable_values(), size});
-  } else if (g.is_regular() && std::has_single_bit(static_cast<unsigned>(d))) {
+  if (g.is_regular() && std::has_single_bit(static_cast<unsigned>(d))) {
     EdgeRegularPow2Topo topo{
         g.adjacency_data(),
         std::countr_zero(static_cast<unsigned>(d)),
         g.stationary(0)};
     dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        state.mutable_values(), arcs, topo, [] {});
+                        state.mutable_values(), arcs, topo);
   } else {
     EdgeGeneralTopo topo{g.adjacency_data(), g.arc_source_data(),
                          state.stationary_data()};
     dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        state.mutable_values(), arcs, topo, [] {});
+                        state.mutable_values(), arcs, topo);
   }
   advance_time(n_steps);
 }

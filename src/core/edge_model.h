@@ -7,11 +7,9 @@
 #ifndef OPINDYN_CORE_EDGE_MODEL_H
 #define OPINDYN_CORE_EDGE_MODEL_H
 
-#include <optional>
 #include <vector>
 
 #include "src/core/process.h"
-#include "src/graph/layout.h"
 
 namespace opindyn {
 
@@ -20,8 +18,6 @@ struct EdgeModelParams {
   /// Lazy variant: with probability 1/2 the step is a no-op.
   bool lazy = false;
   bool track_extrema = false;
-  /// Degree-sorted value mirror for bursts (see NodeModelParams).
-  bool reorder = false;
 };
 
 class EdgeModel final : public AveragingProcess {
@@ -41,8 +37,6 @@ class EdgeModel final : public AveragingProcess {
   void step_burst_generic(Rng& rng, std::int64_t n_steps);
 
   EdgeModelParams params_;
-  std::optional<GraphLayout> layout_;
-  std::vector<double> mirror_;
 };
 
 }  // namespace opindyn

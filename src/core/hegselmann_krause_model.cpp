@@ -34,8 +34,7 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
   const auto apply_node = [&](NodeId u) {
     const std::int64_t base = topo.row_base(u);
     const std::int32_t d = topo.degree(u);
-    const std::int32_t slot = topo.slot(u);
-    const double xu = vals[static_cast<std::size_t>(slot)];
+    const double xu = vals[static_cast<std::size_t>(u)];
     double sum = xu;
     std::int32_t confidants = 0;
     for (std::int32_t i = 0; i < d; ++i) {
@@ -52,7 +51,7 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
     const double x = sum / (1.0 + static_cast<double>(confidants));
     cursor.update<false>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
                          xu, x);
-    vals[static_cast<std::size_t>(slot)] = x;
+    vals[static_cast<std::size_t>(u)] = x;
     if (cursor.advance_one()) {
       state.recompute();
       cursor = state.begin_burst();

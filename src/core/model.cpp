@@ -20,7 +20,6 @@ struct KnobSet {
   bool k = false;
   bool lazy = false;
   bool sampling = false;
-  bool reorder = false;
   bool confidence = false;
 };
 
@@ -30,24 +29,24 @@ KnobSet knobs_for(ModelKind kind) {
   switch (kind) {
     case ModelKind::node:
       return {/*alpha=*/true, /*k=*/true, /*lazy=*/true, /*sampling=*/true,
-              /*reorder=*/true, /*confidence=*/false};
+              /*confidence=*/false};
     case ModelKind::edge:
       return {/*alpha=*/true, /*k=*/false, /*lazy=*/true,
-              /*sampling=*/false, /*reorder=*/true, /*confidence=*/false};
+              /*sampling=*/false, /*confidence=*/false};
     case ModelKind::voter:
     case ModelKind::gossip:
     case ModelKind::degroot:
       return {/*alpha=*/false, /*k=*/false, /*lazy=*/true,
-              /*sampling=*/false, /*reorder=*/false, /*confidence=*/false};
+              /*sampling=*/false, /*confidence=*/false};
     case ModelKind::friedkin_johnsen:
       return {/*alpha=*/true, /*k=*/false, /*lazy=*/false,
-              /*sampling=*/false, /*reorder=*/false, /*confidence=*/false};
+              /*sampling=*/false, /*confidence=*/false};
     case ModelKind::weighted_median:
       return {/*alpha=*/false, /*k=*/true, /*lazy=*/true, /*sampling=*/true,
-              /*reorder=*/false, /*confidence=*/false};
+              /*confidence=*/false};
     case ModelKind::hegselmann_krause:
       return {/*alpha=*/false, /*k=*/false, /*lazy=*/true,
-              /*sampling=*/false, /*reorder=*/false, /*confidence=*/true};
+              /*sampling=*/false, /*confidence=*/true};
   }
   throw std::runtime_error("unknown ModelKind");
 }
@@ -126,9 +125,6 @@ void validate_model_config(const ModelConfig& config) {
   if (!allowed.sampling && config.sampling != defaults.sampling) {
     reject_knob(config.kind, "sampling");
   }
-  if (!allowed.reorder && config.reorder != defaults.reorder) {
-    reject_knob(config.kind, "reorder");
-  }
   if (!allowed.confidence && config.confidence != defaults.confidence) {
     reject_knob(config.kind, "confidence");
   }
@@ -156,9 +152,6 @@ ModelConfig config_for_kind(const ModelConfig& config, ModelKind kind) {
   if (!allowed.sampling) {
     result.sampling = defaults.sampling;
   }
-  if (!allowed.reorder) {
-    result.reorder = defaults.reorder;
-  }
   if (!allowed.confidence) {
     result.confidence = defaults.confidence;
   }
@@ -176,14 +169,12 @@ std::unique_ptr<AveragingProcess> make_process(const Graph& graph,
       params.k = config.k;
       params.lazy = config.lazy;
       params.sampling = config.sampling;
-      params.reorder = config.reorder;
       return std::make_unique<NodeModel>(graph, std::move(initial), params);
     }
     case ModelKind::edge: {
       EdgeModelParams params;
       params.alpha = config.alpha;
       params.lazy = config.lazy;
-      params.reorder = config.reorder;
       return std::make_unique<EdgeModel>(graph, std::move(initial), params);
     }
     case ModelKind::voter:

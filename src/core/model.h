@@ -46,9 +46,6 @@ struct ModelConfig {
   std::int64_t k = 1;
   bool lazy = false;
   SamplingMode sampling = SamplingMode::without_replacement;
-  /// Degree-sorted value mirror inside bursts (bit-identical output;
-  /// pays off on skewed-degree graphs, no-op on regular ones).
-  bool reorder = false;
   /// Hegselmann-Krause confidence bound (must be set > 0 for that kind;
   /// meaningless -- and rejected -- everywhere else).
   double confidence = 0.0;

@@ -21,7 +21,7 @@ namespace {
 ///
 /// One fused loop, software-pipelined in groups of 8 steps: the
 /// group's draws (two serial rng calls per step at K = 1) resolve to
-/// neighbour/target slots first, then the FP applies walk the group in
+/// neighbour/target nodes first, then the FP applies walk the group in
 /// step order reading values live.  The rng state chain is the long
 /// pole, so hoisting it ahead of the accumulator chains is worth ~1.4x
 /// over a straight per-step loop.  The recompute cadence is counted
@@ -29,17 +29,16 @@ namespace {
 /// the recompute threshold settles its bookkeeping with one advance(),
 /// and only chunks straddling the threshold (or lazy runs, whose
 /// update count is coin-dependent) check per update.
-template <int K, SamplingMode Mode, bool Track, class Topo, class Sync>
+template <int K, SamplingMode Mode, bool Track, class Topo>
 void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                     OpinionState& state, double* vals, NodeId n,
-                    const Topo& topo, Sync&& sync) {
+                    const Topo& topo) {
   const double one_minus_a = 1.0 - a;
   const double k_count = static_cast<double>(K);
   const auto nn = static_cast<std::uint64_t>(n);
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.stationary(0);
   const auto recompute_now = [&] {
-    sync();  // mirror kernels make values_ current first
     state.recompute();
     cursor = state.begin_burst();
   };
@@ -79,12 +78,11 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     }
     // sum / 1.0 is bit-exactly sum, so k = 1 skips the division.
     const double mean = K == 1 ? sum : sum / k_count;
-    const std::int32_t slot = topo.slot(u);
-    const double old = vals[static_cast<std::size_t>(slot)];
+    const double old = vals[static_cast<std::size_t>(u)];
     const double x = a * old + one_minus_a * mean;
     cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
                          old, x);
-    vals[static_cast<std::size_t>(slot)] = x;
+    vals[static_cast<std::size_t>(u)] = x;
   };
   std::int64_t done = 0;
   while (done < n_steps) {
@@ -103,7 +101,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
       constexpr int kGroup = 8;
       std::int64_t c = 0;
       for (; c + kGroup <= chunk; c += kGroup) {
-        std::int32_t uslot[kGroup];
+        std::int32_t unode[kGroup];
         std::int32_t nbr[kGroup * K];
         double pis[kGroup];
         for (int s = 0; s < kGroup; ++s) {
@@ -133,7 +131,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                   adj[static_cast<std::size_t>(base + idx)]);
             }
           }
-          uslot[s] = topo.slot(u);
+          unode[s] = u;
           if constexpr (!Topo::kUniformPi) {
             pis[s] = topo.stationary(u);
           }
@@ -144,11 +142,11 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
             sum += vals[static_cast<std::size_t>(nbr[s * K + i])];
           }
           const double mean = K == 1 ? sum : sum / k_count;
-          const double old = vals[static_cast<std::size_t>(uslot[s])];
+          const double old = vals[static_cast<std::size_t>(unode[s])];
           const double x = a * old + one_minus_a * mean;
           cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[s], old,
                                x);
-          vals[static_cast<std::size_t>(uslot[s])] = x;
+          vals[static_cast<std::size_t>(unode[s])] = x;
         }
       }
       for (; c < chunk; ++c) {
@@ -174,53 +172,53 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
   state.end_burst(cursor);
 }
 
-template <SamplingMode Mode, bool Track, class Topo, class Sync>
+template <SamplingMode Mode, bool Track, class Topo>
 bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
                 double a, OpinionState& state, double* vals, NodeId n,
-                const Topo& topo, Sync&& sync) {
+                const Topo& topo) {
   switch (k) {
     case 1:
       run_node_burst<1, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+                                     topo);
       return true;
     case 2:
       run_node_burst<2, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+                                     topo);
       return true;
     case 3:
       run_node_burst<3, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+                                     topo);
       return true;
     case 4:
       run_node_burst<4, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+                                     topo);
       return true;
     case 8:
       run_node_burst<8, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+                                     topo);
       return true;
     default:
       return false;  // uncommon k: the generic loop handles it
   }
 }
 
-template <class Topo, class Sync>
+template <class Topo>
 bool dispatch_mode_k(SamplingMode mode, std::int64_t k, Rng& rng,
                      std::int64_t n_steps, bool lazy, double a,
                      OpinionState& state, double* vals, NodeId n,
-                     const Topo& topo, Sync&& sync) {
+                     const Topo& topo) {
   if (mode == SamplingMode::without_replacement) {
     return state.tracks_extrema()
                ? dispatch_k<SamplingMode::without_replacement, true>(
-                     k, rng, n_steps, lazy, a, state, vals, n, topo, sync)
+                     k, rng, n_steps, lazy, a, state, vals, n, topo)
                : dispatch_k<SamplingMode::without_replacement, false>(
-                     k, rng, n_steps, lazy, a, state, vals, n, topo, sync);
+                     k, rng, n_steps, lazy, a, state, vals, n, topo);
   }
   return state.tracks_extrema()
              ? dispatch_k<SamplingMode::with_replacement, true>(
-                   k, rng, n_steps, lazy, a, state, vals, n, topo, sync)
+                   k, rng, n_steps, lazy, a, state, vals, n, topo)
              : dispatch_k<SamplingMode::with_replacement, false>(
-                   k, rng, n_steps, lazy, a, state, vals, n, topo, sync);
+                   k, rng, n_steps, lazy, a, state, vals, n, topo);
 }
 
 bool has_specialised_k(std::int64_t k) noexcept {
@@ -242,14 +240,6 @@ NodeModel::NodeModel(const Graph& graph, std::vector<double> initial,
   }
   scratch_.reserve(static_cast<std::size_t>(params.k));
   sample_scratch_.resize(static_cast<std::size_t>(params.k));
-  if (params.reorder) {
-    layout_ = GraphLayout::degree_sorted(graph);
-    if (layout_->is_identity()) {
-      layout_.reset();  // nothing to gain; keep the plain kernels
-    } else {
-      mirror_.resize(static_cast<std::size_t>(graph.node_count()));
-    }
-  }
 }
 
 NodeId NodeModel::draw_selection(Rng& rng) {
@@ -297,29 +287,16 @@ void NodeModel::step_burst(Rng& rng, std::int64_t n_steps) {
   }
   OpinionState& state = mutable_state();
   const NodeId n = g.node_count();
-  const auto size = static_cast<std::size_t>(n);
-  if (layout_) {
-    layout_->scatter(state.values(), mirror_);
-    NodeReorderTopo topo{g.offsets_data(),
-                         layout_->adjacency_internal().data(),
-                         layout_->to_internal().data(),
-                         state.stationary_data()};
-    auto sync = [this, &state, size] {
-      layout_->gather(mirror_, {state.mutable_values(), size});
-    };
-    dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    alpha(), state, mirror_.data(), n, topo, sync);
-    layout_->gather(mirror_, {state.mutable_values(), size});
-  } else if (g.is_regular()) {
+  if (g.is_regular()) {
     NodeRegularTopo topo{g.adjacency_data(), g.min_degree(),
                          g.stationary(0)};
     dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    alpha(), state, state.mutable_values(), n, topo, [] {});
+                    alpha(), state, state.mutable_values(), n, topo);
   } else {
     NodeIrregularTopo topo{g.offsets_data(), g.adjacency_data(),
                            state.stationary_data()};
     dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    alpha(), state, state.mutable_values(), n, topo, [] {});
+                    alpha(), state, state.mutable_values(), n, topo);
   }
   advance_time(n_steps);
 }

@@ -16,11 +16,9 @@
 #ifndef OPINDYN_CORE_NODE_MODEL_H
 #define OPINDYN_CORE_NODE_MODEL_H
 
-#include <optional>
 #include <vector>
 
 #include "src/core/process.h"
-#include "src/graph/layout.h"
 
 namespace opindyn {
 
@@ -36,10 +34,6 @@ struct NodeModelParams {
   SamplingMode sampling = SamplingMode::without_replacement;
   /// Track max/min for O(1) discrepancy reads (costs O(log n) per step).
   bool track_extrema = false;
-  /// Run bursts on a degree-sorted value mirror (graph/layout.h) so
-  /// gathers on skewed graphs hit cache.  Observable behaviour is
-  /// bit-identical; a no-op on regular graphs.
-  bool reorder = false;
 };
 
 class NodeModel final : public AveragingProcess {
@@ -68,11 +62,6 @@ class NodeModel final : public AveragingProcess {
   NodeModelParams params_;
   std::vector<std::int32_t> scratch_;   // Floyd subset indices buffer
   std::vector<NodeId> sample_scratch_;  // sampled node ids, draw order
-  // Reordering (params_.reorder): absent when off or identity.  The
-  // mirror holds the value vector in layout order for the duration of
-  // one step_burst call; values_ stays authoritative outside bursts.
-  std::optional<GraphLayout> layout_;
-  std::vector<double> mirror_;
 };
 
 }  // namespace opindyn

@@ -1,7 +1,7 @@
 // Topology policies shared by the node-style burst kernels (NodeModel,
 // WeightedMedianModel, HegselmannKrauseModel): how a kernel
-// instantiation finds a node's adjacency row, its value-storage slot
-// and its stationary weight.  All calls inline into the chunk loops.
+// instantiation finds a node's adjacency row and its stationary
+// weight.  All calls inline into the chunk loops.
 #ifndef OPINDYN_CORE_NODE_TOPOLOGY_H
 #define OPINDYN_CORE_NODE_TOPOLOGY_H
 
@@ -11,7 +11,7 @@
 
 namespace opindyn {
 
-/// Regular graph, natural order: row base is u * d (no offsets load)
+/// Regular graph: row base is u * d (no offsets load)
 /// and pi = d / 2m is one constant (bit-identical to the per-node
 /// array, which was filled from the same expression).
 struct NodeRegularTopo {
@@ -23,12 +23,11 @@ struct NodeRegularTopo {
     return static_cast<std::int64_t>(u) * d;
   }
   std::int32_t degree(NodeId) const noexcept { return d; }
-  std::int32_t slot(NodeId u) const noexcept { return u; }
   double stationary(NodeId) const noexcept { return pi; }
   const NodeId* adjacency() const noexcept { return adj; }
 };
 
-/// Irregular graph, natural order: CSR offsets + per-node pi.
+/// Irregular graph: CSR offsets + per-node pi.
 struct NodeIrregularTopo {
   static constexpr bool kUniformPi = false;
   const std::uint32_t* offsets;
@@ -42,38 +41,10 @@ struct NodeIrregularTopo {
         offsets[static_cast<std::size_t>(u) + 1] -
         offsets[static_cast<std::size_t>(u)]);
   }
-  std::int32_t slot(NodeId u) const noexcept { return u; }
   double stationary(NodeId u) const noexcept {
     return pi[static_cast<std::size_t>(u)];
   }
   const NodeId* adjacency() const noexcept { return adj; }
-};
-
-/// Degree-sorted mirror (graph/layout.h): draws stay in original id
-/// space, only value storage is permuted, so rows and rng consumption
-/// are untouched and the translated adjacency array yields mirror
-/// slots directly.
-struct NodeReorderTopo {
-  static constexpr bool kUniformPi = false;
-  const std::uint32_t* offsets;
-  const NodeId* adj_internal;
-  const NodeId* to_internal;
-  const double* pi;  // original order: pi depends on the node, not the slot
-  std::int64_t row_base(NodeId u) const noexcept {
-    return static_cast<std::int64_t>(offsets[static_cast<std::size_t>(u)]);
-  }
-  std::int32_t degree(NodeId u) const noexcept {
-    return static_cast<std::int32_t>(
-        offsets[static_cast<std::size_t>(u) + 1] -
-        offsets[static_cast<std::size_t>(u)]);
-  }
-  std::int32_t slot(NodeId u) const noexcept {
-    return to_internal[static_cast<std::size_t>(u)];
-  }
-  double stationary(NodeId u) const noexcept {
-    return pi[static_cast<std::size_t>(u)];
-  }
-  const NodeId* adjacency() const noexcept { return adj_internal; }
 };
 
 }  // namespace opindyn

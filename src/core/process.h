@@ -56,7 +56,8 @@ class AveragingProcess {
   /// interval to the process (ConvergenceOptions::check_interval = 0).
   /// The default, max(1, n/4), keeps the O(n) exact pass to O(1) per
   /// step for the asynchronous rules; the synchronous rounds (DeGroot,
-  /// Friedkin-Johnsen) already cost O(m) each and check after every one.
+  /// Friedkin-Johnsen) already cost O(m) each and check after every one,
+  /// and the voter model's O(1) consensus check runs after every step.
   virtual std::int64_t default_check_interval() const {
     return std::max<std::int64_t>(1, graph().node_count() / 4);
   }

@@ -40,6 +40,9 @@ class VoterModel final : public AveragingProcess {
 
   /// Consensus, not the potential, is the voter stopping condition.
   bool converged(double epsilon, bool use_plain_potential) const override;
+  /// converged() is O(1), so checking after every step costs nothing and
+  /// makes T the exact consensus time.
+  std::int64_t default_check_interval() const override { return 1; }
 
   bool has_consensus() const noexcept { return distinct_opinions_ <= 1; }
   int distinct_opinions() const noexcept { return distinct_opinions_; }

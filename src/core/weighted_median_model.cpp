@@ -16,22 +16,21 @@ namespace {
 /// the identical order statistic through the shared lower_median_inplace
 /// helper, so the result is bit-identical to n_steps repeated step()
 /// calls.  One fused loop, mirroring run_node_burst: software-pipelined
-/// in groups of 8 steps, the group's draws resolve to neighbour slots
+/// in groups of 8 steps, the group's draws resolve to neighbour nodes
 /// first, then the applies walk the group in step order reading values
 /// live.
 ///
 /// Unlike the mean rule there is no FP arithmetic at all -- the update
 /// moves an existing value bit pattern -- so bit-identity reduces to
 /// picking the same element, which the stable shared sort guarantees.
-template <int K, SamplingMode Mode, bool Track, class Topo, class Sync>
+template <int K, SamplingMode Mode, bool Track, class Topo>
 void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
                       OpinionState& state, double* vals, NodeId n,
-                      const Topo& topo, Sync&& sync) {
+                      const Topo& topo) {
   const auto nn = static_cast<std::uint64_t>(n);
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.stationary(0);
   const auto recompute_now = [&] {
-    sync();
     state.recompute();
     cursor = state.begin_burst();
   };
@@ -70,11 +69,10 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
       }
     }
     const double x = K == 1 ? m[0] : lower_median_inplace(m, K);
-    const std::int32_t slot = topo.slot(u);
-    const double old = vals[static_cast<std::size_t>(slot)];
+    const double old = vals[static_cast<std::size_t>(u)];
     cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
                          old, x);
-    vals[static_cast<std::size_t>(slot)] = x;
+    vals[static_cast<std::size_t>(u)] = x;
   };
   std::int64_t done = 0;
   while (done < n_steps) {
@@ -88,7 +86,7 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
       constexpr int kGroup = 8;
       std::int64_t c = 0;
       for (; c + kGroup <= chunk; c += kGroup) {
-        std::int32_t uslot[kGroup];
+        std::int32_t unode[kGroup];
         std::int32_t nbr[kGroup * K];
         double pis[kGroup];
         for (int s = 0; s < kGroup; ++s) {
@@ -118,7 +116,7 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
                   adj[static_cast<std::size_t>(base + idx)]);
             }
           }
-          uslot[s] = topo.slot(u);
+          unode[s] = u;
           if constexpr (!Topo::kUniformPi) {
             pis[s] = topo.stationary(u);
           }
@@ -129,10 +127,10 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
             m[i] = vals[static_cast<std::size_t>(nbr[s * K + i])];
           }
           const double x = K == 1 ? m[0] : lower_median_inplace(m, K);
-          const double old = vals[static_cast<std::size_t>(uslot[s])];
+          const double old = vals[static_cast<std::size_t>(unode[s])];
           cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[s], old,
                                x);
-          vals[static_cast<std::size_t>(uslot[s])] = x;
+          vals[static_cast<std::size_t>(unode[s])] = x;
         }
       }
       for (; c < chunk; ++c) {
@@ -158,52 +156,52 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
   state.end_burst(cursor);
 }
 
-template <SamplingMode Mode, bool Track, class Topo, class Sync>
+template <SamplingMode Mode, bool Track, class Topo>
 bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
                 OpinionState& state, double* vals, NodeId n,
-                const Topo& topo, Sync&& sync) {
+                const Topo& topo) {
   switch (k) {
     case 1:
       run_median_burst<1, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo, sync);
+                                       topo);
       return true;
     case 2:
       run_median_burst<2, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo, sync);
+                                       topo);
       return true;
     case 3:
       run_median_burst<3, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo, sync);
+                                       topo);
       return true;
     case 4:
       run_median_burst<4, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo, sync);
+                                       topo);
       return true;
     case 8:
       run_median_burst<8, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo, sync);
+                                       topo);
       return true;
     default:
       return false;  // uncommon k: the generic loop handles it
   }
 }
 
-template <class Topo, class Sync>
+template <class Topo>
 bool dispatch_mode_k(SamplingMode mode, std::int64_t k, Rng& rng,
                      std::int64_t n_steps, bool lazy, OpinionState& state,
-                     double* vals, NodeId n, const Topo& topo, Sync&& sync) {
+                     double* vals, NodeId n, const Topo& topo) {
   if (mode == SamplingMode::without_replacement) {
     return state.tracks_extrema()
                ? dispatch_k<SamplingMode::without_replacement, true>(
-                     k, rng, n_steps, lazy, state, vals, n, topo, sync)
+                     k, rng, n_steps, lazy, state, vals, n, topo)
                : dispatch_k<SamplingMode::without_replacement, false>(
-                     k, rng, n_steps, lazy, state, vals, n, topo, sync);
+                     k, rng, n_steps, lazy, state, vals, n, topo);
   }
   return state.tracks_extrema()
              ? dispatch_k<SamplingMode::with_replacement, true>(
-                   k, rng, n_steps, lazy, state, vals, n, topo, sync)
+                   k, rng, n_steps, lazy, state, vals, n, topo)
              : dispatch_k<SamplingMode::with_replacement, false>(
-                   k, rng, n_steps, lazy, state, vals, n, topo, sync);
+                   k, rng, n_steps, lazy, state, vals, n, topo);
 }
 
 bool has_specialised_k(std::int64_t k) noexcept {
@@ -292,12 +290,12 @@ void WeightedMedianModel::step_burst(Rng& rng, std::int64_t n_steps) {
     NodeRegularTopo topo{g.adjacency_data(), g.min_degree(),
                          g.stationary(0)};
     dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    state, state.mutable_values(), n, topo, [] {});
+                    state, state.mutable_values(), n, topo);
   } else {
     NodeIrregularTopo topo{g.offsets_data(), g.adjacency_data(),
                            state.stationary_data()};
     dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    state, state.mutable_values(), n, topo, [] {});
+                    state, state.mutable_values(), n, topo);
   }
   advance_time(n_steps);
 }

@@ -104,8 +104,6 @@ bool apply_key(ExperimentSpec& spec, const std::string& key,
     spec.model.lazy = parse_bool(key, value);
   } else if (key == "sampling") {
     spec.model.sampling = parse_sampling(value);
-  } else if (key == "reorder") {
-    spec.model.reorder = parse_bool(key, value);
   } else if (key == "replicas") {
     spec.replicas = parse_int(key, value);
   } else if (key == "seed") {
@@ -295,7 +293,7 @@ std::vector<std::string> spec_keys() {
           "init-b",    "init-seed", "center",
           "model",     "alpha",     "confidence",
           "k",         "lazy",
-          "sampling",  "reorder",   "replicas",  "seed",
+          "sampling",  "replicas",  "seed",
           "threads",   "eps",       "max-steps",
           "check-interval", "plain-potential", "horizon",
           "sweep",     "csv",       "rows-csv",
@@ -417,7 +415,6 @@ std::string to_key_values(const ExperimentSpec& spec) {
               ? "without"
               : "with")
       << "\n";
-  out << "reorder=" << (spec.model.reorder ? "true" : "false") << "\n";
   out << "replicas=" << spec.replicas << "\n";
   out << "seed=" << spec.seed << "\n";
   out << "threads=" << spec.threads << "\n";

@@ -94,7 +94,7 @@ struct ExperimentSpec {
   GraphSpec graph;
   InitialSpec initial;
   /// model (the dynamics rule) plus its knobs: alpha / k / lazy /
-  /// sampling / reorder / confidence.  Single-model scenarios force
+  /// sampling / confidence.  Single-model scenarios force
   /// `kind` to their own rule via config_for_kind; the cross-model
   /// scenarios honour `model=` verbatim, which makes it a sweep axis.
   ModelConfig model;
@@ -143,10 +143,9 @@ struct ExperimentSpec {
 /// The flat key set of the spec schema (also the accepted CLI flags):
 /// scenario, graph, n, degree, attach, p, graph-seed, init, init-a,
 /// init-b, init-seed, center, model, alpha, confidence, k, lazy,
-/// sampling, reorder, replicas, seed,
-/// threads, eps, max-steps, check-interval, plain-potential, horizon,
-/// sweep, csv, rows-csv, hist-csv, hist-column, hist-bins, quantiles,
-/// metrics-json, trace-json, table.
+/// sampling, replicas, seed, threads, eps, max-steps, check-interval,
+/// plain-potential, horizon, sweep, csv, rows-csv, hist-csv,
+/// hist-column, hist-bins, quantiles, metrics-json, trace-json, table.
 std::vector<std::string> spec_keys();
 
 /// Parses a comma-separated quantile list ("0.5,0.9,0.99"); every value

@@ -123,6 +123,7 @@ void validate_spec(const ExperimentSpec& spec) {
     if (!bad.str().empty()) {
       throw std::runtime_error("spec key " + bad.str());
     }
+    scenario.validate(cell);
   }
 }
 

@@ -129,7 +129,8 @@ struct RunContext {
 /// with one-line errors: the scenario name, its row channel when a
 /// row-consuming output (rows-csv, hist-csv, hist-column, quantiles) is
 /// set, and every grid cell -- its sweep overrides applied to a copy,
-/// then replicas >= 1, eps > 0 and max-steps >= 0.  The default-sink
+/// then replicas >= 1, eps > 0, max-steps >= 0 and the scenario's own
+/// Scenario::validate (cross_model's model/knob check).  The default-sink
 /// wrapper and serve mode call it before SpecSinks opens (and
 /// truncates) any output file.
 void validate_spec(const ExperimentSpec& spec);

@@ -102,6 +102,11 @@ class Scenario {
   /// serialised behind the first unit that asks, and shows up in
   /// BatchResult::spectra_late_solves.
   virtual SpectrumNeeds reads_spectra() const { return {}; }
+  /// Throws a one-line std::runtime_error if grid cell `cell` (the spec
+  /// with its sweep overrides applied) cannot run.  validate_spec calls
+  /// it for every cell before any output file opens; accepts all by
+  /// default.
+  virtual void validate(const ExperimentSpec& cell) const { (void)cell; }
 
   /// Phase 1: submit the cell's replica batches (non-blocking) and
   /// return the fold that formats its rows.

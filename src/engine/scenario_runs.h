@@ -43,30 +43,28 @@ enum ConvergedMetric : std::size_t {
 /// scenario gets its own stream family.  The voter kind is the discrete
 /// special case: it starts from n distinct opinions 0..n-1 (VoterModel
 /// assigns dense ids by value, so this is the classic all-distinct voter
-/// start) and checks its O(1) converged() after every step, so T is the
-/// exact consensus time.  With a `rows` stream, each unit emits its
-/// (replica, F, T_eps) row.
+/// start).  Each process checks at its own default_check_interval()
+/// unless `convergence` sets one.  With a `rows` stream, each unit emits
+/// its (replica, F, T_eps) row.
 inline std::shared_ptr<ReplicaBatch> submit_converging(
     const RunInput& in, const ModelConfig& config,
     const ConvergenceOptions& convergence, std::uint64_t salt = 0,
     const RowStream* rows = nullptr) {
-  ConvergenceOptions options = convergence;
   std::vector<double> opinions;  // empty: start from in.initial
   if (config.kind == ModelKind::voter) {
-    options.check_interval = 1;
     opinions.resize(static_cast<std::size_t>(in.graph.node_count()));
     std::iota(opinions.begin(), opinions.end(), 0.0);
   }
   return in.scheduler.submit(
       in.spec.replicas, salt == 0 ? in.spec.seed : subseed(in.spec.seed, salt),
       kConvergedMetrics,
-      [in, config, options, opinions = std::move(opinions), rows](
+      [in, config, convergence, opinions = std::move(opinions), rows](
           std::int64_t r, Rng& rng, std::span<double> out,
           RowEmitter& emitter) {
         auto process = make_process(in.graph, config,
                                     opinions.empty() ? in.initial : opinions);
         const ConvergenceResult res =
-            run_until_converged(*process, rng, options);
+            run_until_converged(*process, rng, convergence);
         out[kValue] = res.final_value;
         out[kSteps] = static_cast<double>(res.steps);
         out[kConverged] = res.converged ? 1.0 : 0.0;

@@ -636,21 +636,30 @@ class CrossModelScenario final : public Scenario {
     }
     return {"replica", "F", "T_eps"};
   }
+  void validate(const ExperimentSpec& cell) const override {
+    model_config(cell);
+  }
   CellFold start(const RunInput& in) const override {
-    ModelConfig config = in.spec.model;
-    if (forced_.has_value()) {
-      config = config_for_kind(config, *forced_);
-      config.lazy = config.lazy || lazy_;
-    }
-    // Validate up front so a bad model/knob combination fails before
-    // any replica is scheduled (one line, to the CLI).
-    validate_model_config(config);
-    auto batch = submit_converging(in, config, in.spec.convergence, 0,
-                                   in.rows);
+    auto batch = submit_converging(in, model_config(in.spec),
+                                   in.spec.convergence, 0, in.rows);
     return [batch] { return CellRows{{averaging_row(*batch)}, {}}; };
   }
 
  private:
+  /// The cell's model with this registration's forced kind and laziness
+  /// applied.  Throws validate_model_config's one-line error when the
+  /// kind does not use a knob the spec sets, so a bad model/knob
+  /// combination fails before any replica is scheduled.
+  ModelConfig model_config(const ExperimentSpec& spec) const {
+    ModelConfig config = spec.model;
+    if (forced_.has_value()) {
+      config = config_for_kind(config, *forced_);
+      config.lazy = config.lazy || lazy_;
+    }
+    validate_model_config(config);
+    return config;
+  }
+
   std::string name_;
   std::string description_;
   std::optional<ModelKind> forced_;

@@ -127,23 +127,20 @@ std::vector<ModelConfig> variant_grid(double confidence) {
            {SamplingMode::without_replacement,
             SamplingMode::with_replacement}) {
         for (const bool lazy : {false, true}) {
-          for (const bool reorder : {false, true}) {
-            ModelConfig config;
-            config.kind = kind;
-            config.k = k;
-            config.sampling = sampling;
-            config.lazy = lazy;
-            config.reorder = reorder;
-            if (kind == ModelKind::hegselmann_krause) {
-              config.confidence = confidence;
-            }
-            try {
-              validate_model_config(config);
-            } catch (const std::runtime_error&) {
-              continue;  // a knob this kind does not use
-            }
-            grid.push_back(config);
+          ModelConfig config;
+          config.kind = kind;
+          config.k = k;
+          config.sampling = sampling;
+          config.lazy = lazy;
+          if (kind == ModelKind::hegselmann_krause) {
+            config.confidence = confidence;
           }
+          try {
+            validate_model_config(config);
+          } catch (const std::runtime_error&) {
+            continue;  // a knob this kind does not use
+          }
+          grid.push_back(config);
         }
       }
     }
@@ -155,8 +152,7 @@ std::string describe(const ModelConfig& c) {
   return model_kind_name(c.kind) + " k=" + std::to_string(c.k) +
          " with_replacement=" +
          std::to_string(c.sampling == SamplingMode::with_replacement) +
-         " lazy=" + std::to_string(c.lazy) +
-         " reorder=" + std::to_string(c.reorder);
+         " lazy=" + std::to_string(c.lazy);
 }
 
 struct Input {

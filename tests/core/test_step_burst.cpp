@@ -16,7 +16,6 @@
 #include "src/core/node_model.h"
 #include "src/engine/runner.h"
 #include "src/graph/generators.h"
-#include "src/graph/layout.h"
 #include "src/support/rng.h"
 
 namespace opindyn {
@@ -171,47 +170,35 @@ TEST(StepBurst, NodeModelIrregularGraphMatchesSingleSteps) {
   }
 }
 
-// The degree-sorted mirror must not change a single bit: draws stay in
-// original id space, only value storage is permuted, and the emitted
-// values come back through the inverse permutation.
-TEST(StepBurst, ReorderedMirrorIsBitIdenticalForBothModels) {
+// The general arc topology (arc source array + per-node pi) on
+// heavy-tailed degrees, with every chunk and unroll remainder.
+TEST(StepBurst, EdgeModelIrregularGraphMatchesSingleSteps) {
   Rng graph_rng(29);
   const Graph g = gen::preferential_attachment(graph_rng, 48, 2);
-  // The permutation must be real, or this test collapses to plain ==.
-  ASSERT_FALSE(GraphLayout::degree_sorted(g).is_identity());
+  ASSERT_FALSE(g.is_regular());
   Rng init_rng(17);
   const auto xi = initial::uniform(init_rng, g.node_count(), -1.0, 1.0);
-  constexpr std::int64_t kTotal = 700;
-  {
-    NodeModelParams params;
-    params.alpha = 0.4;
-    params.k = 2;
-    NodeModelParams reorder_params = params;
-    reorder_params.reorder = true;
-    NodeModel plain(g, xi, params);
-    NodeModel mirrored(g, xi, reorder_params);
-    Rng rng_plain(88);
-    Rng rng_mirror(88);
-    run_in_bursts(plain, rng_plain, kTotal);
-    run_in_bursts(mirrored, rng_mirror, kTotal);
-    expect_bit_identical(plain, mirrored);
-    EXPECT_EQ(rng_plain(), rng_mirror());
-  }
-  {
-    EdgeModelParams params;
-    params.alpha = 0.55;
-    params.track_extrema = true;
-    EdgeModelParams reorder_params = params;
-    reorder_params.reorder = true;
-    EdgeModel plain(g, xi, params);
-    EdgeModel mirrored(g, xi, reorder_params);
-    Rng rng_plain(89);
-    Rng rng_mirror(89);
-    run_in_bursts(plain, rng_plain, kTotal);
-    run_in_bursts(mirrored, rng_mirror, kTotal);
-    expect_bit_identical(plain, mirrored);
-    EXPECT_EQ(plain.state().discrepancy(), mirrored.state().discrepancy());
-    EXPECT_EQ(rng_plain(), rng_mirror());
+  constexpr std::int64_t kTotal = 701;
+  for (const bool lazy : {false, true}) {
+    for (const bool track : {false, true}) {
+      EdgeModelParams params;
+      params.alpha = 0.55;
+      params.lazy = lazy;
+      params.track_extrema = track;
+      EdgeModel single(g, xi, params);
+      EdgeModel burst(g, xi, params);
+      Rng rng_single(89);
+      Rng rng_burst(89);
+      for (std::int64_t i = 0; i < kTotal; ++i) {
+        single.step(rng_single);
+      }
+      run_in_bursts(burst, rng_burst, kTotal);
+      SCOPED_TRACE("lazy=" + std::to_string(lazy) +
+                   " track=" + std::to_string(track));
+      expect_bit_identical(single, burst);
+      EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
+      EXPECT_EQ(rng_single(), rng_burst());
+    }
   }
 }
 
@@ -374,29 +361,23 @@ TEST(StepBurst, WhpTailGoldenCsvBytesSurviveTheKernelSwap) {
   spec.convergence.epsilon = 1e-6;
   spec.sweeps = engine::parse_sweeps("alpha:0.3,0.5");
   spec.print_table = false;
-  // reorder=true must leave every emitted byte untouched (the mirror
-  // contract), at every thread count.
-  for (const bool reorder : {false, true}) {
-    spec.model.reorder = reorder;
-    for (const std::size_t threads : {1, 4, 8}) {
-      spec.threads = threads;
-      const std::string base = ::testing::TempDir() + "burst_whp_" +
-                               std::to_string(threads) +
-                               (reorder ? "_r" : "");
-      {
-        engine::CsvSink csv(base + ".csv");
-        engine::CsvSink rows_csv(base + "_rows.csv");
-        std::vector<engine::RowSink*> sinks{&csv};
-        std::vector<engine::RowSink*> row_sinks{&rows_csv};
-        engine::run_experiment(spec, sinks, row_sinks);
-      }
-      EXPECT_EQ(read_file(base + ".csv"), kWhpTailAggregateGolden)
-          << "threads=" << threads << " reorder=" << reorder;
-      EXPECT_EQ(read_file(base + "_rows.csv"), kWhpTailRowsGolden)
-          << "threads=" << threads << " reorder=" << reorder;
-      std::remove((base + ".csv").c_str());
-      std::remove((base + "_rows.csv").c_str());
+  for (const std::size_t threads : {1, 4, 8}) {
+    spec.threads = threads;
+    const std::string base =
+        ::testing::TempDir() + "burst_whp_" + std::to_string(threads);
+    {
+      engine::CsvSink csv(base + ".csv");
+      engine::CsvSink rows_csv(base + "_rows.csv");
+      std::vector<engine::RowSink*> sinks{&csv};
+      std::vector<engine::RowSink*> row_sinks{&rows_csv};
+      engine::run_experiment(spec, sinks, row_sinks);
     }
+    EXPECT_EQ(read_file(base + ".csv"), kWhpTailAggregateGolden)
+        << "threads=" << threads;
+    EXPECT_EQ(read_file(base + "_rows.csv"), kWhpTailRowsGolden)
+        << "threads=" << threads;
+    std::remove((base + ".csv").c_str());
+    std::remove((base + "_rows.csv").c_str());
   }
 }
 

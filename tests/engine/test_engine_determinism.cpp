@@ -393,6 +393,127 @@ TEST(EngineDeterminism, OutOfRangeAndBadSweepValuesLeaveExistingOutputIntact) {
   std::remove(path.c_str());
 }
 
+// cross_model runs model= verbatim, so a knob the kind does not use is
+// caught per grid cell before any output file opens: the spec as given,
+// and a sweep whose second cell is the bad one.
+TEST(EngineDeterminism, UnusedModelKnobLeavesExistingOutputIntact) {
+  const std::string path = ::testing::TempDir() + "opindyn_knob_output.csv";
+  const std::map<std::string, std::string> cases[] = {
+      {{"model", "voter"}},
+      {{"sweep", "model:node,voter"}},
+  };
+  for (const auto& overrides : cases) {
+    SCOPED_TRACE(overrides.begin()->second);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << "precious\n";
+    }
+    std::map<std::string, std::string> keys = {
+        {"scenario", "cross_model"}, {"alpha", "0.3"}, {"n", "16"},
+        {"csv", path}, {"table", "false"}};
+    keys.insert(overrides.begin(), overrides.end());
+    try {
+      run_experiment_with_default_sinks(parse_spec(keys));
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("'voter' does not use alpha="),
+                std::string::npos)
+          << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    }
+    EXPECT_EQ(read_file(path), "precious\n");
+  }
+  std::remove(path.c_str());
+}
+
+// Per-kind requirements are part of the same per-cell check:
+// hegselmann_krause under cross_model needs confidence=.
+TEST(EngineDeterminism, MissingConfidenceLeavesExistingOutputIntact) {
+  const std::string path = ::testing::TempDir() + "opindyn_hk_output.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "precious\n";
+  }
+  const ExperimentSpec spec = parse_spec(
+      {{"scenario", "cross_model"}, {"model", "hegselmann_krause"},
+       {"n", "16"}, {"csv", path}, {"table", "false"}});
+  try {
+    run_experiment_with_default_sinks(spec);
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("requires confidence="), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+  EXPECT_EQ(read_file(path), "precious\n");
+  std::remove(path.c_str());
+}
+
+// The single-model scenarios drop the knobs their kind does not read,
+// so the per-cell check must let those specs through and run them.
+TEST(EngineDeterminism, ForcedKindScenariosKeepAcceptingForeignKnobs) {
+  const std::map<std::string, std::string> cases[] = {
+      {{"scenario", "edge"}, {"k", "2"}, {"sampling", "with"}},
+      {{"scenario", "node_vs_edge"}, {"k", "2"}},
+      {{"scenario", "averaging_vs_voter"}, {"alpha", "0.3"}},
+      {{"scenario", "degroot"}, {"k", "2"}, {"alpha", "0.3"}},
+  };
+  for (const auto& overrides : cases) {
+    SCOPED_TRACE(overrides.begin()->second);
+    std::map<std::string, std::string> keys = {
+        {"graph", "cycle"}, {"n", "16"}, {"replicas", "2"},
+        {"eps", "1e-6"},    {"table", "false"}};
+    keys.insert(overrides.begin(), overrides.end());
+    const ExperimentSpec spec = parse_spec(keys);
+    EXPECT_NO_THROW(validate_spec(spec));
+    EXPECT_FALSE(run_experiment_with_default_sinks(spec).rows.empty());
+  }
+}
+
+// A check-interval the spec sets is honoured for voter cells like any
+// other kind: every streamed consensus time is a multiple of it.  Left
+// unset, the voter checks after every step and the times are exact.
+TEST(EngineDeterminism, CrossModelVoterHonoursASetCheckInterval) {
+  const std::string path = ::testing::TempDir() + "opindyn_voter_rows.csv";
+  const auto consensus_times = [&path](const char* check_interval) {
+    std::map<std::string, std::string> keys = {
+        {"scenario", "cross_model"}, {"model", "voter"},
+        {"graph", "cycle"},          {"n", "16"},
+        {"replicas", "8"},           {"seed", "21"},
+        {"rows-csv", path},          {"table", "false"}};
+    if (check_interval != nullptr) {
+      keys.emplace("check-interval", check_interval);
+    }
+    run_experiment_with_default_sinks(parse_spec(keys));
+    std::istringstream lines(read_file(path));
+    std::string line;
+    std::getline(lines, line);  // header; T_eps is the last column
+    std::vector<std::int64_t> times;
+    while (std::getline(lines, line)) {
+      times.push_back(std::stoll(line.substr(line.rfind(',') + 1)));
+    }
+    return times;
+  };
+  const std::vector<std::int64_t> every_step = consensus_times(nullptr);
+  const std::vector<std::int64_t> every_7th = consensus_times("7");
+  ASSERT_EQ(every_step.size(), 8u);
+  ASSERT_EQ(every_7th.size(), 8u);
+  bool any_off_grid = false;
+  for (std::size_t r = 0; r < every_7th.size(); ++r) {
+    SCOPED_TRACE(r);
+    // Same stream, so the coarse check stops within one interval after
+    // the exact consensus time.
+    EXPECT_EQ(every_7th[r] % 7, 0);
+    EXPECT_GE(every_7th[r], every_step[r]);
+    EXPECT_LT(every_7th[r], every_step[r] + 7);
+    any_off_grid |= every_step[r] % 7 != 0;
+  }
+  EXPECT_TRUE(any_off_grid);
+  std::remove(path.c_str());
+}
+
 // The PR-8 acceptance criterion for the generalized model family: a
 // cross-model sweep (model= as the sweep axis) produces byte-identical
 // aggregate and streamed CSVs at 1, 4 and 8 threads -- every kind's

@@ -127,6 +127,7 @@ TEST(ExperimentSpec, ParsesCliFlags) {
 
 TEST(ExperimentSpec, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(parse_spec({{"not-a-key", "1"}}), std::runtime_error);
+  EXPECT_THROW(parse_spec({{"reorder", "true"}}), std::runtime_error);
   EXPECT_THROW(parse_spec({{"n", "twelve"}}), std::runtime_error);
   EXPECT_THROW(parse_spec({{"alpha", "0.5x"}}), std::runtime_error);
   EXPECT_THROW(parse_spec({{"lazy", "maybe"}}), std::runtime_error);

@@ -225,11 +225,6 @@ TEST(ModelValidation, RejectsKnobsTheKindDoesNotUse) {
           << error.what();
     }
   }
-  {
-    ModelConfig config = base_config(ModelKind::gossip);
-    config.reorder = true;
-    EXPECT_THROW(validate_model_config(config), std::runtime_error);
-  }
   // hegselmann_krause requires its confidence bound.
   EXPECT_THROW(
       validate_model_config(base_config(ModelKind::hegselmann_krause)),
@@ -248,7 +243,6 @@ TEST(ModelValidation, ConfigForKindDropsForeignKnobs) {
   config.alpha = 0.7;
   config.k = 4;
   config.sampling = SamplingMode::with_replacement;
-  config.reorder = true;
   const ModelConfig voter = config_for_kind(config, ModelKind::voter);
   EXPECT_EQ(voter.kind, ModelKind::voter);
   EXPECT_NO_THROW(validate_model_config(voter));

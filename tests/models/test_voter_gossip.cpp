@@ -38,6 +38,59 @@ TEST(Voter, ReachesConsensusOnSmallGraph) {
   EXPECT_LT(model.opinion(0), 10.0);
 }
 
+// Left to the process (check_interval = 0), the voter model checks its
+// O(1) consensus predicate after every step, so T is the exact
+// consensus time of a step-by-step loop on the same stream.
+TEST(Voter, DefaultCheckIntervalGivesTheExactConsensusTime) {
+  const Graph g = gen::cycle(32);
+  std::vector<int> opinions(32);
+  for (int i = 0; i < 32; ++i) {
+    opinions[static_cast<std::size_t>(i)] = i;
+  }
+  for (const std::uint64_t seed : {3, 4, 5, 6}) {
+    VoterModel stepped(g, opinions);
+    Rng step_rng(seed);
+    std::int64_t t = 0;
+    while (!stepped.has_consensus()) {
+      stepped.step(step_rng);
+      ++t;
+    }
+    VoterModel looped(g, opinions);
+    EXPECT_EQ(looped.default_check_interval(), 1);
+    Rng loop_rng(seed);
+    ConvergenceOptions options;
+    options.check_interval = 0;
+    const ConvergenceResult result =
+        run_until_converged(looped, loop_rng, options);
+    ASSERT_TRUE(result.converged) << "seed " << seed;
+    EXPECT_EQ(result.steps, t) << "seed " << seed;
+    EXPECT_EQ(looped.opinion(0), stepped.opinion(0)) << "seed " << seed;
+  }
+}
+
+// A caller's interval overrides the per-step default: the loop stops at
+// the first multiple of it at or after the exact consensus time.
+TEST(Voter, SetCheckIntervalStopsOnItsGrid) {
+  const Graph g = gen::cycle(32);
+  std::vector<int> opinions(32);
+  for (int i = 0; i < 32; ++i) {
+    opinions[static_cast<std::size_t>(i)] = i;
+  }
+  VoterModel exact(g, opinions);
+  Rng exact_rng(9);
+  const std::int64_t t = run_to_consensus(exact, exact_rng, 1000000).steps;
+  VoterModel coarse(g, opinions);
+  Rng coarse_rng(9);
+  ConvergenceOptions options;
+  options.check_interval = 5;
+  const ConvergenceResult result =
+      run_until_converged(coarse, coarse_rng, options);
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.steps % 5, 0);
+  EXPECT_GE(result.steps, t);
+  EXPECT_LT(result.steps, t + 5);
+}
+
 TEST(Voter, ConsensusPreservesSomeInitialOpinion) {
   const Graph g = gen::cycle(12);
   std::vector<int> opinions(12, 7);

@@ -224,6 +224,39 @@ TEST(ServeSession, InvalidJobSpecsLeaveTheirCsvIntact) {
   std::remove(csv_path.c_str());
 }
 
+// A cross_model job with a knob its model does not use, in the spec or
+// in a later sweep cell, or with an unknown key, is one error record;
+// its csv= file keeps its bytes.
+TEST(ServeSession, UnusedModelKnobLeavesItsCsvIntact) {
+  const std::string csv_path =
+      ::testing::TempDir() + "serve_session_knob.csv";
+  {
+    std::ofstream out(csv_path, std::ios::binary);
+    out << "precious\n";
+  }
+  const std::string job =
+      "scenario=cross_model n=16 alpha=0.3 csv=" + csv_path;
+  const std::string input = job + " model=voter\n" + job +
+                            " sweep=model:node,voter\n" + job +
+                            " reorder=true\n";
+  const auto records = serve_records(input, service::ServeOptions{});
+  const char* mentions[] = {"does not use alpha=", "does not use alpha=",
+                            "unknown spec key 'reorder'"};
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    const json::Value* record = find_job_record(records, id);
+    ASSERT_NE(record, nullptr) << "job " << id;
+    EXPECT_EQ(record->find("status")->as_string(), "error");
+    const std::string error = record->find("error")->as_string();
+    EXPECT_NE(error.find(mentions[id - 1]), std::string::npos) << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
+  std::ifstream in(csv_path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), "precious\n");
+  std::remove(csv_path.c_str());
+}
+
 // One huge job line (multi-MB, no newline for longer than the cap) must
 // cost one structured error record, not the session: the next line is
 // read and run.

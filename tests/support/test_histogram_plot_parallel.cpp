@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/support/ascii_plot.h"
 #include "src/support/assert.h"
 #include "src/support/histogram.h"
 #include "src/support/thread_pool.h"
@@ -134,36 +133,6 @@ TEST(Histogram, RenderShowsBars) {
   const std::string render = h.render(20);
   EXPECT_NE(render.find("####"), std::string::npos);
   EXPECT_NE(render.find("10"), std::string::npos);
-}
-
-TEST(AsciiPlot, PlotsPointsWithinCanvas) {
-  Series s;
-  s.label = "data";
-  s.marker = 'o';
-  s.x = {1.0, 2.0, 3.0};
-  s.y = {1.0, 4.0, 9.0};
-  PlotOptions options;
-  options.title = "squares";
-  const std::string plot = ascii_plot({s}, options);
-  EXPECT_NE(plot.find("squares"), std::string::npos);
-  EXPECT_NE(plot.find('o'), std::string::npos);
-  EXPECT_NE(plot.find("'o' data"), std::string::npos);
-}
-
-TEST(AsciiPlot, LogAxesSkipNonPositive) {
-  Series s;
-  s.x = {0.0, 10.0, 100.0};  // 0 unusable on log axis
-  s.y = {1.0, 10.0, 100.0};
-  PlotOptions options;
-  options.log_x = true;
-  options.log_y = true;
-  const std::string plot = ascii_plot({s}, options);
-  EXPECT_NE(plot.find("(log)"), std::string::npos);
-}
-
-TEST(AsciiPlot, EmptyInputDoesNotCrash) {
-  const std::string plot = ascii_plot({}, PlotOptions{});
-  EXPECT_NE(plot.find("no plottable points"), std::string::npos);
 }
 
 TEST(ThreadPool, ExecutesAllSubmittedTasks) {
