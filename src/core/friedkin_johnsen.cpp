@@ -7,7 +7,6 @@
 #include "src/spectral/solve.h"
 #include "src/spectral/spectra.h"
 #include "src/support/assert.h"
-#include "src/support/sampling.h"
 
 namespace opindyn {
 
@@ -85,41 +84,6 @@ double FriedkinJohnsenModel::distance_to_equilibrium() const {
     dist = std::max(dist, std::abs(expressed[i] - star[i]));
   }
   return dist;
-}
-
-RandomizedFJ::RandomizedFJ(const Graph& graph,
-                           std::vector<double> private_opinions,
-                           double susceptibility, std::int64_t k)
-    : graph_(&graph),
-      lambda_(susceptibility),
-      k_(k),
-      private_(std::move(private_opinions)),
-      expressed_(private_) {
-  OPINDYN_EXPECTS(private_.size() ==
-                      static_cast<std::size_t>(graph.node_count()),
-                  "private opinion vector size must equal node count");
-  OPINDYN_EXPECTS(susceptibility >= 0.0 && susceptibility < 1.0,
-                  "susceptibility must be in [0, 1)");
-  OPINDYN_EXPECTS(k >= 1 && k <= graph.min_degree(),
-                  "need 1 <= k <= min degree");
-}
-
-void RandomizedFJ::step(Rng& rng) {
-  ++time_;
-  const auto u = static_cast<NodeId>(
-      rng.next_below(static_cast<std::uint64_t>(graph_->node_count())));
-  const auto row = graph_->neighbors(u);
-  sample_without_replacement(rng, static_cast<std::int64_t>(row.size()), k_,
-                             scratch_);
-  double sum = 0.0;
-  for (const std::int32_t idx : scratch_) {
-    sum += expressed_[static_cast<std::size_t>(
-        row[static_cast<std::size_t>(idx)])];
-  }
-  const double social = sum / static_cast<double>(k_);
-  expressed_[static_cast<std::size_t>(u)] =
-      lambda_ * social +
-      (1.0 - lambda_) * private_[static_cast<std::size_t>(u)];
 }
 
 }  // namespace opindyn

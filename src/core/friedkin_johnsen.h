@@ -6,8 +6,7 @@
 // equilibrium  z* = (1 - lambda) (I - lambda W)^{-1} s, where persistent
 // disagreement remains.  Included as the stubborn-agent comparator the
 // paper cites ([27] studies a limited-information randomised variant
-// similar to the NodeModel); `RandomizedFJ` implements exactly that
-// variant: one random node updates per step using k sampled neighbours.
+// similar to the NodeModel).
 //
 // As an AveragingProcess, the OpinionState holds the *expressed*
 // opinions, `alpha()` is the susceptibility lambda, one "step" is one
@@ -61,32 +60,6 @@ class FriedkinJohnsenModel final : public AveragingProcess {
   // Empty until equilibrium() first solves it: a cache, not state, so
   // const reads may fill it (a process is never shared across threads).
   mutable std::vector<double> equilibrium_;
-};
-
-/// The limited-information randomised FJ of [27]: per step, one uniform
-/// node updates toward the average of k sampled neighbours' expressed
-/// opinions blended with its private opinion.  Converges (in
-/// expectation) to the same equilibrium as the synchronous model.
-class RandomizedFJ {
- public:
-  RandomizedFJ(const Graph& graph, std::vector<double> private_opinions,
-               double susceptibility, std::int64_t k);
-
-  void step(Rng& rng);
-
-  const std::vector<double>& expressed() const noexcept {
-    return expressed_;
-  }
-  std::int64_t time() const noexcept { return time_; }
-
- private:
-  const Graph* graph_;
-  double lambda_;
-  std::int64_t k_;
-  std::vector<double> private_;
-  std::vector<double> expressed_;
-  std::vector<std::int32_t> scratch_;
-  std::int64_t time_ = 0;
 };
 
 }  // namespace opindyn

@@ -727,16 +727,13 @@ class HegselmannKrauseScenario final : public Scenario {
   std::vector<std::string> columns() const override {
     return {"E[clusters]", "+-CI(clusters)", "E[spread]", "E[F]"};
   }
+  void validate(const ExperimentSpec& cell) const override {
+    model_config(cell);
+  }
   CellFold start(const RunInput& in) const override {
     const std::int64_t horizon =
         in.spec.horizon > 0 ? in.spec.horizon : 16 * in.graph.node_count();
-    ModelConfig config =
-        config_for_kind(in.spec.model, ModelKind::hegselmann_krause);
-    // A spec that never mentions confidence= still runs, at the model's
-    // default bound, instead of being rejected for confidence == 0.
-    if (!(config.confidence > 0.0)) {
-      config.confidence = kDefaultConfidence;
-    }
+    const ModelConfig config = model_config(in.spec);
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 3,
         [in, config, horizon](std::int64_t, Rng& rng,
@@ -756,6 +753,21 @@ class HegselmannKrauseScenario final : public Scenario {
                         fmt(stats[2].mean())}},
                       {}};
     };
+  }
+
+ private:
+  /// The cell's HK model.  A spec that never mentions confidence= (the
+  /// unset 0) runs at the model's default bound; any other value goes
+  /// through validate_model_config, so an explicit bound <= 0 fails with
+  /// its one-line error before any output opens, as under cross_model.
+  static ModelConfig model_config(const ExperimentSpec& spec) {
+    ModelConfig config =
+        config_for_kind(spec.model, ModelKind::hegselmann_krause);
+    if (config.confidence == 0.0) {
+      config.confidence = kDefaultConfidence;
+    }
+    validate_model_config(config);
+    return config;
   }
 };
 OPINDYN_REGISTER_SCENARIO(HegselmannKrauseScenario)

@@ -1,7 +1,7 @@
 // The paper-theorem scenarios: engine ports of the formerly bespoke
 // bench binaries (Fig. 1/4 duality, Lemma 4.1 martingale, Lemma 5.7
-// q-chain, the Thm 2.2(2)/2.4 variance suites, Prop. 5.8, and the
-// Appendix-B bounds).  Each scenario follows the two-phase contract of
+// q-chain, the Thm 2.2(2)/2.4 variance suites, Prop. 5.8, the
+// Appendix-B bounds, Cor. E.2, and the Section 6 moment chains).  Each scenario follows the two-phase contract of
 // scenario.h: start() submits its replica batches -- including the
 // deterministic enumeration / eigensolve work, wrapped in one-replica
 // batches so it runs on the pool -- and the returned fold formats rows
@@ -19,6 +19,7 @@
 #include "src/core/diffusion.h"
 #include "src/core/initial_values.h"
 #include "src/core/model.h"
+#include "src/core/moments.h"
 #include "src/core/qchain.h"
 #include "src/core/selection.h"
 #include "src/core/theory.h"
@@ -26,6 +27,7 @@
 #include "src/engine/scenario_format.h"
 #include "src/engine/scenario_runs.h"
 #include "src/graph/algorithms.h"
+#include "src/graph/isoperimetric.h"
 #include "src/spectral/spectra.h"
 
 namespace opindyn {
@@ -810,6 +812,190 @@ class PropB2EdgeScenario final : public Scenario {
   }
 };
 OPINDYN_REGISTER_SCENARIO(PropB2EdgeScenario)
+
+/// The model of a cell that reads one of the two paper processes from
+/// model= (node or edge); throws a one-line error for any other kind or
+/// a knob the kind does not use.
+ModelConfig node_or_edge_config(const std::string& scenario,
+                                const ExperimentSpec& spec) {
+  const ModelConfig& config = spec.model;
+  if (config.kind != ModelKind::node && config.kind != ModelKind::edge) {
+    throw std::runtime_error("scenario '" + scenario +
+                             "': model= must be node or edge, got '" +
+                             model_kind_name(config.kind) + "'");
+  }
+  validate_model_config(config);
+  return config;
+}
+
+/// Rejects a cell whose spec n exceeds what the scenario's exact side
+/// can afford, before any output file opens.
+void require_n_at_most(const std::string& scenario, const ExperimentSpec& spec,
+                       NodeId limit, const std::string& why) {
+  if (spec.graph.n > limit) {
+    throw std::runtime_error("scenario '" + scenario + "': " + why +
+                             " needs n <= " + std::to_string(limit) +
+                             ", got n = " + std::to_string(spec.graph.n));
+  }
+}
+
+/// --- corE2_bounds (Corollary E.2) ----------------------------------
+
+/// (i) lambda2(L) >= i(G)^2 / (2 d_max) with the exact isoperimetric
+/// number; (ii) Var(M(t)) <= t (d_max K / 2m)^2 for the NodeModel and
+/// (iii) Var(Avg(t)) <= t K^2 / n^2 for the EdgeModel, measured at
+/// t = horizon for the model= kind.  K is the discrepancy max - min of
+/// xi(0); none of the three sides moves when xi(0) is shifted.
+class CorE2BoundsScenario final : public Scenario {
+ public:
+  /// The subset enumeration behind i(G) visits 2^n cuts.
+  static constexpr NodeId kMaxNodes = 20;
+
+  std::string name() const override { return "corE2_bounds"; }
+  std::string description() const override {
+    return "Cor E.2: lambda2(L) >= i(G)^2/(2 d_max) with the exact i(G), "
+           "and Var(M(t)) (model=node) or Var(Avg(t)) (model=edge) at "
+           "t = horizon (0 = 16n) under its early-time bound.  n <= 20.";
+  }
+  std::vector<std::string> columns() const override {
+    return {"i(G)", "d_max",        "i^2/(2 d_max)", "lambda2(L)", "t",
+            "Var measured", "Var bound", "ratio",   "holds"};
+  }
+  SpectrumNeeds reads_spectra() const override {
+    return {.laplacian = true};
+  }
+  void validate(const ExperimentSpec& cell) const override {
+    node_or_edge_config(name(), cell);
+    require_n_at_most(name(), cell, kMaxNodes,
+                      "the exact isoperimetric number");
+  }
+  CellFold start(const RunInput& in) const override {
+    const ModelConfig config = node_or_edge_config(name(), in.spec);
+    const std::int64_t t = in.spec.horizon > 0
+                               ? in.spec.horizon
+                               : 16 * in.graph.node_count();
+    auto exact = in.scheduler.submit(
+        1, subseed(in.spec.seed, 0xE2), 3,
+        [in](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
+          const double ig = isoperimetric_number_exact(in.graph);
+          out[0] = ig;
+          out[1] = theory::cheeger_lambda2_lower_bound(
+              ig, in.graph.max_degree());
+          out[2] = in.spectra.laplacian().lambda2;
+        });
+    const bool edge = config.kind == ModelKind::edge;
+    auto measured = in.scheduler.submit(
+        in.spec.replicas, in.spec.seed, 1,
+        [in, config, t, edge](std::int64_t, Rng& rng, std::span<double> out,
+                              RowEmitter&) {
+          auto process = make_process(in.graph, config, in.initial);
+          run_to_horizon(*process, rng, t);
+          out[0] = edge ? process->state().average()
+                        : process->state().weighted_average();
+        });
+    return [in, exact, measured, t, edge] {
+      const Graph& g = in.graph;
+      const double discrepancy = OpinionState(g, in.initial).discrepancy();
+      const double var = measured->stats()[0].population_variance();
+      const double var_bound =
+          edge ? theory::edge_var_avg_time_bound(t, discrepancy,
+                                                 g.node_count())
+               : theory::node_var_m_time_bound(t, discrepancy,
+                                               g.max_degree(),
+                                               g.edge_count());
+      const double cheeger = exact->sample(0, 1);
+      const double lambda2 = exact->sample(0, 2);
+      const bool holds = lambda2 + 1e-12 >= cheeger && var <= var_bound;
+      return CellRows{{{fmt_fixed(exact->sample(0, 0), 4),
+                        std::to_string(g.max_degree()), fmt_sci(cheeger, 3),
+                        fmt_sci(lambda2, 3), std::to_string(t),
+                        fmt_sci(var, 3), fmt_sci(var_bound, 3),
+                        fmt_fixed(var / var_bound, 4),
+                        holds ? "yes" : "NO"}},
+                      {}};
+    };
+  }
+};
+OPINDYN_REGISTER_SCENARIO(CorE2BoundsScenario)
+
+/// --- future_extensions (Section 6) ---------------------------------
+
+/// The paper's Section 6 questions answered against Monte Carlo with the
+/// exact joint-walk chains of core/moments: the third central moment of
+/// F from three correlated walks (NodeModel; "n/a" for the EdgeModel),
+/// and Var(F) from two walks on ANY connected graph, where Lemma 5.7's
+/// closed form needs regularity.  Moments are central around the
+/// model's conserved average (M(0) for node, Avg(0) for edge), and the
+/// SE columns are the Monte-Carlo standard errors of both estimates.
+class FutureExtensionsScenario final : public Scenario {
+ public:
+  /// The three-walk chain is a dense n^3 x n^3 matrix (24 MB at n = 12).
+  static constexpr NodeId kMaxNodes = 12;
+
+  std::string name() const override { return "future_extensions"; }
+  std::string description() const override {
+    return "Section 6: E[(F-c)^3] from the exact 3-walk chain (model=node) "
+           "and Var(F) from the 2-walk chain on any graph (model=node or "
+           "edge) vs Monte Carlo with SEs.  n <= 12.";
+  }
+  std::vector<std::string> columns() const override {
+    return {"E[F^3] exact", "E[F^3] MC", "SE(F^3)",   "skewness",
+            "Var(F) exact", "Var(F) MC", "SE(Var)",   "MC/exact",
+            "n^2 Var / ||xi||^2"};
+  }
+  void validate(const ExperimentSpec& cell) const override {
+    node_or_edge_config(name(), cell);
+    require_n_at_most(name(), cell, kMaxNodes, "the exact 3-walk chain");
+  }
+  CellFold start(const RunInput& in) const override {
+    const ModelConfig config = node_or_edge_config(name(), in.spec);
+    auto measured = submit_converging(in, config, in.spec.convergence);
+    auto exact = in.scheduler.submit(
+        1, subseed(in.spec.seed, 0x56), 2,
+        [in, config](std::int64_t, Rng&, std::span<double> out,
+                     RowEmitter&) {
+          if (config.kind == ModelKind::node) {
+            out[0] = predicted_moment(in.graph, config.alpha, config.k,
+                                      in.initial, 3);
+            out[1] = predicted_variance_any_graph(in.graph, config.alpha,
+                                                  config.k, in.initial);
+          } else {
+            out[1] = predicted_variance_any_graph_edge(
+                in.graph, config.alpha, in.initial);
+          }
+        });
+    const double center = config.kind == ModelKind::node
+                              ? degree_weighted_average(in.graph, in.initial)
+                              : plain_average(in.initial);
+    return [in, measured, exact, center] {
+      RunningStats third;
+      for (std::int64_t r = 0; r < measured->replicas(); ++r) {
+        const double d = measured->sample(r, kValue) - center;
+        third.add(d * d * d);
+      }
+      const RunningStats& value = measured->stats()[kValue];
+      const double exact3 = exact->sample(0, 0);
+      const double exact_var = exact->sample(0, 1);
+      const double var = value.population_variance();
+      double norm = 0.0;
+      for (const double x : in.initial) {
+        norm += (x - center) * (x - center);
+      }
+      const double n = static_cast<double>(in.graph.node_count());
+      const bool has3 = !std::isnan(exact3);
+      return CellRows{
+          {{sci_or_na(exact3, 3), has3 ? fmt_sci(third.mean(), 3) : "n/a",
+            has3 ? fmt_sci(third.mean_ci_halfwidth(1.0), 2) : "n/a",
+            fixed_or_na(exact3 / std::pow(exact_var, 1.5), 3),
+            fmt_sci(exact_var, 3), fmt_sci(var, 3),
+            fmt_sci(value.variance_ci_halfwidth(1.0), 2),
+            fmt_fixed(var / exact_var, 3),
+            fmt_fixed(exact_var * n * n / norm, 3)}},
+          {}};
+    };
+  }
+};
+OPINDYN_REGISTER_SCENARIO(FutureExtensionsScenario)
 
 }  // namespace
 

@@ -451,6 +451,74 @@ TEST(EngineDeterminism, MissingConfidenceLeavesExistingOutputIntact) {
   std::remove(path.c_str());
 }
 
+/// Runs `keys` with csv= naming a file that already holds bytes, and
+/// expects a one-line std::runtime_error containing `needle` with the
+/// file left byte-identical: the cell was rejected before any output
+/// opened.
+void expect_rejected_before_output(std::map<std::string, std::string> keys,
+                                   const std::string& needle) {
+  const std::string path = ::testing::TempDir() + "opindyn_keep.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "precious,rows\n1,2\n";
+  }
+  keys["csv"] = path;
+  keys["table"] = "false";
+  try {
+    run_experiment_with_default_sinks(parse_spec(keys));
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(needle), std::string::npos) << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+  EXPECT_EQ(read_file(path), "precious,rows\n1,2\n");
+  std::remove(path.c_str());
+}
+
+// hegselmann_krause runs an unset confidence (0) at its default bound,
+// but an explicit bound <= 0 is rejected per cell, as under cross_model,
+// instead of silently running at the default.
+TEST(EngineDeterminism, NegativeConfidenceLeavesExistingOutputIntact) {
+  expect_rejected_before_output({{"scenario", "hegselmann_krause"},
+                                 {"confidence", "-1"},
+                                 {"n", "16"}},
+                                "requires confidence= > 0");
+  expect_rejected_before_output({{"scenario", "hegselmann_krause"},
+                                 {"sweep", "confidence:0.5,-1"},
+                                 {"n", "16"}},
+                                "requires confidence= > 0");
+}
+
+// The exact sides of corE2_bounds (2^n subsets for i(G)) and
+// future_extensions (the dense n^3-state 3-walk chain) are size-checked
+// from the spec's n before any output opens, not inside a replica unit.
+TEST(EngineDeterminism, CorE2AboveTheSubsetLimitLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "corE2_bounds"}, {"graph", "cycle"}, {"n", "21"}},
+      "needs n <= 20, got n = 21");
+  expect_rejected_before_output({{"scenario", "corE2_bounds"},
+                                 {"graph", "cycle"},
+                                 {"sweep", "n:16,24"}},
+                                "needs n <= 20, got n = 24");
+}
+
+TEST(EngineDeterminism,
+     FutureExtensionsAboveTheChainLimitLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "future_extensions"}, {"graph", "star"}, {"n", "13"}},
+      "needs n <= 12, got n = 13");
+}
+
+// Both scenarios measure one of the paper's two processes.
+TEST(EngineDeterminism, NodeOrEdgeScenariosRejectOtherModels) {
+  for (const std::string scenario : {"corE2_bounds", "future_extensions"}) {
+    expect_rejected_before_output(
+        {{"scenario", scenario}, {"n", "8"}, {"model", "voter"}},
+        "model= must be node or edge, got 'voter'");
+  }
+}
+
 // The single-model scenarios drop the knobs their kind does not read,
 // so the per-cell check must let those specs through and run them.
 TEST(EngineDeterminism, ForcedKindScenariosKeepAcceptingForeignKnobs) {

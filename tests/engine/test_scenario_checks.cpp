@@ -1,13 +1,16 @@
-// The pass conditions of the checked-in paper experiments that certify
-// an identity rather than estimate a quantity: the Prop. 5.1 duality is
-// exact (Figs. 1 and 4), the Prop. B.1 bound holds in every cell, and
-// the Lemma 5.7 closed form is the Q-chain's stationary distribution to
-// machine precision.  Each spec is loaded from the same file under
+// The pass conditions of the checked-in paper experiments: the Prop. 5.1
+// duality is exact (Figs. 1 and 4), the Prop. B.1 bound holds in every
+// cell, the Lemma 5.7 closed form is the Q-chain's stationary
+// distribution to machine precision, the Cor. E.2 bounds hold on every
+// row, and the Section 6 joint-walk chains predict Monte Carlo's third
+// moment and Var(F) within 4 standard errors.  Each spec is loaded from
+// the same file under
 // examples/specs/ that `opindyn run --spec=` reads, so a change to the
 // file or to the scenario shows up here.  Columns are looked up by name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -83,6 +86,79 @@ TEST(ScenarioChecks, QChainClosedFormIsStationaryOnEveryGrid) {
       EXPECT_LT(std::stod(row[deviation]), 1e-7) << name;
     }
   }
+}
+
+TEST(ScenarioChecks, CheegerBoundHoldsOnEveryFamily) {
+  MemorySink rows;
+  expect_everywhere("corE2_cheeger", "holds", "yes", rows);
+  const std::size_t lambda2 = column(rows, "lambda2(L)");
+  const std::size_t bound = column(rows, "i^2/(2 d_max)");
+  ASSERT_LT(std::max(lambda2, bound), rows.columns().size());
+  for (const std::vector<std::string>& row : rows.rows()) {
+    EXPECT_GE(std::stod(row[lambda2]), std::stod(row[bound])) << row[1];
+  }
+}
+
+TEST(ScenarioChecks, EarlyTimeVarianceStaysUnderItsBound) {
+  for (const std::string name :
+       {"corE2_cheeger", "corE2_node_variance", "corE2_edge_variance"}) {
+    MemorySink rows;
+    expect_everywhere(name, "holds", "yes", rows);
+    const std::size_t measured = column(rows, "Var measured");
+    const std::size_t bound = column(rows, "Var bound");
+    ASSERT_LT(std::max(measured, bound), rows.columns().size());
+    for (const std::vector<std::string>& row : rows.rows()) {
+      EXPECT_LE(std::stod(row[measured]), std::stod(row[bound])) << name;
+    }
+  }
+}
+
+/// Expects |MC - exact| <= 4 SE on every row whose exact value is not
+/// "n/a"; returns how many rows were compared.
+int expect_within_4_se(const std::string& spec_name, const MemorySink& rows,
+                       const std::string& exact_name,
+                       const std::string& mc_name,
+                       const std::string& se_name) {
+  const std::size_t exact = column(rows, exact_name);
+  const std::size_t mc = column(rows, mc_name);
+  const std::size_t se = column(rows, se_name);
+  EXPECT_LT(std::max({exact, mc, se}), rows.columns().size());
+  int compared = 0;
+  for (const std::vector<std::string>& row : rows.rows()) {
+    if (row[exact] == "n/a") {
+      continue;
+    }
+    ++compared;
+    EXPECT_LE(std::abs(std::stod(row[mc]) - std::stod(row[exact])),
+              4.0 * std::stod(row[se]))
+        << spec_name << " " << row[1] << ": " << mc_name << " "
+        << row[mc] << " vs " << exact_name << " " << row[exact] << " (SE "
+        << row[se] << ")";
+  }
+  return compared;
+}
+
+TEST(ScenarioChecks, ThreeWalkChainPredictsTheThirdMoment) {
+  int compared = 0;
+  for (const std::string name :
+       {"future_extensions_third_moment",
+        "future_extensions_third_moment_cycle",
+        "future_extensions_irregular_variance"}) {
+    MemorySink rows;
+    run_spec(name, rows);
+    compared += expect_within_4_se(name, rows, "E[F^3] exact", "E[F^3] MC",
+                                   "SE(F^3)");
+  }
+  EXPECT_EQ(compared, 8);
+}
+
+TEST(ScenarioChecks, TwoWalkChainPredictsVarianceOnIrregularGraphs) {
+  const std::string name = "future_extensions_irregular_variance";
+  MemorySink rows;
+  run_spec(name, rows);
+  EXPECT_EQ(expect_within_4_se(name, rows, "Var(F) exact", "Var(F) MC",
+                               "SE(Var)"),
+            10);
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
-// Pinned bytes of every scenario that runs a model to eps-convergence
-// through the shared replica helper, of the deterministic baselines
-// (degroot, friedkin_johnsen), and of the scenarios that run a model
-// over a fixed horizon (hegselmann_krause, martingale, duality): the
-// aggregate `--csv` and, where the scenario streams one, the per-replica
-// `--rows-csv`, each as a 64-bit FNV-1a digest plus a byte count.  The
-// digests were taken from the scenario layer before the single-model
-// scenarios became forced-kind registrations of cross_model, before
-// gossip moved onto run_until_converged, and before the baselines'
-// hand-written round loops and the hand-built HK / duality models were
-// replaced by make_process; every run here must reproduce them at one
-// and at four threads, with metrics on.  The specs are small and cover
+// Pinned bytes of every registered scenario but trajectory, whose rows
+// RowGoldens pins (tools/opindyn-lint fails a scenario pinned in
+// neither): the aggregate `--csv` and, where the scenario streams one,
+// the per-replica `--rows-csv`, each as a 64-bit FNV-1a digest plus a
+// byte count.  Most digests were taken from the scenario layer before
+// the single-model scenarios became forced-kind registrations of
+// cross_model, before gossip moved onto run_until_converged, and before
+// the baselines' hand-written round loops and the hand-built HK /
+// duality models were replaced by make_process; every run here must
+// reproduce them at one and at four threads, with metrics on.  The
+// specs are small and cover
 // the branches the helpers have to keep: sweeps, unconverged replicas
 // (edge and voter hit max-steps, degroot hits max-steps), the voter
 // per-step stop, the baselines' per-round stop, the plain potential
@@ -159,6 +158,24 @@ const ScenarioGolden kGoldens[] = {
       {"replicas", "6"}, {"seed", "7"}, {"init", "hub_spike"},
       {"center", "none"}, {"sweep", "k:1,2"}},
      0xa1f22f033ed0f653ULL, 290, 0x27def44d90dc3a08ULL, 256},
+    {"qchain",
+     {{"scenario", "qchain"}, {"graph", "cycle"}, {"n", "8"}, {"seed", "17"},
+      {"sweep", "k:1,2"}},
+     0x80f487604c1ca432ULL, 278, 0x0000000000000000ULL, 0},
+    {"propB1_drop",
+     {{"scenario", "propB1_drop"}, {"graph", "petersen"}, {"n", "10"},
+      {"seed", "18"}, {"sweep", "k:1,2"}},
+     0x3c0238c7492d20beULL, 388, 0x0000000000000000ULL, 0},
+    {"corE2_bounds",
+     {{"scenario", "corE2_bounds"}, {"graph", "lollipop"}, {"n", "10"},
+      {"replicas", "8"}, {"seed", "19"}, {"init", "uniform"},
+      {"horizon", "40"}, {"sweep", "model:node,edge"}},
+     0x46e3e6f0563d4284ULL, 309, 0x0000000000000000ULL, 0},
+    {"future_extensions",
+     {{"scenario", "future_extensions"}, {"graph", "star"}, {"n", "6"},
+      {"replicas", "8"}, {"seed", "20"}, {"init", "gaussian"},
+      {"eps", "1e-8"}, {"sweep", "model:node,edge"}},
+     0xc07e184ba136e676ULL, 335, 0x0000000000000000ULL, 0},
 };
 
 std::uint64_t fnv1a(const std::string& bytes) {

@@ -39,7 +39,8 @@ TEST(ScenarioRegistry, BuiltinsAreRegistered) {
       // The paper-theorem scenarios (ports of the bench binaries).
       "duality", "martingale", "qchain", "thm22_variance",
       "thm24_edge_convergence", "thm24_edge_variance",
-      "prop58_variance", "propB1_drop", "propB2_node", "propB2_edge"};
+      "prop58_variance", "propB1_drop", "propB2_node", "propB2_edge",
+      "corE2_bounds", "future_extensions"};
   for (const std::string& name : grid) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_EQ(registry.get(name).name(), name);

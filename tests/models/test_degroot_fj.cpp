@@ -282,39 +282,11 @@ TEST(StopRule, CrossModelTEpsEqualsTheBaselineScenarioRounds) {
   EXPECT_EQ(std::stod(fj_t[0]), std::stod(fj_rounds[0]));
 }
 
-TEST(RandomizedFJ, ConvergesInExpectationToSynchronousEquilibrium) {
-  const Graph g = gen::petersen();
-  Rng init_rng(13);
-  const auto s = initial::uniform(init_rng, 10, -1.0, 1.0);
-  FriedkinJohnsenModel reference(g, s, 0.6);
-  const auto& star = reference.equilibrium();
-
-  // Average the randomized iterate over many steps after burn-in.
-  RandomizedFJ randomized(g, s, 0.6, 2);
-  Rng rng(17);
-  for (int t = 0; t < 20000; ++t) {
-    randomized.step(rng);
-  }
-  std::vector<double> time_average(10, 0.0);
-  constexpr int samples = 200000;
-  for (int t = 0; t < samples; ++t) {
-    randomized.step(rng);
-    for (std::size_t u = 0; u < 10; ++u) {
-      time_average[u] += randomized.expressed()[u] / samples;
-    }
-  }
-  for (std::size_t u = 0; u < 10; ++u) {
-    EXPECT_NEAR(time_average[u], star[u], 0.05) << "node " << u;
-  }
-}
-
 TEST(Baselines, ParameterValidation) {
   const Graph g = gen::cycle(5);
   EXPECT_THROW(DeGrootModel(g, std::vector<double>(3, 0.0), false),
                ContractError);
   EXPECT_THROW(FriedkinJohnsenModel(g, std::vector<double>(5, 0.0), 1.0),
-               ContractError);
-  EXPECT_THROW(RandomizedFJ(g, std::vector<double>(5, 0.0), 0.5, 3),
                ContractError);
 }
 
