@@ -83,8 +83,9 @@ run flags (every spec key; flags override --spec file entries):
   --replicas=<int>       Monte-Carlo replicas per item  (default 100)
   --seed=<int>           base seed (replica r forks stream r)
   --threads=<int>        worker threads; every (cell x replica) unit of
-                         the sweep grid is scheduled over one pool and
-                         results are bit-identical for every value
+                         the sweep grid, and random_regular's pairing
+                         attempts, run over one pool; graphs and results
+                         are bit-identical for every value
                                                         (default all)
   --eps, --max-steps, --check-interval, --plain-potential
   --horizon=<int>        step horizon for trajectory scenarios (0 = 16n)
@@ -111,7 +112,8 @@ serve flags:
   --queue=<int>          admission queue depth; beyond it jobs get an
                          explicit "rejected" record    (default 16)
   --job-workers=<int>    concurrent jobs                (default 2)
-  --threads=<int>        shared simulation pool         (default all)
+  --threads=<int>        shared simulation pool, graph builds
+                         included                       (default all)
   --drain-timeout-ms=<int>  grace period for in-flight jobs after
                          SIGTERM/SIGINT before cooperative cancellation
                          (<0 = wait forever)            (default 5000)

@@ -153,7 +153,9 @@ bool apply_key(ExperimentSpec& spec, const std::string& key,
 
 }  // namespace
 
-Graph build_graph(const GraphSpec& spec) {
+Graph build_graph(const GraphSpec& spec) { return build_graph(spec, nullptr); }
+
+Graph build_graph(const GraphSpec& spec, CellScheduler* workers) {
   Rng rng(spec.seed);
   const NodeId n = spec.n;
   const std::string& family = spec.family;
@@ -179,10 +181,10 @@ Graph build_graph(const GraphSpec& spec) {
     return gen::torus(side, side);
   }
   if (family == "random_regular") {
-    return gen::random_regular(rng, n, spec.degree);
+    return gen::random_regular(rng, n, spec.degree, workers);
   }
   if (family == "random_regular_4") {
-    return gen::random_regular(rng, n, 4);
+    return gen::random_regular(rng, n, 4, workers);
   }
   if (family == "erdos_renyi") {
     return gen::erdos_renyi_connected(rng, n, spec.edge_probability);

@@ -20,6 +20,9 @@
 #include "src/support/rng.h"
 
 namespace opindyn {
+
+class CellScheduler;
+
 namespace engine {
 
 /// Which graph to build.  `family` is one of the names accepted by
@@ -44,6 +47,10 @@ struct GraphSpec {
 /// random_regular, erdos_renyi, pref_attach, barbell, lollipop.
 /// Throws std::runtime_error for unknown families.
 Graph build_graph(const GraphSpec& spec);
+
+/// build_graph with `workers`' idle pool workers helping the randomised
+/// families that search (random_regular); the graph is the same.
+Graph build_graph(const GraphSpec& spec, CellScheduler* workers);
 
 /// Names accepted by `build_graph`, sorted.
 std::vector<std::string> graph_family_names();

@@ -301,15 +301,19 @@ BatchResult run_experiment(const ExperimentSpec& spec,
       for (auto& [cache_key, entry] : distinct) {
         prefetch.push_back(scheduler.submit(
             1, 0, 1,
-            [&graph_cache, &spectrum_cache, metrics, &cache_key = cache_key,
+            [&graph_cache, &spectrum_cache, &scheduler, metrics,
+             &cache_key = cache_key,
              &entry = entry](std::int64_t, Rng&, std::span<double>,
                              RowEmitter&) {
               // The builder lambdas only run on a cache miss (under the
               // per-key latch), so the spans below time actual builds.
-              const auto graph =
-                  graph_cache.get(cache_key, [&entry, metrics, &cache_key] {
+              // A build that searches (random_regular) also offers its
+              // attempts to idle workers; it waits only on attempts
+              // already running, never on a queued helper.
+              const auto graph = graph_cache.get(
+                  cache_key, [&entry, &scheduler, metrics, &cache_key] {
                     const ScopedSpan span(metrics, cache_key, "graph_build");
-                    return build_graph(entry.item->graph);
+                    return build_graph(entry.item->graph, &scheduler);
                   });
               entry.spectra = spectrum_cache.get(cache_key, graph);
               entry.solved_before = entry.spectra->solved();

@@ -1,6 +1,9 @@
 #include "src/graph/generators.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -8,6 +11,8 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/builder.h"
 #include "src/support/assert.h"
+#include "src/support/attempt_search.h"
+#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace gen {
@@ -234,57 +239,51 @@ Graph lollipop(NodeId clique_size, NodeId path_len) {
                        std::to_string(path_len) + ")");
 }
 
-Graph random_regular(Rng& rng, NodeId n, NodeId d) {
-  OPINDYN_EXPECTS(n >= 2 && d >= 1 && d < n, "need 1 <= d < n");
-  OPINDYN_EXPECTS((static_cast<std::int64_t>(n) * d) % 2 == 0,
-                  "n*d must be even for a d-regular graph");
-  // Pairing (configuration) model: create d half-edges ("stubs") per node,
-  // pair them via a uniform perfect matching (stubs perm[2k], perm[2k+1]
-  // of a uniform permutation), reject on self-loops, multi-edges, or
-  // disconnectedness.  For fixed d the acceptance probability is bounded
-  // below by a constant, so this terminates fast.
-  //
-  // Most attempts are rejected, so an attempt allocates nothing: the
-  // permutation is shuffled in place with random_permutation's exact
-  // draw sequence, and simplicity is tested on flat per-node partner
-  // slots (d each -- a node has exactly d stubs).  Fisher-Yates
-  // finalises perm[i] at step i, so pair k is final after step 2k (pair
-  // 0 after step 1) and is tested right then.  On the first bad pair the
-  // remaining swaps are skipped but their draws are still made.  Whether
-  // the pair set is simple does not depend on the order it is tested in,
-  // so the accept/reject sequence, the rng stream and the edge order are
-  // those of shuffling first and testing pairs 0, 1, ... after.
-  const std::int64_t stubs = static_cast<std::int64_t>(n) * d;
-  std::vector<std::int32_t> perm(static_cast<std::size_t>(stubs));
-  std::vector<NodeId> partners(static_cast<std::size_t>(stubs));
-  std::vector<NodeId> partner_count(static_cast<std::size_t>(n));
-  const auto pair_is_new = [&](std::int64_t first) {
-    const NodeId u = perm[static_cast<std::size_t>(first)] / d;
-    const NodeId v = perm[static_cast<std::size_t>(first + 1)] / d;
-    if (u == v) {
-      return false;
-    }
-    NodeId& u_count = partner_count[static_cast<std::size_t>(u)];
-    NodeId& v_count = partner_count[static_cast<std::size_t>(v)];
-    const auto u_base = partners.begin() + static_cast<std::int64_t>(u) * d;
-    const auto v_base = partners.begin() + static_cast<std::int64_t>(v) * d;
-    if (std::find(u_base, u_base + u_count, v) != u_base + u_count) {
-      return false;
-    }
-    u_base[u_count++] = v;
-    v_base[v_count++] = u;
-    return true;
-  };
-  for (int attempt = 0; attempt < 10000; ++attempt) {
-    std::iota(perm.begin(), perm.end(), 0);
-    std::fill(partner_count.begin(), partner_count.end(), 0);
+namespace {
+
+/// The permutations of accepted pairing attempts, by attempt index.
+/// Shared with the search's helpers, which may outlive the
+/// random_regular call.
+struct AcceptedPairings {
+  std::mutex mutex;
+  std::map<std::int64_t, std::vector<std::int32_t>> perms;
+};
+
+/// One worker's pairing attempt with its own scratch.  No allocation per
+/// attempt: the permutation is shuffled in place with
+/// random_permutation's exact draw sequence, and simplicity is tested on
+/// flat per-node partner slots (d each -- a node has exactly d stubs).
+/// Fisher-Yates finalises perm[i] at step i, so pair k is final after
+/// step 2k (pair 0 after step 1) and is tested right then.  On the first
+/// bad pair the remaining swaps are skipped but their draws are still
+/// made, so every attempt draws n*d - 1 bounded values.  Whether the
+/// pair set is simple does not depend on the order it is tested in, so
+/// the accept/reject outcome and the edge order are those of shuffling
+/// first and testing pairs 0, 1, ... after.  A simple pairing leaves
+/// every node's d neighbours in its partner slots, so connectivity is a
+/// search over those slots; only the winner becomes a Graph.
+class PairingAttempt {
+ public:
+  PairingAttempt(NodeId n, NodeId d,
+                 std::shared_ptr<AcceptedPairings> accepted)
+      : n_(n),
+        d_(d),
+        stubs_(static_cast<std::int64_t>(n) * d),
+        perm_(static_cast<std::size_t>(stubs_)),
+        partners_(static_cast<std::size_t>(stubs_)),
+        partner_count_(static_cast<std::size_t>(n)),
+        accepted_(std::move(accepted)) {}
+
+  bool operator()(std::int64_t index, Rng& rng) {
+    std::iota(perm_.begin(), perm_.end(), 0);
+    std::fill(partner_count_.begin(), partner_count_.end(), 0);
     bool simple = true;
-    std::int64_t i = stubs - 1;
+    std::int64_t i = stubs_ - 1;
     for (; i > 0; --i) {
       const auto j = static_cast<std::int64_t>(
           rng.next_below(static_cast<std::uint64_t>(i) + 1));
-      std::swap(perm[static_cast<std::size_t>(i)],
-                perm[static_cast<std::size_t>(j)]);
+      std::swap(perm_[static_cast<std::size_t>(i)],
+                perm_[static_cast<std::size_t>(j)]);
       if (i % 2 == 0 && !pair_is_new(i)) {
         simple = false;
         break;
@@ -294,26 +293,133 @@ Graph random_regular(Rng& rng, NodeId n, NodeId d) {
       for (--i; i > 0; --i) {
         (void)rng.next_below(static_cast<std::uint64_t>(i) + 1);
       }
-      continue;
+      return false;
     }
-    if (!pair_is_new(0)) {
-      continue;
+    if (!pair_is_new(0) || !partners_connected()) {
+      return false;
     }
-    GraphBuilder builder(n);
-    builder.reserve(stubs / 2);
-    for (std::int64_t k = 0; k < stubs; k += 2) {
-      builder.add_edge_unchecked(perm[static_cast<std::size_t>(k)] / d,
-                                 perm[static_cast<std::size_t>(k + 1)] / d);
-    }
-    Graph graph = builder.build("random_regular(" + std::to_string(n) + "," +
-                                std::to_string(d) + ")");
-    if (is_connected(graph)) {
-      return graph;
-    }
+    // Assign, not emplace: after a broken link the search re-runs an
+    // index whose first run started from the wrong state.  The search
+    // never calls a worker's attempt again after it accepts, so its
+    // permutation moves out instead of being copied.
+    const std::lock_guard<std::mutex> lock(accepted_->mutex);
+    accepted_->perms.insert_or_assign(index, std::move(perm_));
+    return true;
   }
-  throw std::runtime_error(
-      "random_regular: failed to generate a simple connected graph "
-      "(parameters too tight?)");
+
+ private:
+  /// Records pair (perm[first], perm[first + 1]); false on a self-loop
+  /// or a repeated edge.
+  bool pair_is_new(std::int64_t first) {
+    const NodeId u = perm_[static_cast<std::size_t>(first)] / d_;
+    const NodeId v = perm_[static_cast<std::size_t>(first + 1)] / d_;
+    if (u == v) {
+      return false;
+    }
+    NodeId& u_count = partner_count_[static_cast<std::size_t>(u)];
+    NodeId& v_count = partner_count_[static_cast<std::size_t>(v)];
+    const auto u_base = partners_.begin() + static_cast<std::int64_t>(u) * d_;
+    const auto v_base = partners_.begin() + static_cast<std::int64_t>(v) * d_;
+    if (std::find(u_base, u_base + u_count, v) != u_base + u_count) {
+      return false;
+    }
+    u_base[u_count++] = v;
+    v_base[v_count++] = u;
+    return true;
+  }
+
+  /// Depth-first search from node 0 over the full partner slots; the
+  /// partner counts, no longer needed, mark the nodes reached.
+  bool partners_connected() {
+    std::fill(partner_count_.begin(), partner_count_.end(), 0);
+    stack_.assign(1, 0);
+    partner_count_[0] = 1;
+    NodeId reached = 1;
+    while (!stack_.empty()) {
+      const NodeId u = stack_.back();
+      stack_.pop_back();
+      const auto row = partners_.begin() + static_cast<std::int64_t>(u) * d_;
+      for (auto it = row; it != row + d_; ++it) {
+        NodeId& mark = partner_count_[static_cast<std::size_t>(*it)];
+        if (mark == 0) {
+          mark = 1;
+          ++reached;
+          stack_.push_back(*it);
+        }
+      }
+    }
+    return reached == n_;
+  }
+
+  NodeId n_;
+  NodeId d_;
+  std::int64_t stubs_;
+  std::vector<std::int32_t> perm_;
+  std::vector<NodeId> partners_;
+  std::vector<NodeId> partner_count_;
+  std::vector<NodeId> stack_;
+  std::shared_ptr<AcceptedPairings> accepted_;
+};
+
+}  // namespace
+
+Graph random_regular(Rng& rng, NodeId n, NodeId d, CellScheduler* workers) {
+  OPINDYN_EXPECTS(n >= 2 && d >= 1 && d < n, "need 1 <= d < n");
+  OPINDYN_EXPECTS((static_cast<std::int64_t>(n) * d) % 2 == 0,
+                  "n*d must be even for a d-regular graph");
+  // Pairing (configuration) model: create d half-edges ("stubs") per node,
+  // pair them via a uniform perfect matching (stubs perm[2k], perm[2k+1]
+  // of a uniform permutation), reject on self-loops, multi-edges, or
+  // disconnectedness.  For fixed d the acceptance probability is bounded
+  // below by a constant (about e^(-(d^2-1)/4): 2.4% at d = 4), so the
+  // loop ends, but only after tens to hundreds of attempts.
+  //
+  // Those attempts run on every worker at once (support/attempt_search):
+  // each draws exactly n*d - 1 words unless a bounded draw redraws
+  // (probability ~2^-48 per draw), so attempt k is placed k*(n*d - 1)
+  // words past the start by an exact xoshiro jump instead of by running
+  // attempts 0..k-1.  The winner is the lowest-index accepted attempt
+  // whose start is checked against its predecessor's end, link by link
+  // from attempt 0; a broken link (a redraw) re-runs the rest from the
+  // true state.  So the graph, the counter below and the rng's end state
+  // are the serial loop's at any worker count; only the speculative
+  // attempts thrown away past the winner depend on timing.
+  //
+  // A helper costs each attempt a claim and a jump (~1-2 us), which an
+  // attempt under ~1024 words (~2 us of draws) does not pay back:
+  // random_regular(128,4) built in 0.06 ms alone and 0.09 ms with one
+  // helper, (512,4) in 0.6 ms and 0.4 ms.  Smaller searches run alone.
+  const std::int64_t stubs = static_cast<std::int64_t>(n) * d;
+  constexpr std::int64_t kMinWordsToShare = 1024;
+  auto accepted = std::make_shared<AcceptedPairings>();
+  const SearchResult result = search_attempts(
+      rng, 10000, static_cast<std::uint64_t>(stubs - 1),
+      [n, d, accepted]() -> SearchAttempt {
+        return PairingAttempt(n, d, accepted);
+      },
+      stubs - 1 >= kMinWordsToShare ? workers : nullptr);
+  if (result.accepted < 0) {
+    throw std::runtime_error(
+        "random_regular: failed to generate a simple connected graph "
+        "(parameters too tight?)");
+  }
+  metrics::count("graph.pairing_attempts", result.accepted + 1);
+  metrics::add_gauge("graph.pairing_discarded", result.discarded);
+  std::vector<std::int32_t> perm;
+  {
+    // A helper still queued keeps `accepted` alive; leave it empty.
+    const std::lock_guard<std::mutex> lock(accepted->mutex);
+    perm = std::move(accepted->perms.at(result.accepted));
+    accepted->perms.clear();
+  }
+  GraphBuilder builder(n);
+  builder.reserve(stubs / 2);
+  for (std::int64_t k = 0; k < stubs; k += 2) {
+    builder.add_edge_unchecked(perm[static_cast<std::size_t>(k)] / d,
+                               perm[static_cast<std::size_t>(k + 1)] / d);
+  }
+  return builder.build("random_regular(" + std::to_string(n) + "," +
+                       std::to_string(d) + ")");
 }
 
 Graph erdos_renyi_connected(Rng& rng, NodeId n, double p, int max_attempts) {

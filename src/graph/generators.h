@@ -12,6 +12,9 @@
 #include "src/support/rng.h"
 
 namespace opindyn {
+
+class CellScheduler;
+
 namespace gen {
 
 /// Path P_n: 0-1-2-...-(n-1).  n >= 2.
@@ -60,7 +63,11 @@ Graph lollipop(NodeId clique_size, NodeId path_len);
 
 /// Random d-regular graph via the pairing/configuration model with
 /// rejection until simple and connected.  Requires n*d even, d < n.
-Graph random_regular(Rng& rng, NodeId n, NodeId d);
+/// With `workers`, idle pool workers run attempts too; the graph and
+/// `rng`'s end state are the same for every worker count.  Throws after
+/// 10000 rejected attempts.
+Graph random_regular(Rng& rng, NodeId n, NodeId d,
+                     CellScheduler* workers = nullptr);
 
 /// Erdos-Renyi G(n, p), resampled until connected.  `p` should be above
 /// the connectivity threshold (log n / n) or this may loop for a while;

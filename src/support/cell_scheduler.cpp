@@ -230,10 +230,7 @@ std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
     batch->run_range(0, replicas);
     return batch;
   }
-  // Latched creation: concurrent first submissions (serve-mode workers
-  // sharing one scheduler) must not race the lazy pool spawn.
-  std::call_once(pool_once_,
-                 [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
+  ThreadPool& workers = pool();
   // Several tasks per thread so many small cells interleave and balance
   // across the pool; the task boundaries never affect the results.
   const std::int64_t max_tasks = static_cast<std::int64_t>(threads_) * 2;
@@ -241,9 +238,28 @@ std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
   const std::int64_t chunk = (replicas + tasks - 1) / tasks;
   for (std::int64_t begin = 0; begin < replicas; begin += chunk) {
     const std::int64_t end = std::min(begin + chunk, replicas);
-    pool_->submit([batch, begin, end] { batch->run_range(begin, end); });
+    workers.submit([batch, begin, end] { batch->run_range(begin, end); });
   }
   return batch;
+}
+
+ThreadPool& CellScheduler::pool() {
+  // Latched creation: concurrent first submissions (serve-mode workers
+  // sharing one scheduler) must not race the lazy pool spawn.
+  std::call_once(pool_once_,
+                 [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
+  return *pool_;
+}
+
+void CellScheduler::offer(std::size_t count,
+                          const std::function<void()>& task) {
+  if (threads_ <= 1) {
+    return;
+  }
+  ThreadPool& workers = pool();
+  for (std::size_t i = 0; i < count; ++i) {
+    workers.submit(task);
+  }
 }
 
 std::vector<RunningStats> CellScheduler::run(

@@ -179,6 +179,14 @@ class CellScheduler {
     SubmitLog* previous_;
   };
 
+  /// Queues `count` runs of `task` behind the work already queued, for
+  /// idle workers to pick up.  Unlike submit, nothing waits for them or
+  /// counts them, and with one thread nothing is queued: the task is
+  /// help, never needed work.  It must own what it touches, since it may
+  /// run after the offering call -- or the whole run -- has returned, and
+  /// return at once when there is nothing left to help with.
+  void offer(std::size_t count, const std::function<void()>& task);
+
   /// Synchronous convenience (the historical ReplicaScheduler::run):
   /// submit + wait + fold for bodies without row streaming.
   std::vector<RunningStats> run(
@@ -211,6 +219,9 @@ class CellScheduler {
   }
 
  private:
+  /// The pool, spawned on first use.
+  ThreadPool& pool();
+
   std::size_t threads_;
   std::once_flag pool_once_;
   std::unique_ptr<ThreadPool> pool_;

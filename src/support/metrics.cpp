@@ -74,6 +74,9 @@ FoldedMetrics MetricsRegistry::fold() const {
     for (const auto& [name, value] : buffer->counters_) {
       folded.counters[name] += value;
     }
+    for (const auto& [name, value] : buffer->gauges_) {
+      folded.gauges[name] += value;
+    }
     for (const auto& [label, counters] : buffer->labeled_) {
       for (const auto& [name, value] : counters) {
         folded.labeled[label][name] += value;
@@ -150,6 +153,12 @@ void count(const char* name, std::int64_t delta) {
   sink->buffer->count(name, delta);
   if (!sink->label.empty()) {
     sink->buffer->count_labeled(sink->label, name, delta);
+  }
+}
+
+void add_gauge(const char* name, std::int64_t delta) {
+  if (t_sink != nullptr) {
+    t_sink->buffer->add_gauge(name, delta);
   }
 }
 

@@ -63,6 +63,10 @@ class MetricsBuffer {
                      std::int64_t delta);
   void add_span(TraceSpan span);
   void add_busy(std::uint64_t us) { busy_us_ += us; }
+  /// Sums into a gauge (see metrics::add_gauge).
+  void add_gauge(const std::string& name, std::int64_t delta) {
+    gauges_[name] += delta;
+  }
 
  private:
   friend class MetricsRegistry;
@@ -71,6 +75,7 @@ class MetricsBuffer {
   std::map<std::string, std::map<std::string, std::int64_t>> labeled_;
   std::vector<TraceSpan> spans_;
   std::uint64_t busy_us_ = 0;
+  std::map<std::string, std::int64_t> gauges_;
 };
 
 /// Per-worker activity summary (nondeterministic: depends on how units
@@ -179,6 +184,11 @@ bool active() noexcept;
 /// thread_local load and a branch -- safe to call from library code
 /// like run_until_converged without an #ifdef.
 void count(const char* name, std::int64_t delta = 1);
+
+/// Adds `delta` to a gauge of the active scope's registry: a total that
+/// depends on timing (e.g. speculative work thrown away), so it folds
+/// into the gauge section, apart from the deterministic counters.
+void add_gauge(const char* name, std::int64_t delta);
 
 }  // namespace metrics
 }  // namespace opindyn

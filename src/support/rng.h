@@ -7,6 +7,16 @@
 // process steps.  Every experiment takes an explicit 64-bit seed so runs
 // are exactly reproducible; per-replica streams are derived with
 // `Rng::fork`, which walks an independent splitmix64 sequence.
+//
+// Jump-ahead.  xoshiro256's state update is a linear map T on GF(2)^256
+// (the ++ scrambler only shapes the output), so N words later the state
+// is T^N s.  With P the characteristic polynomial of T, T^N = c(T) for
+// c(x) = x^N mod P (Cayley-Hamilton), and c(T) s is a sum of the states
+// s, T s, ..., T^255 s picked by c's coefficients: 256 steps and XORs,
+// exactly how the reference jump() applies its JUMP constant, which is
+// x^(2^128) mod P (Haramoto et al., "Efficient jump ahead for F2-linear
+// random number generators", 2008).  `jump_polynomial` computes c by
+// square-and-multiply in GF(2)[x] / P, word-wise, in microseconds.
 #ifndef OPINDYN_SUPPORT_RNG_H
 #define OPINDYN_SUPPORT_RNG_H
 
@@ -131,6 +141,28 @@ class Rng {
   /// Derives the i-th independent child stream of this generator's seed.
   /// Deterministic: fork(s, i) always yields the same stream.
   static Rng fork(std::uint64_t seed, std::uint64_t stream_index) noexcept;
+
+  /// A jump: the coefficients of x^N mod P, bit i of word w for x^(64w+i).
+  using Jump = std::array<std::uint64_t, 4>;
+
+  /// The jump over exactly `words` * 2^`doublings` calls of operator().
+  /// A bounded draw that redraws consumes two words or more, so this
+  /// counts words, not draws.  Compute once, apply to any number of
+  /// states.  jump_polynomial(1, 128) is the reference jump().
+  static Jump jump_polynomial(std::uint64_t words,
+                              unsigned doublings = 0) noexcept;
+
+  /// Moves the word stream by `jump`: afterwards operator() returns what
+  /// it would have returned after the jump's N calls.  The Gaussian
+  /// cache is left alone.
+  void jump(const Jump& jump) noexcept;
+
+  /// jump(jump_polynomial(words)).
+  void advance(std::uint64_t words) noexcept { jump(jump_polynomial(words)); }
+
+  /// Same state and Gaussian cache: both generators produce the same
+  /// stream from here on.
+  bool operator==(const Rng& other) const noexcept = default;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

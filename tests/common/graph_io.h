@@ -1,7 +1,8 @@
 // Graph serialisation: whitespace edge lists (read/write) and Graphviz DOT
-// export for visual inspection of small instances.
-#ifndef OPINDYN_GRAPH_IO_H
-#define OPINDYN_GRAPH_IO_H
+// export for visual inspection of small instances.  Test support: only
+// the tests read or write graph files, so this stays out of the library.
+#ifndef OPINDYN_TESTS_COMMON_GRAPH_IO_H
+#define OPINDYN_TESTS_COMMON_GRAPH_IO_H
 
 #include <iosfwd>
 #include <string>
@@ -23,4 +24,4 @@ std::string to_dot(const Graph& graph,
 
 }  // namespace opindyn
 
-#endif  // OPINDYN_GRAPH_IO_H
+#endif  // OPINDYN_TESTS_COMMON_GRAPH_IO_H

@@ -1,4 +1,4 @@
-#include "src/core/random_walks.h"
+#include "tests/common/random_walks.h"
 
 #include <numeric>
 

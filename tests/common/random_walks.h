@@ -9,8 +9,11 @@
 // walk u at time t is column u of R(t) -- so E[W~(u)] = W(u).
 // Proposition 5.4: second moments also match:
 // E[W~(u) W~(v)] = E[W(u) W(v)].
-#ifndef OPINDYN_CORE_RANDOM_WALKS_H
-#define OPINDYN_CORE_RANDOM_WALKS_H
+//
+// Test support: the tests check Lemma 5.3 and the Q-chain closed forms
+// against these walks; the library's scenarios never run them.
+#ifndef OPINDYN_TESTS_COMMON_RANDOM_WALKS_H
+#define OPINDYN_TESTS_COMMON_RANDOM_WALKS_H
 
 #include <vector>
 
@@ -52,4 +55,4 @@ class CorrelatedWalks {
 
 }  // namespace opindyn
 
-#endif  // OPINDYN_CORE_RANDOM_WALKS_H
+#endif  // OPINDYN_TESTS_COMMON_RANDOM_WALKS_H

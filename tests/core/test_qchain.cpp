@@ -11,7 +11,7 @@
 
 #include "src/core/node_model.h"
 #include "src/core/qchain.h"
-#include "src/core/random_walks.h"
+#include "tests/common/random_walks.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/support/assert.h"

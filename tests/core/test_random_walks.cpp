@@ -11,7 +11,7 @@
 #include "src/core/diffusion.h"
 #include "src/core/initial_values.h"
 #include "src/core/node_model.h"
-#include "src/core/random_walks.h"
+#include "tests/common/random_walks.h"
 #include "src/graph/generators.h"
 #include "src/support/stats.h"
 

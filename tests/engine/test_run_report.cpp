@@ -106,6 +106,34 @@ TEST(RunReport, ConvergenceWorkCountersAreDeterministicAndScreened) {
   EXPECT_EQ(counters[0], counters[2]);
 }
 
+TEST(RunReport, PairingAttemptsCounterIsTheSameAtEveryThreadCount) {
+  // perfbench converge_large's graph: random_regular(16384, 4) at
+  // graph-seed 1 accepts its 158th pairing attempt.  The helpers' thrown
+  // away attempts depend on timing and go in as a gauge.
+  ExperimentSpec spec;
+  spec.scenario = "cross_model";
+  spec.graph.family = "random_regular";
+  spec.graph.n = 16384;
+  spec.graph.degree = 4;
+  spec.graph.seed = 1;
+  spec.initial.distribution = "gaussian";
+  spec.replicas = 1;
+  spec.convergence.max_steps = 1;
+  spec.print_table = false;
+  for (const std::size_t threads : {1, 2, 4}) {
+    spec.threads = threads;
+    MetricsRegistry registry;
+    run_experiment(spec, {}, {}, &registry);
+    const FoldedMetrics folded = registry.fold();
+    EXPECT_EQ(folded.counters.at("graph.pairing_attempts"), 158)
+        << "threads=" << threads;
+    EXPECT_EQ(folded.gauges.count("graph.pairing_discarded"), 1u);
+    if (threads == 1) {
+      EXPECT_EQ(folded.gauges.at("graph.pairing_discarded"), 0);
+    }
+  }
+}
+
 TEST(RunReport, MetricsCollectionLeavesCsvBytesUnchanged) {
   ExperimentSpec spec = small_sweep_spec();
   spec.threads = 4;

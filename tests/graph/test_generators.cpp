@@ -10,6 +10,7 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/builder.h"
 #include "src/support/assert.h"
+#include "src/support/cell_scheduler.h"
 #include "src/support/sampling.h"
 
 namespace opindyn {
@@ -216,6 +217,68 @@ TEST(Generators, RandomRegularMatchesHashSetOracleAndRngStream) {
       EXPECT_EQ(rng(), oracle_rng());
     }
   }
+}
+
+// The oracle's graph (if any) and the next word of its rng afterwards.
+struct OracleBuild {
+  std::optional<std::vector<std::pair<NodeId, NodeId>>> edges;
+  std::uint64_t next_word = 0;
+};
+
+OracleBuild oracle_build(NodeId n, NodeId d, std::uint64_t seed) {
+  OracleBuild build;
+  Rng rng(seed);
+  try {
+    build.edges = random_regular_hash_set_oracle(rng, n, d).undirected_edges();
+  } catch (const std::runtime_error&) {
+  }
+  build.next_word = rng();
+  return build;
+}
+
+// random_regular called from a pool unit with the scheduler's idle
+// workers helping, as the engine's graph prefetch calls it: the same
+// edges and the same rng end state as the serial oracle at every worker
+// count, exhausted-and-thrown searches included.
+void expect_pool_builds_match_oracle(NodeId n, NodeId d, std::uint64_t seed,
+                                     const OracleBuild& expected) {
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                 " seed=" + std::to_string(seed) +
+                 " threads=" + std::to_string(threads));
+    CellScheduler scheduler(threads);
+    Rng rng(seed);
+    std::optional<Graph> g;
+    const auto batch = scheduler.submit(
+        1, 0, 1, [&](std::int64_t, Rng&, std::span<double>, RowEmitter&) {
+          try {
+            g.emplace(gen::random_regular(rng, n, d, &scheduler));
+          } catch (const std::runtime_error&) {
+          }
+        });
+    batch->wait();
+    ASSERT_EQ(g.has_value(), expected.edges.has_value());
+    if (g) {
+      ASSERT_EQ(g->undirected_edges(), *expected.edges);
+    }
+    EXPECT_EQ(rng(), expected.next_word);
+  }
+}
+
+TEST(Generators, RandomRegularOnPoolWorkersMatchesOracleAndRngStream) {
+  for (const auto& [n, d] : {std::pair<NodeId, NodeId>{16, 3},
+                             {128, 4},
+                             {1024, 4},
+                             {16384, 4},
+                             {100, 7}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      expect_pool_builds_match_oracle(n, d, seed, oracle_build(n, d, seed));
+    }
+  }
+}
+
+TEST(Generators, RandomRegularOnPoolWorkersMatchesOracleAtN131072) {
+  expect_pool_builds_match_oracle(131072, 4, 1, oracle_build(131072, 4, 1));
 }
 
 TEST(Generators, RandomRegularRejectsOddProduct) {

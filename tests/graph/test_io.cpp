@@ -1,4 +1,4 @@
-#include "src/graph/io.h"
+#include "tests/common/graph_io.h"
 
 #include <gtest/gtest.h>
 

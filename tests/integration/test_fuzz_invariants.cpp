@@ -11,7 +11,7 @@
 #include "src/core/node_model.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
-#include "src/graph/io.h"
+#include "tests/common/graph_io.h"
 #include "src/support/rng.h"
 
 namespace opindyn {

@@ -343,6 +343,24 @@ TEST(ServeSession, DeadlineCancelsTrajectoryAndGossipJobsWithinASecond) {
   EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
+// random_regular(100000, 5) accepts after ~2 s of pairing attempts; the
+// builder and its helpers check the token between attempts, so a 50 ms
+// deadline stops the build after at most one more attempt each.
+TEST(ServeSession, DeadlineCancelsARandomRegularGraphBuild) {
+  const std::string input =
+      "scenario=node graph=random_regular degree=5 n=100000 graph-seed=3 "
+      "replicas=1 max-steps=1 deadline_ms=50\n";
+  service::ServeOptions options;
+  options.job_workers = 1;
+  options.threads = 2;
+  const auto records = serve_records(input, std::move(options));
+  const json::Value* record = find_job_record(records, 1);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->find("status")->as_string(), "cancelled");
+  EXPECT_EQ(record->find("reason")->as_string(), "deadline_ms exceeded");
+  EXPECT_LT(record->find("wall_ms")->as_double(), 500.0);
+}
+
 TEST(ServeSession, JsonAndSpecGrammarJobsProduceIdenticalBytes) {
   const std::string grammar_csv =
       ::testing::TempDir() + "serve_grammar.csv";

@@ -151,6 +151,41 @@ TEST(Rng, NextBoolProbability) {
   EXPECT_NEAR(static_cast<double>(heads) / draws, 0.3, 0.01);
 }
 
+TEST(RngJump, AdvanceEqualsThatManyCalls) {
+  // N = 256 is P(T) s = 0 itself (x^256 mod P is P's low part), so on
+  // several random states it pins the hardcoded characteristic
+  // polynomial; the other lengths cover the square-and-multiply.
+  for (const std::uint64_t words :
+       {0ULL, 1ULL, 2ULL, 255ULL, 256ULL, 257ULL, 65535ULL, 1ULL << 20,
+        12345678ULL}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("words=" + std::to_string(words) +
+                   " seed=" + std::to_string(seed));
+      Rng stepped(seed);
+      for (std::uint64_t i = 0; i < words; ++i) {
+        stepped();
+      }
+      Rng jumped(seed);
+      jumped.advance(words);
+      EXPECT_TRUE(jumped == stepped);
+      EXPECT_EQ(jumped(), stepped());
+    }
+  }
+}
+
+TEST(RngJump, PolynomialsReproduceThePublishedJumpConstants) {
+  // The reference jump() and long_jump() of xoshiro256 apply x^(2^128)
+  // and x^(2^192) mod P.
+  const Rng::Jump jump = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                          0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+  const Rng::Jump long_jump = {0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                               0x77710069854ee241ULL, 0x39109bb02acbe635ULL};
+  EXPECT_EQ(Rng::jump_polynomial(1, 128), jump);
+  EXPECT_EQ(Rng::jump_polynomial(1, 192), long_jump);
+  EXPECT_EQ(Rng::jump_polynomial(3, 4), Rng::jump_polynomial(48));
+  EXPECT_EQ(Rng::jump_polynomial(1ULL << 40, 24), Rng::jump_polynomial(1, 64));
+}
+
 TEST(Splitmix64, KnownSequenceAdvancesState) {
   std::uint64_t state = 0;
   const std::uint64_t first = splitmix64(state);
