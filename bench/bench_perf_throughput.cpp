@@ -1,10 +1,10 @@
 // PERF -- engine microbenchmarks (google-benchmark) for what no gated
 // tool measures: the incremental-potential ablation (OpinionState's
 // O(1) accumulators vs a naive O(n) recompute per step, against the
-// single-step path of both processes and its extremum-tracking
-// variant), neighbour sampling, the dense Jacobi eigensolve behind every
-// spectral prediction, and the cell-level scheduling of the batch runner
-// (many small cells must scale with the thread count).
+// single-step path of both processes), neighbour sampling, the dense
+// Jacobi eigensolve behind every spectral prediction, and the
+// cell-level scheduling of the batch runner (many small cells must
+// scale with the thread count).
 // The burst kernels are gated by `bench/perf_baseline` against
 // BENCH_8.json, and rng draws by perfbench's per-layer rows.
 #include <benchmark/benchmark.h>
@@ -63,25 +63,6 @@ void BM_EdgeModelStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EdgeModelStep)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_NodeModelStepWithExtrema(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng graph_rng(1);
-  const Graph g = gen::random_regular(graph_rng, n, 4);
-  Rng init_rng(2);
-  NodeModelParams params;
-  params.alpha = 0.5;
-  params.k = 1;
-  params.track_extrema = true;  // ablation: lazy min/max maintenance
-  NodeModel model(g, initial::gaussian(init_rng, n, 0.0, 1.0), params);
-  Rng rng(3);
-  for (auto _ : state) {
-    model.step(rng);
-    benchmark::DoNotOptimize(model.state().discrepancy());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NodeModelStepWithExtrema)->Arg(1024)->Arg(16384);
 
 // Ablation: what a naive harness would pay if it recomputed phi from
 // scratch at every step instead of using the incremental accumulators.

@@ -9,9 +9,8 @@
 //   perf_baseline --out BENCH_8.json [--min-time 0.3]
 //
 // The workload matrix covers every devirtualized kernel variant (node
-// k in {1, 4, 8}, edge, tracked extrema for both models), the
-// irregular-topology path on a preferential-attachment graph, an
-// n-scaling curve per model on tori
+// k in {1, 4, 8}, edge), the irregular-topology path on a
+// preferential-attachment graph, an n-scaling curve per model on tori
 // from 1k to 10M nodes (the compact-graph milestone; deterministic
 // 4-regular, so the curve isolates memory behaviour from graph
 // randomness), and one row per generalized model kind (voter, gossip,
@@ -59,7 +58,6 @@ struct Workload {
   const char* graph = "random_regular";
   NodeId n = 0;
   std::int64_t k = 1;
-  bool track_extrema = false;
   /// Node-model neighbour sampling.  The k = 8 row runs WITH
   /// replacement: without-replacement needs min_degree >= k, and the
   /// configuration model's whole-graph rejection makes a simple
@@ -75,15 +73,10 @@ const Workload kWorkloads[] = {
     {ModelKind::node, "random_regular", 16384, 4},
     {ModelKind::edge, "random_regular", 1024, 1},
     {ModelKind::edge, "random_regular", 16384, 1},
-    {ModelKind::node, "random_regular", 1024, 1, true},
-    {ModelKind::node, "random_regular", 16384, 1, true},
-    // Remaining devirtualized kernel variants: the k = 8 fused draw
-    // (with replacement -- see Workload::sampling) and the
-    // tracked-extrema edge rows.
-    {ModelKind::node, "random_regular", 16384, 8, false,
+    // The remaining devirtualized kernel variant: the k = 8 fused draw
+    // (with replacement -- see Workload::sampling).
+    {ModelKind::node, "random_regular", 16384, 8,
      SamplingMode::with_replacement},
-    {ModelKind::edge, "random_regular", 1024, 1, true},
-    {ModelKind::edge, "random_regular", 16384, 1, true},
     // Irregular topology (CSR offsets + per-node pi) on a heavy-tailed
     // graph.
     {ModelKind::node, "pref_attach", 16384, 1},
@@ -137,13 +130,11 @@ std::unique_ptr<AveragingProcess> build_process(const Workload& w,
       params.alpha = 0.5;
       params.k = w.k;
       params.sampling = w.sampling;
-      params.track_extrema = w.track_extrema;
       return std::make_unique<NodeModel>(g, std::move(xi), params);
     }
     case ModelKind::edge: {
       EdgeModelParams params;
       params.alpha = 0.5;
-      params.track_extrema = w.track_extrema;
       return std::make_unique<EdgeModel>(g, std::move(xi), params);
     }
     case ModelKind::voter:
@@ -157,7 +148,6 @@ std::unique_ptr<AveragingProcess> build_process(const Workload& w,
       WeightedMedianParams params;
       params.k = w.k;
       params.sampling = w.sampling;
-      params.track_extrema = w.track_extrema;
       return std::make_unique<WeightedMedianModel>(g, std::move(xi),
                                                    params);
     }
@@ -184,12 +174,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Steps/sec of the recorded single-step path.  Tracked-extrema runs
-/// read the discrepancy every step (the pre-kernel K(t) workload shape).
+/// Steps/sec of the recorded single-step path.
 double measure_single(const Workload& w, const Graph& g, double min_time) {
   auto process = build_process(w, g);
   Rng rng(3);
-  volatile double sink = 0.0;
   double best = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     std::int64_t steps = 0;
@@ -198,21 +186,16 @@ double measure_single(const Workload& w, const Graph& g, double min_time) {
     do {
       for (std::int64_t i = 0; i < kBurst; ++i) {
         process->step(rng);
-        if (w.track_extrema) {
-          sink = process->state().discrepancy();
-        }
       }
       steps += kBurst;
       elapsed = seconds_since(start);
     } while (elapsed < min_time);
     best = std::max(best, static_cast<double>(steps) / elapsed);
   }
-  (void)sink;
   return best;
 }
 
-/// Steps/sec of the burst kernel.  Tracked-extrema runs read the
-/// discrepancy once per burst (the check-interval shape of a scenario).
+/// Steps/sec of the burst kernel, reading phi once per burst.
 double measure_burst(const Workload& w, const Graph& g, double min_time) {
   auto process = build_process(w, g);
   Rng rng(3);
@@ -224,11 +207,7 @@ double measure_burst(const Workload& w, const Graph& g, double min_time) {
     double elapsed = 0.0;
     do {
       process->step_burst(rng, kBurst);
-      if (w.track_extrema) {
-        sink = process->state().discrepancy();
-      } else {
-        sink = process->state().phi();
-      }
+      sink = process->state().phi();
       steps += kBurst;
       elapsed = seconds_since(start);
     } while (elapsed < min_time);
@@ -303,7 +282,6 @@ int main(int argc, char** argv) {
                      w.sampling == SamplingMode::without_replacement
                          ? "without_replacement"
                          : "with_replacement");
-    row.emplace_back("track_extrema", w.track_extrema);
     row.emplace_back("single_step_sps", single);
     row.emplace_back("burst_sps", burst);
     row.emplace_back("burst_over_single", burst / single);
@@ -312,7 +290,7 @@ int main(int argc, char** argv) {
               << w.graph << " n=" << w.n << " k=" << w.k
               << (w.sampling == SamplingMode::with_replacement ? " withrep"
                                                                : "")
-              << (w.track_extrema ? " extrema" : "") << ": single "
+              << ": single "
               << json_number(single / 1e6) << " M/s, burst "
               << json_number(burst / 1e6) << " M/s ("
               << json_number(burst / single) << "x)\n";

@@ -7,10 +7,9 @@
 //   perf_check --baseline BENCH_8.json --current fresh.json
 //       [--max-drop 0.15] [--metric burst_sps]
 //
-// Workloads are matched by identity (model, graph, n, k, track_extrema)
-// -- a workload present in the baseline but missing from the current
-// run is itself a failure, so the gate cannot be silenced by deleting
-// rows.
+// Workloads are matched by identity (model, graph, n, k) -- a workload
+// present in the baseline but missing from the current run is itself a
+// failure, so the gate cannot be silenced by deleting rows.
 // Every workload is printed with its ratio.
 //
 // Exit codes distinguish the failure modes so a CI gate's red X is
@@ -46,17 +45,15 @@ struct WorkloadKey {
   std::string graph = "random_regular";
   std::int64_t n = 0;
   std::int64_t k = 1;
-  bool track_extrema = false;
 
   std::string label() const {
     std::ostringstream out;
-    out << model << " " << graph << " n=" << n << " k=" << k
-        << (track_extrema ? " extrema" : "");
+    out << model << " " << graph << " n=" << n << " k=" << k;
     return out.str();
   }
   bool operator==(const WorkloadKey& other) const {
     return model == other.model && graph == other.graph && n == other.n &&
-           k == other.k && track_extrema == other.track_extrema;
+           k == other.k;
   }
 };
 
@@ -69,9 +66,6 @@ WorkloadKey key_of(const Value& row) {
   key.n = row.find("n")->as_int();
   if (const Value* k = row.find("k")) {
     key.k = k->as_int();
-  }
-  if (const Value* extrema = row.find("track_extrema")) {
-    key.track_extrema = extrema->as_bool();
   }
   return key;
 }
@@ -172,23 +166,18 @@ int run_gate(const std::string& baseline_path,
 
 int self_test() {
   const char* kBaseline = R"({"workloads": [
-    {"model": "node", "n": 1024, "k": 1, "track_extrema": false,
-     "burst_sps": 100.0},
-    {"model": "node", "n": 1024, "k": 4, "track_extrema": false,
-     "burst_sps": 50.0},
-    {"model": "edge", "n": 1024, "k": 1, "track_extrema": true,
-     "burst_sps": 10.0},
+    {"model": "node", "n": 1024, "k": 1, "burst_sps": 100.0},
+    {"model": "node", "n": 1024, "k": 4, "burst_sps": 50.0},
+    {"model": "edge", "n": 1024, "k": 1, "burst_sps": 10.0},
     {"model": "node", "graph": "torus", "n": 2048, "k": 1,
      "burst_sps": 70.0}
   ]})";
-  // k=1 within tolerance (-10%), k=4 regressed (-40%), extrema missing,
+  // k=1 within tolerance (-10%), k=4 regressed (-40%), edge missing,
   // torus row present only under a different graph family (so the
   // graph field is part of the identity and the row counts missing).
   const char* kCurrent = R"({"workloads": [
-    {"model": "node", "n": 1024, "k": 1, "track_extrema": false,
-     "burst_sps": 90.0},
-    {"model": "node", "n": 1024, "k": 4, "track_extrema": false,
-     "burst_sps": 30.0},
+    {"model": "node", "n": 1024, "k": 1, "burst_sps": 90.0},
+    {"model": "node", "n": 1024, "k": 4, "burst_sps": 30.0},
     {"model": "node", "graph": "pref_attach", "n": 2048, "k": 1,
      "burst_sps": 70.0}
   ]})";

@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   NodeModelParams params;
   params.alpha = alpha;
   params.k = k;
-  params.track_extrema = true;
   NodeModel process(network, budget, params);
   Rng rng(17);
 

@@ -8,8 +8,7 @@ namespace opindyn {
 
 DeGrootModel::DeGrootModel(const Graph& graph, std::vector<double> initial,
                            bool lazy)
-    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0,
-                       /*track_extrema=*/false),
+    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0),
       lazy_(lazy) {
   OPINDYN_EXPECTS(graph.min_degree() >= 1,
                   "DeGroot needs every node to have a neighbour");

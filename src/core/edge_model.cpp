@@ -55,10 +55,8 @@ struct EdgeGeneralTopo {
 /// intermediate buffers), software-pipelined in groups of 8 draws.
 /// Neighbour values are read live (exact sequential semantics).
 /// Recompute cadence is counted per chunk via the cursor countdown,
-/// exactly as in the node kernel.  Track is compile-time for the same
-/// reason as there: the per-step extrema check otherwise survives in
-/// every non-tracking hot loop.
-template <bool Track, class Topo>
+/// exactly as in the node kernel.
+template <class Topo>
 void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                     OpinionState& state, double* vals, std::uint64_t arcs,
                     const Topo& topo) {
@@ -77,8 +75,7 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     // apply_update computes (0.0 + value(v)) / 1.0; the division by
     // one is exact, the leading add is kept for the -0.0 case.
     const double x = a * old + one_minus_a * (0.0 + nv);
-    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.pi_of(u), old,
-                         x);
+    cursor.update(Topo::kUniformPi ? uniform_pi : topo.pi_of(u), old, x);
     vals[static_cast<std::size_t>(u)] = x;
   };
   const auto one_step = [&] {
@@ -126,23 +123,11 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
   state.end_burst(cursor);
 }
 
-template <class Topo>
-void dispatch_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy,
-                         double a, OpinionState& state, double* vals,
-                         std::uint64_t arcs, const Topo& topo) {
-  if (state.tracks_extrema()) {
-    run_edge_burst<true>(rng, n_steps, lazy, a, state, vals, arcs, topo);
-  } else {
-    run_edge_burst<false>(rng, n_steps, lazy, a, state, vals, arcs, topo);
-  }
-}
-
 }  // namespace
 
 EdgeModel::EdgeModel(const Graph& graph, std::vector<double> initial,
                      const EdgeModelParams& params)
-    : AveragingProcess(graph, std::move(initial), params.alpha,
-                       params.track_extrema),
+    : AveragingProcess(graph, std::move(initial), params.alpha),
       params_(params) {
   OPINDYN_EXPECTS(graph.edge_count() >= 1, "EdgeModel needs >= 1 edge");
 }
@@ -176,13 +161,13 @@ void EdgeModel::step_burst(Rng& rng, std::int64_t n_steps) {
         g.adjacency_data(),
         std::countr_zero(static_cast<unsigned>(d)),
         g.stationary(0)};
-    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        state.mutable_values(), arcs, topo);
+    run_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
+                   state.mutable_values(), arcs, topo);
   } else {
     EdgeGeneralTopo topo{g.adjacency_data(), g.arc_source_data(),
                          state.stationary_data()};
-    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        state.mutable_values(), arcs, topo);
+    run_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
+                   state.mutable_values(), arcs, topo);
   }
   advance_time(n_steps);
 }

@@ -17,7 +17,6 @@ struct EdgeModelParams {
   double alpha = 0.5;
   /// Lazy variant: with probability 1/2 the step is a no-op.
   bool lazy = false;
-  bool track_extrema = false;
 };
 
 class EdgeModel final : public AveragingProcess {

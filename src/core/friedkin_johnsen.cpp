@@ -13,8 +13,7 @@ namespace opindyn {
 FriedkinJohnsenModel::FriedkinJohnsenModel(
     const Graph& graph, std::vector<double> private_opinions,
     double susceptibility)
-    : AveragingProcess(graph, private_opinions, susceptibility,
-                       /*track_extrema=*/false),
+    : AveragingProcess(graph, private_opinions, susceptibility),
       private_(std::move(private_opinions)) {
   OPINDYN_EXPECTS(graph.min_degree() >= 1,
                   "FJ needs every node to have a neighbour");

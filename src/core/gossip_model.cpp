@@ -8,8 +8,7 @@ namespace opindyn {
 
 GossipModel::GossipModel(const Graph& graph, std::vector<double> initial,
                          bool lazy)
-    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.5,
-                       /*track_extrema=*/false),
+    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.5),
       lazy_(lazy) {
   OPINDYN_EXPECTS(graph.edge_count() >= 1, "gossip needs >= 1 edge");
 }

@@ -22,7 +22,6 @@ namespace {
 /// accounted per update (advance_one): HK's update count is
 /// data-dependent, so there is no fixed per-chunk count to settle in
 /// bulk -- the O(deg) confidant scan dominates the decrement anyway.
-/// HK never tracks extrema, so the cursor runs untracked.
 template <class Topo>
 void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
                   double confidence, OpinionState& state, double* vals,
@@ -49,8 +48,7 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
       return;  // no-op step, exactly like the empty recorded selection
     }
     const double x = sum / (1.0 + static_cast<double>(confidants));
-    cursor.update<false>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
-                         xu, x);
+    cursor.update(Topo::kUniformPi ? uniform_pi : topo.stationary(u), xu, x);
     vals[static_cast<std::size_t>(u)] = x;
     if (cursor.advance_one()) {
       state.recompute();
@@ -85,8 +83,7 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
 HegselmannKrauseModel::HegselmannKrauseModel(const Graph& graph,
                                              std::vector<double> initial,
                                              double confidence, bool lazy)
-    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0,
-                       /*track_extrema=*/false),
+    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0),
       confidence_(confidence),
       lazy_(lazy) {
   OPINDYN_EXPECTS(confidence > 0.0, "hegselmann_krause needs confidence > 0");

@@ -10,11 +10,7 @@
 namespace opindyn {
 namespace {
 
-/// The burst kernel, instantiated per (k, sampling mode, extrema
-/// tracking, topology).  Track is compile-time because the per-step
-/// extrema check otherwise survives in every non-tracking hot loop
-/// (GCC does not unswitch it out) at ~4 uops plus two live min/max
-/// registers per step.
+/// The burst kernel, instantiated per (k, sampling mode, topology).
 /// Consumes the rng in EXACT step() order and performs set_value's
 /// arithmetic through a register-resident cursor, so the result is
 /// bit-identical to n_steps repeated step() calls.
@@ -29,7 +25,7 @@ namespace {
 /// the recompute threshold settles its bookkeeping with one advance(),
 /// and only chunks straddling the threshold (or lazy runs, whose
 /// update count is coin-dependent) check per update.
-template <int K, SamplingMode Mode, bool Track, class Topo>
+template <int K, SamplingMode Mode, class Topo>
 void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                     OpinionState& state, double* vals, NodeId n,
                     const Topo& topo) {
@@ -80,8 +76,8 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     const double mean = K == 1 ? sum : sum / k_count;
     const double old = vals[static_cast<std::size_t>(u)];
     const double x = a * old + one_minus_a * mean;
-    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
-                         old, x);
+    cursor.update(Topo::kUniformPi ? uniform_pi : topo.stationary(u), old,
+                  x);
     vals[static_cast<std::size_t>(u)] = x;
   };
   std::int64_t done = 0;
@@ -144,8 +140,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
           const double mean = K == 1 ? sum : sum / k_count;
           const double old = vals[static_cast<std::size_t>(unode[s])];
           const double x = a * old + one_minus_a * mean;
-          cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[s], old,
-                               x);
+          cursor.update(Topo::kUniformPi ? uniform_pi : pis[s], old, x);
           vals[static_cast<std::size_t>(unode[s])] = x;
         }
       }
@@ -172,30 +167,25 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
   state.end_burst(cursor);
 }
 
-template <SamplingMode Mode, bool Track, class Topo>
+template <SamplingMode Mode, class Topo>
 bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
                 double a, OpinionState& state, double* vals, NodeId n,
                 const Topo& topo) {
   switch (k) {
     case 1:
-      run_node_burst<1, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo);
+      run_node_burst<1, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
       return true;
     case 2:
-      run_node_burst<2, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo);
+      run_node_burst<2, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
       return true;
     case 3:
-      run_node_burst<3, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo);
+      run_node_burst<3, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
       return true;
     case 4:
-      run_node_burst<4, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo);
+      run_node_burst<4, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
       return true;
     case 8:
-      run_node_burst<8, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo);
+      run_node_burst<8, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
       return true;
     default:
       return false;  // uncommon k: the generic loop handles it
@@ -208,17 +198,11 @@ bool dispatch_mode_k(SamplingMode mode, std::int64_t k, Rng& rng,
                      OpinionState& state, double* vals, NodeId n,
                      const Topo& topo) {
   if (mode == SamplingMode::without_replacement) {
-    return state.tracks_extrema()
-               ? dispatch_k<SamplingMode::without_replacement, true>(
-                     k, rng, n_steps, lazy, a, state, vals, n, topo)
-               : dispatch_k<SamplingMode::without_replacement, false>(
-                     k, rng, n_steps, lazy, a, state, vals, n, topo);
+    return dispatch_k<SamplingMode::without_replacement>(
+        k, rng, n_steps, lazy, a, state, vals, n, topo);
   }
-  return state.tracks_extrema()
-             ? dispatch_k<SamplingMode::with_replacement, true>(
-                   k, rng, n_steps, lazy, a, state, vals, n, topo)
-             : dispatch_k<SamplingMode::with_replacement, false>(
-                   k, rng, n_steps, lazy, a, state, vals, n, topo);
+  return dispatch_k<SamplingMode::with_replacement>(k, rng, n_steps, lazy, a,
+                                                    state, vals, n, topo);
 }
 
 bool has_specialised_k(std::int64_t k) noexcept {
@@ -229,8 +213,7 @@ bool has_specialised_k(std::int64_t k) noexcept {
 
 NodeModel::NodeModel(const Graph& graph, std::vector<double> initial,
                      const NodeModelParams& params)
-    : AveragingProcess(graph, std::move(initial), params.alpha,
-                       params.track_extrema),
+    : AveragingProcess(graph, std::move(initial), params.alpha),
       params_(params) {
   OPINDYN_EXPECTS(params.k >= 1, "k must be >= 1");
   if (params.sampling == SamplingMode::without_replacement) {

@@ -32,8 +32,6 @@ struct NodeModelParams {
   std::int64_t k = 1;
   bool lazy = false;
   SamplingMode sampling = SamplingMode::without_replacement;
-  /// Track max/min for O(1) discrepancy reads (costs O(log n) per step).
-  bool track_extrema = false;
 };
 
 class NodeModel final : public AveragingProcess {

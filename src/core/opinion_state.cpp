@@ -8,11 +8,8 @@
 
 namespace opindyn {
 
-OpinionState::OpinionState(const Graph& graph, std::vector<double> initial,
-                           bool track_extrema)
-    : graph_(&graph),
-      values_(std::move(initial)),
-      track_extrema_(track_extrema) {
+OpinionState::OpinionState(const Graph& graph, std::vector<double> initial)
+    : graph_(&graph), values_(std::move(initial)) {
   OPINDYN_EXPECTS(values_.size() ==
                       static_cast<std::size_t>(graph.node_count()),
                   "initial value vector size must equal node count");
@@ -173,36 +170,12 @@ double OpinionState::discrepancy() const {
 
 double OpinionState::min_value() const {
   OPINDYN_EXPECTS(!values_.empty(), "empty state");
-  if (track_extrema_) {
-    if (!extrema_valid_) {
-      refresh_extrema();
-    }
-    return min_;
-  }
   return *std::min_element(values_.begin(), values_.end());
 }
 
 double OpinionState::max_value() const {
   OPINDYN_EXPECTS(!values_.empty(), "empty state");
-  if (track_extrema_) {
-    if (!extrema_valid_) {
-      refresh_extrema();
-    }
-    return max_;
-  }
   return *std::max_element(values_.begin(), values_.end());
-}
-
-void OpinionState::refresh_extrema() const {
-  double lo = values_[0];
-  double hi = values_[0];
-  for (const double v : values_) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  min_ = lo;
-  max_ = hi;
-  extrema_valid_ = true;
 }
 
 void OpinionState::recompute() {
@@ -219,9 +192,6 @@ void OpinionState::recompute() {
     wsum_ += pi * v;
     wsum_sq_ += pi * v * v;
     value_bound_ = std::max(value_bound_, std::abs(v));
-  }
-  if (track_extrema_) {
-    refresh_extrema();
   }
   updates_since_recompute_ = 0;
 }

@@ -15,12 +15,9 @@
 // near convergence.  `phi_bounds()` bridges the two: it bounds the
 // drift rigorously, so an O(1) read brackets the exact pass's result --
 // enough to rule out convergence (`phi_certainly_above()`) or to print
-// the potential's leading digits without the O(n) pass.  Extremum
-// tracking (for K) is opt-in and lazy: an update that displaces the
-// cached min/max merely invalidates them, and the next read rescans once.  Displacing an extremum needs the updated
-// node to *hold* it (probability ~1/n per step), so tracking costs O(1)
-// amortized per update with zero allocations -- the step kernels stay
-// malloc-free.
+// the potential's leading digits without the O(n) pass.  K is read by
+// an O(n) scan: its readers (stop rules, per-cell summaries) call it
+// once per check, not once per step.
 #ifndef OPINDYN_CORE_OPINION_STATE_H
 #define OPINDYN_CORE_OPINION_STATE_H
 
@@ -37,8 +34,7 @@ namespace opindyn {
 class OpinionState {
  public:
   /// `graph` must outlive the state.  `initial.size() == node_count`.
-  OpinionState(const Graph& graph, std::vector<double> initial,
-               bool track_extrema = false);
+  OpinionState(const Graph& graph, std::vector<double> initial);
 
   const Graph& graph() const noexcept { return *graph_; }
   NodeId node_count() const noexcept { return graph_->node_count(); }
@@ -62,37 +58,6 @@ class OpinionState {
     sum_sq_ += x * x - old * old;
     wsum_ += pi * (x - old);
     wsum_sq_ += pi * (x * x - old * old);
-    if (track_extrema_ && extrema_valid_) {
-      // A node that held an extremum and stays on its side of it keeps
-      // the cache valid (x <= min_ is the new min even if other nodes
-      // share the old one); only an extremum holder moving inward hides
-      // where the extremum went, so only that invalidates -- the next
-      // read rescans once.  Near-converged states, where many nodes
-      // share the extremal values, thus stay O(1) instead of rescanning
-      // every step.
-      bool displaced = false;
-      if (old == min_) {
-        if (x <= min_) {
-          min_ = x;
-        } else {
-          displaced = true;
-        }
-      } else if (x < min_) {
-        min_ = x;
-      }
-      if (old == max_) {
-        if (x >= max_) {
-          max_ = x;
-        } else {
-          displaced = true;
-        }
-      } else if (x > max_) {
-        max_ = x;
-      }
-      if (displaced) {
-        extrema_valid_ = false;
-      }
-    }
     values_[idx] = x;
     value_bound_ = std::max(value_bound_, std::abs(x));
     if (++updates_since_recompute_ >= recompute_interval_) {
@@ -136,13 +101,11 @@ class OpinionState {
   static constexpr double kValueBoundSlack = 0.5;
   /// sum_u xi_u(t)^2.
   double l2_squared() const noexcept { return sum_sq_; }
-  /// Discrepancy K(t) = max - min.  O(1) amortized when extremum
-  /// tracking is on, O(n) otherwise.
+  /// Discrepancy K(t) = max - min, and the extrema it spans: O(n)
+  /// scans.
   double discrepancy() const;
   double min_value() const;
   double max_value() const;
-
-  bool tracks_extrema() const noexcept { return track_extrema_; }
 
   /// Rebuilds all accumulators from the value vector.
   void recompute();
@@ -163,40 +126,12 @@ class OpinionState {
     /// stationary probability pi), mirroring set_value line for line.
     /// Call BEFORE storing x.  Does NOT count the update: the kernels
     /// track the recompute cadence in bulk via the countdown below, so
-    /// the hot loop carries no per-step counter check.  Track must
-    /// equal the state's tracks_extrema() -- it is a template argument
-    /// so the (majority) non-tracking kernels carry no per-step branch
-    /// for it; the kernels dispatch one instantiation per value.
-    template <bool Track>
+    /// the hot loop carries no per-step counter check.
     void update(double pi, double old, double x) noexcept {
       sum_ += x - old;
       sum_sq_ += x * x - old * old;
       wsum_ += pi * (x - old);
       wsum_sq_ += pi * (x * x - old * old);
-      if (Track && valid_) {
-        bool displaced = false;
-        if (old == min_) {
-          if (x <= min_) {
-            min_ = x;
-          } else {
-            displaced = true;
-          }
-        } else if (x < min_) {
-          min_ = x;
-        }
-        if (old == max_) {
-          if (x >= max_) {
-            max_ = x;
-          } else {
-            displaced = true;
-          }
-        } else if (x > max_) {
-          max_ = x;
-        }
-        if (displaced) {
-          valid_ = false;
-        }
-      }
     }
 
     /// Updates remaining until the periodic accumulator rebuild is due
@@ -215,11 +150,7 @@ class OpinionState {
     double sum_sq_ = 0.0;
     double wsum_ = 0.0;
     double wsum_sq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
     std::int64_t countdown_ = 0;
-    bool track_ = false;
-    bool valid_ = false;
   };
 
   /// Snapshots the accumulators into a register-resident cursor.
@@ -229,11 +160,7 @@ class OpinionState {
     c.sum_sq_ = sum_sq_;
     c.wsum_ = wsum_;
     c.wsum_sq_ = wsum_sq_;
-    c.min_ = min_;
-    c.max_ = max_;
     c.countdown_ = recompute_interval_ - updates_since_recompute_;
-    c.track_ = track_extrema_;
-    c.valid_ = extrema_valid_;
     return c;
   }
 
@@ -244,10 +171,7 @@ class OpinionState {
     sum_sq_ = c.sum_sq_;
     wsum_ = c.wsum_;
     wsum_sq_ = c.wsum_sq_;
-    min_ = c.min_;
-    max_ = c.max_;
     updates_since_recompute_ = recompute_interval_ - c.countdown_;
-    extrema_valid_ = c.valid_;
   }
 
   /// Raw storage for the burst kernels (paired with begin_burst /
@@ -258,17 +182,9 @@ class OpinionState {
   }
 
  private:
-  /// Rescans the value vector into the cached extrema (tracking only).
-  void refresh_extrema() const;
-
   const Graph* graph_;
   std::vector<double> values_;
   std::vector<double> stationary_;  // pi_u = d_u / 2m, cached per node
-  bool track_extrema_;
-  // Lazily maintained extrema cache; mutable because reads refresh it.
-  mutable bool extrema_valid_ = false;
-  mutable double min_ = 0.0;
-  mutable double max_ = 0.0;
 
   double sum_ = 0.0;       // sum xi
   double sum_sq_ = 0.0;    // sum xi^2

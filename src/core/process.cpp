@@ -5,9 +5,8 @@
 namespace opindyn {
 
 AveragingProcess::AveragingProcess(const Graph& graph,
-                                   std::vector<double> initial, double alpha,
-                                   bool track_extrema)
-    : state_(graph, std::move(initial), track_extrema), alpha_(alpha) {
+                                   std::vector<double> initial, double alpha)
+    : state_(graph, std::move(initial)), alpha_(alpha) {
   OPINDYN_EXPECTS(alpha >= 0.0 && alpha < 1.0, "alpha must be in [0, 1)");
 }
 

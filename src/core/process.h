@@ -80,7 +80,7 @@ class AveragingProcess {
  protected:
   /// `graph` must outlive the process.
   AveragingProcess(const Graph& graph, std::vector<double> initial,
-                   double alpha, bool track_extrema);
+                   double alpha);
 
   /// The update rule applied by apply(); the base implements the paper's
   /// mean rule xi_u <- alpha*xi_u + (1-alpha)*mean(sample).  Other rule

@@ -20,8 +20,7 @@ std::vector<double> to_values(const std::vector<int>& opinions) {
 
 VoterModel::VoterModel(const Graph& graph, std::vector<double> opinions,
                        bool lazy)
-    : AveragingProcess(graph, std::move(opinions), /*alpha=*/0.0,
-                       /*track_extrema=*/false),
+    : AveragingProcess(graph, std::move(opinions), /*alpha=*/0.0),
       lazy_(lazy) {
   // Dense-id the opinions so consensus detection is O(1) per step.
   const std::vector<double>& values = state().values();

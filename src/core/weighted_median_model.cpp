@@ -10,8 +10,8 @@
 namespace opindyn {
 namespace {
 
-/// The median burst kernel, instantiated per (k, sampling mode, extrema
-/// tracking, topology) on the kernel-v2 pipelined loop skeleton
+/// The median burst kernel, instantiated per (k, sampling mode,
+/// topology) on the kernel-v2 pipelined loop skeleton
 /// (burst_kernels.h).  Consumes the rng in EXACT step() order and picks
 /// the identical order statistic through the shared lower_median_inplace
 /// helper, so the result is bit-identical to n_steps repeated step()
@@ -23,7 +23,7 @@ namespace {
 /// Unlike the mean rule there is no FP arithmetic at all -- the update
 /// moves an existing value bit pattern -- so bit-identity reduces to
 /// picking the same element, which the stable shared sort guarantees.
-template <int K, SamplingMode Mode, bool Track, class Topo>
+template <int K, SamplingMode Mode, class Topo>
 void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
                       OpinionState& state, double* vals, NodeId n,
                       const Topo& topo) {
@@ -70,8 +70,8 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
     }
     const double x = K == 1 ? m[0] : lower_median_inplace(m, K);
     const double old = vals[static_cast<std::size_t>(u)];
-    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
-                         old, x);
+    cursor.update(Topo::kUniformPi ? uniform_pi : topo.stationary(u), old,
+                  x);
     vals[static_cast<std::size_t>(u)] = x;
   };
   std::int64_t done = 0;
@@ -128,8 +128,7 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
           }
           const double x = K == 1 ? m[0] : lower_median_inplace(m, K);
           const double old = vals[static_cast<std::size_t>(unode[s])];
-          cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[s], old,
-                               x);
+          cursor.update(Topo::kUniformPi ? uniform_pi : pis[s], old, x);
           vals[static_cast<std::size_t>(unode[s])] = x;
         }
       }
@@ -156,30 +155,25 @@ void run_median_burst(Rng& rng, std::int64_t n_steps, bool lazy,
   state.end_burst(cursor);
 }
 
-template <SamplingMode Mode, bool Track, class Topo>
+template <SamplingMode Mode, class Topo>
 bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
                 OpinionState& state, double* vals, NodeId n,
                 const Topo& topo) {
   switch (k) {
     case 1:
-      run_median_burst<1, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo);
+      run_median_burst<1, Mode>(rng, n_steps, lazy, state, vals, n, topo);
       return true;
     case 2:
-      run_median_burst<2, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo);
+      run_median_burst<2, Mode>(rng, n_steps, lazy, state, vals, n, topo);
       return true;
     case 3:
-      run_median_burst<3, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo);
+      run_median_burst<3, Mode>(rng, n_steps, lazy, state, vals, n, topo);
       return true;
     case 4:
-      run_median_burst<4, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo);
+      run_median_burst<4, Mode>(rng, n_steps, lazy, state, vals, n, topo);
       return true;
     case 8:
-      run_median_burst<8, Mode, Track>(rng, n_steps, lazy, state, vals, n,
-                                       topo);
+      run_median_burst<8, Mode>(rng, n_steps, lazy, state, vals, n, topo);
       return true;
     default:
       return false;  // uncommon k: the generic loop handles it
@@ -191,17 +185,11 @@ bool dispatch_mode_k(SamplingMode mode, std::int64_t k, Rng& rng,
                      std::int64_t n_steps, bool lazy, OpinionState& state,
                      double* vals, NodeId n, const Topo& topo) {
   if (mode == SamplingMode::without_replacement) {
-    return state.tracks_extrema()
-               ? dispatch_k<SamplingMode::without_replacement, true>(
-                     k, rng, n_steps, lazy, state, vals, n, topo)
-               : dispatch_k<SamplingMode::without_replacement, false>(
-                     k, rng, n_steps, lazy, state, vals, n, topo);
+    return dispatch_k<SamplingMode::without_replacement>(
+        k, rng, n_steps, lazy, state, vals, n, topo);
   }
-  return state.tracks_extrema()
-             ? dispatch_k<SamplingMode::with_replacement, true>(
-                   k, rng, n_steps, lazy, state, vals, n, topo)
-             : dispatch_k<SamplingMode::with_replacement, false>(
-                   k, rng, n_steps, lazy, state, vals, n, topo);
+  return dispatch_k<SamplingMode::with_replacement>(k, rng, n_steps, lazy,
+                                                    state, vals, n, topo);
 }
 
 bool has_specialised_k(std::int64_t k) noexcept {
@@ -213,8 +201,7 @@ bool has_specialised_k(std::int64_t k) noexcept {
 WeightedMedianModel::WeightedMedianModel(const Graph& graph,
                                          std::vector<double> initial,
                                          const WeightedMedianParams& params)
-    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0,
-                       params.track_extrema),
+    : AveragingProcess(graph, std::move(initial), /*alpha=*/0.0),
       params_(params) {
   OPINDYN_EXPECTS(params.k >= 1, "k must be >= 1");
   if (params.sampling == SamplingMode::without_replacement) {

@@ -41,8 +41,6 @@ struct WeightedMedianParams {
   std::int64_t k = 1;
   bool lazy = false;
   SamplingMode sampling = SamplingMode::without_replacement;
-  /// Track max/min for O(1) discrepancy reads.
-  bool track_extrema = false;
 };
 
 class WeightedMedianModel final : public AveragingProcess {

@@ -119,6 +119,10 @@ void validate_spec(const ExperimentSpec& spec) {
     } else if (cell.convergence.max_steps < 0) {
       bad << "'max-steps': expected an integer >= 0, got "
           << cell.convergence.max_steps;
+    } else if (!(cell.model.alpha >= 0.0 && cell.model.alpha < 1.0)) {
+      bad << "'alpha': expected a number in [0, 1), got " << cell.model.alpha;
+    } else if (cell.model.k < 1) {
+      bad << "'k': expected an integer >= 1, got " << cell.model.k;
     }
     if (!bad.str().empty()) {
       throw std::runtime_error("spec key " + bad.str());

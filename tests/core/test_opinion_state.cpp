@@ -71,23 +71,6 @@ TEST(OpinionState, IncrementalMatchesRecomputeAfterManyUpdates) {
   EXPECT_NEAR(state.weighted_average(), incremental_m, 1e-11);
 }
 
-TEST(OpinionState, ExtremaTrackingMatchesScan) {
-  const Graph g = gen::cycle(16);
-  Rng rng(11);
-  OpinionState tracked(g, initial::uniform(rng, 16, 0.0, 1.0),
-                       /*track_extrema=*/true);
-  OpinionState scanned(g, tracked.values(), /*track_extrema=*/false);
-  for (int i = 0; i < 5000; ++i) {
-    const auto u = static_cast<NodeId>(rng.next_below(16));
-    const double x = rng.next_double(-3.0, 3.0);
-    tracked.set_value(u, x);
-    scanned.set_value(u, x);
-    ASSERT_DOUBLE_EQ(tracked.min_value(), scanned.min_value());
-    ASSERT_DOUBLE_EQ(tracked.max_value(), scanned.max_value());
-    ASSERT_DOUBLE_EQ(tracked.discrepancy(), scanned.discrepancy());
-  }
-}
-
 TEST(OpinionState, PhiExactStaysAccurateNearConvergence) {
   // Near-converged values: fast phi suffers cancellation; exact does not.
   const Graph g = gen::complete(8);

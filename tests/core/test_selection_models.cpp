@@ -139,7 +139,6 @@ TEST(NodeModel, ValuesStayWithinInitialHull) {
   NodeModelParams params;
   params.alpha = 0.3;
   params.k = 2;
-  params.track_extrema = true;
   NodeModel model(g, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, params);
   Rng rng(11);
   double previous_discrepancy = model.state().discrepancy();

@@ -103,26 +103,22 @@ TEST(StepBurst, EdgeModelMatchesSingleSteps) {
     Rng init_rng(13);
     const auto xi = initial::uniform(init_rng, g.node_count(), -2.0, 2.0);
     for (const bool lazy : {false, true}) {
-      for (const bool track : {false, true}) {
-        EdgeModelParams params;
-        params.alpha = 0.6;
-        params.lazy = lazy;
-        params.track_extrema = track;
-        EdgeModel single(g, xi, params);
-        EdgeModel burst(g, xi, params);
-        Rng rng_single(42);
-        Rng rng_burst(42);
-        for (std::int64_t i = 0; i < kTotal; ++i) {
-          single.step(rng_single);
-        }
-        run_in_bursts(burst, rng_burst, kTotal);
-        SCOPED_TRACE("regular=" + std::to_string(g.is_regular()) +
-                     " lazy=" + std::to_string(lazy) +
-                     " track=" + std::to_string(track));
-        expect_bit_identical(single, burst);
-        EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
-        EXPECT_EQ(rng_single(), rng_burst());
+      EdgeModelParams params;
+      params.alpha = 0.6;
+      params.lazy = lazy;
+      EdgeModel single(g, xi, params);
+      EdgeModel burst(g, xi, params);
+      Rng rng_single(42);
+      Rng rng_burst(42);
+      for (std::int64_t i = 0; i < kTotal; ++i) {
+        single.step(rng_single);
       }
+      run_in_bursts(burst, rng_burst, kTotal);
+      SCOPED_TRACE("regular=" + std::to_string(g.is_regular()) +
+                   " lazy=" + std::to_string(lazy));
+      expect_bit_identical(single, burst);
+      EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
+      EXPECT_EQ(rng_single(), rng_burst());
     }
   }
 }
@@ -142,30 +138,25 @@ TEST(StepBurst, NodeModelIrregularGraphMatchesSingleSteps) {
        {SamplingMode::without_replacement,
         SamplingMode::with_replacement}) {
     for (const std::int64_t k : {std::int64_t{1}, std::int64_t{2}}) {
-      for (const bool track : {false, true}) {
-        NodeModelParams params;
-        params.alpha = 0.35;
-        params.k = k;
-        params.sampling = sampling;
-        params.track_extrema = track;
-        NodeModel single(g, xi, params);
-        NodeModel burst(g, xi, params);
-        Rng rng_single(607);
-        Rng rng_burst(607);
-        for (std::int64_t i = 0; i < kTotal; ++i) {
-          single.step(rng_single);
-        }
-        burst.step_burst(rng_burst, 493);
-        burst.step_burst(rng_burst, kTotal - 493);
-        SCOPED_TRACE("k=" + std::to_string(k) + " with_replacement=" +
-                     std::to_string(sampling ==
-                                    SamplingMode::with_replacement) +
-                     " track=" + std::to_string(track));
-        expect_bit_identical(single, burst);
-        EXPECT_EQ(single.state().discrepancy(),
-                  burst.state().discrepancy());
-        EXPECT_EQ(rng_single(), rng_burst());
+      NodeModelParams params;
+      params.alpha = 0.35;
+      params.k = k;
+      params.sampling = sampling;
+      NodeModel single(g, xi, params);
+      NodeModel burst(g, xi, params);
+      Rng rng_single(607);
+      Rng rng_burst(607);
+      for (std::int64_t i = 0; i < kTotal; ++i) {
+        single.step(rng_single);
       }
+      burst.step_burst(rng_burst, 493);
+      burst.step_burst(rng_burst, kTotal - 493);
+      SCOPED_TRACE("k=" + std::to_string(k) + " with_replacement=" +
+                   std::to_string(sampling ==
+                                  SamplingMode::with_replacement));
+      expect_bit_identical(single, burst);
+      EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
+      EXPECT_EQ(rng_single(), rng_burst());
     }
   }
 }
@@ -180,25 +171,21 @@ TEST(StepBurst, EdgeModelIrregularGraphMatchesSingleSteps) {
   const auto xi = initial::uniform(init_rng, g.node_count(), -1.0, 1.0);
   constexpr std::int64_t kTotal = 701;
   for (const bool lazy : {false, true}) {
-    for (const bool track : {false, true}) {
-      EdgeModelParams params;
-      params.alpha = 0.55;
-      params.lazy = lazy;
-      params.track_extrema = track;
-      EdgeModel single(g, xi, params);
-      EdgeModel burst(g, xi, params);
-      Rng rng_single(89);
-      Rng rng_burst(89);
-      for (std::int64_t i = 0; i < kTotal; ++i) {
-        single.step(rng_single);
-      }
-      run_in_bursts(burst, rng_burst, kTotal);
-      SCOPED_TRACE("lazy=" + std::to_string(lazy) +
-                   " track=" + std::to_string(track));
-      expect_bit_identical(single, burst);
-      EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
-      EXPECT_EQ(rng_single(), rng_burst());
+    EdgeModelParams params;
+    params.alpha = 0.55;
+    params.lazy = lazy;
+    EdgeModel single(g, xi, params);
+    EdgeModel burst(g, xi, params);
+    Rng rng_single(89);
+    Rng rng_burst(89);
+    for (std::int64_t i = 0; i < kTotal; ++i) {
+      single.step(rng_single);
     }
+    run_in_bursts(burst, rng_burst, kTotal);
+    SCOPED_TRACE("lazy=" + std::to_string(lazy));
+    expect_bit_identical(single, burst);
+    EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
+    EXPECT_EQ(rng_single(), rng_burst());
   }
 }
 
@@ -230,31 +217,6 @@ TEST(StepBurst, GenericKFallbackMatchesSingleSteps) {
                                 SamplingMode::with_replacement));
     expect_bit_identical(single, burst);
     EXPECT_EQ(rng_single(), rng_burst());
-  }
-}
-
-TEST(StepBurst, LazyExtremaMatchScanUnderBurstStepping) {
-  Rng graph_rng(5);
-  const Graph g = gen::random_regular(graph_rng, 32, 4);
-  Rng init_rng(3);
-  const auto xi = initial::gaussian(init_rng, g.node_count(), 0.0, 1.0);
-  NodeModelParams tracked_params;
-  tracked_params.alpha = 0.5;
-  tracked_params.k = 2;
-  tracked_params.track_extrema = true;
-  NodeModelParams scan_params = tracked_params;
-  scan_params.track_extrema = false;
-  NodeModel tracked(g, xi, tracked_params);
-  NodeModel scanned(g, xi, scan_params);
-  Rng rng_tracked(77);
-  Rng rng_scanned(77);
-  for (int chunk = 0; chunk < 40; ++chunk) {
-    tracked.step_burst(rng_tracked, 25);
-    scanned.step_burst(rng_scanned, 25);
-    ASSERT_EQ(tracked.state().min_value(), scanned.state().min_value());
-    ASSERT_EQ(tracked.state().max_value(), scanned.state().max_value());
-    ASSERT_EQ(tracked.state().discrepancy(),
-              scanned.state().discrepancy());
   }
 }
 

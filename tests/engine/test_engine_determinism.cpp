@@ -367,6 +367,10 @@ TEST(EngineDeterminism, OutOfRangeAndBadSweepValuesLeaveExistingOutputIntact) {
       {{{"sweep", "replicas:4,0"}}, "'replicas'"},
       {{{"sweep", "alpha:0.5,abc"}}, "'alpha'"},
       {{{"sweep", "eps:1e-6,0"}}, "'eps'"},
+      {{{"alpha", "1.5"}}, "'alpha'"},
+      {{{"alpha", "-0.1"}}, "'alpha'"},
+      {{{"k", "0"}}, "'k'"},
+      {{{"sweep", "alpha:0.5,1"}}, "'alpha'"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.key);

@@ -7,8 +7,10 @@
 #include <cmath>
 
 #include "src/core/diffusion.h"
+#include "src/core/edge_model.h"
 #include "src/core/initial_values.h"
 #include "src/core/node_model.h"
+#include "src/core/weighted_median_model.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "tests/common/graph_io.h"
@@ -35,6 +37,34 @@ Graph random_connected_graph(Rng& rng) {
                            static_cast<NodeId>(1 + rng.next_below(5)));
     default:
       return gen::cycle(n);
+  }
+}
+
+// Advances `process` in uneven step_burst chunks (empty, shorter than
+// one 8-step group, and several kernel chunks long) and checks, with
+// O(n) scan reads at every burst boundary, that the opinion hull never
+// widens: min never falls, max never rises, and K = max - min never
+// grows (the Section 1 argument).  `slack` absorbs the rounding of a
+// convex combination; copy rules (median) need none.
+void expect_hull_confined_under_bursts(AveragingProcess& process, Rng& rng,
+                                       double slack) {
+  constexpr std::int64_t kChunks[] = {0, 1, 7, 100, 3, 513, 64, 2049, 9};
+  double lo = process.state().min_value();
+  double hi = process.state().max_value();
+  double spread = process.state().discrepancy();
+  for (int round = 0; round < 2; ++round) {
+    for (const std::int64_t chunk : kChunks) {
+      process.step_burst(rng, chunk);
+      const double lo_now = process.state().min_value();
+      const double hi_now = process.state().max_value();
+      const double spread_now = process.state().discrepancy();
+      ASSERT_GE(lo_now, lo - slack) << "t=" << process.time();
+      ASSERT_LE(hi_now, hi + slack) << "t=" << process.time();
+      ASSERT_LE(spread_now, spread + slack) << "t=" << process.time();
+      lo = lo_now;
+      hi = hi_now;
+      spread = spread_now;
+    }
   }
 }
 
@@ -81,7 +111,6 @@ TEST_P(FuzzSweep, ProcessInvariants) {
   NodeModelParams params;
   params.alpha = alpha;
   params.k = k;
-  params.track_extrema = true;
   NodeModel model(g, xi, params);
   const double lo0 = model.state().min_value();
   const double hi0 = model.state().max_value();
@@ -99,6 +128,42 @@ TEST_P(FuzzSweep, ProcessInvariants) {
   const double phi_inc = model.state().phi();
   model.mutable_state().recompute();
   EXPECT_NEAR(model.state().phi(), phi_inc, 1e-8);
+
+  // The same confinement through the burst kernels, for the node, edge
+  // and weighted-median rules, on random k, sampling mode and laziness.
+  const SamplingMode sampling = rng.next_bool(0.5)
+                                    ? SamplingMode::with_replacement
+                                    : SamplingMode::without_replacement;
+  const bool lazy = rng.next_bool(0.5);
+  SCOPED_TRACE(g.name() + " alpha=" + std::to_string(alpha) +
+               " k=" + std::to_string(k) + " lazy=" + std::to_string(lazy) +
+               " with_replacement=" +
+               std::to_string(sampling == SamplingMode::with_replacement));
+  {
+    SCOPED_TRACE("node");
+    NodeModelParams node_params = params;
+    node_params.sampling = sampling;
+    node_params.lazy = lazy;
+    NodeModel node(g, xi, node_params);
+    expect_hull_confined_under_bursts(node, rng, 1e-12);
+  }
+  {
+    SCOPED_TRACE("edge");
+    EdgeModelParams edge_params;
+    edge_params.alpha = alpha;
+    edge_params.lazy = lazy;
+    EdgeModel edge(g, xi, edge_params);
+    expect_hull_confined_under_bursts(edge, rng, 1e-12);
+  }
+  {
+    SCOPED_TRACE("weighted_median");
+    WeightedMedianParams median_params;
+    median_params.k = k;
+    median_params.lazy = lazy;
+    median_params.sampling = sampling;
+    WeightedMedianModel median(g, xi, median_params);
+    expect_hull_confined_under_bursts(median, rng, 0.0);
+  }
 }
 
 TEST_P(FuzzSweep, DualityOnRandomConfigurations) {
