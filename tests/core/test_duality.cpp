@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/core/diffusion.h"
 #include "src/core/initial_values.h"
@@ -144,6 +145,12 @@ struct DualityParam {
   std::int64_t k;
   std::int64_t steps;
 };
+
+// Names each case by its values; without this gtest prints the raw bytes,
+// graph pointer included, and the test names change from build to build.
+void PrintTo(const DualityParam& p, std::ostream* os) {
+  *os << p.graph << "_alpha" << p.alpha << "_k" << p.k << "_steps" << p.steps;
+}
 
 class DualitySweep : public ::testing::TestWithParam<DualityParam> {};
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/core/node_model.h"
 #include "src/core/qchain.h"
@@ -111,6 +112,12 @@ struct QChainCase {
   std::int64_t k;
   double alpha;
 };
+
+// Names each case by its values; without this gtest prints the raw bytes,
+// name pointer included, and the test names change from build to build.
+void PrintTo(const QChainCase& c, std::ostream* os) {
+  *os << c.name << "_k" << c.k << "_alpha" << c.alpha;
+}
 
 class QChainStationarySweep : public ::testing::TestWithParam<QChainCase> {
  protected:

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "src/service/cancel_token.h"
 #include "src/support/cell_scheduler.h"
@@ -142,6 +144,16 @@ TEST(AttemptSearch, CancelStopsEveryWorkerAndThrowsAfterRunningAttempts) {
       }
       if (index == 3) {
         token.cancel("test cancel");
+      } else if (index > 3) {
+        // Holds each later attempt until the cancel lands, so a descheduled
+        // attempt 3 cannot let the other workers run hundreds of attempts
+        // first; the deadline keeps a missing cancel from hanging the test.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!token.cancelled() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
       }
       return false;
     };
