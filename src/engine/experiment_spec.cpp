@@ -248,12 +248,12 @@ std::vector<double> build_initial(const InitialSpec& spec,
     // the memoised record (when given) and the direct solve produce the
     // identical deterministic eigenvector.
     xi = initial::scaled_eigenvector(
-        spectra != nullptr ? spectra->walk().f2
+        spectra != nullptr ? spectra->walk_f2()
                            : lazy_walk_spectrum(graph).f2,
         spec.param_a == 0.0 ? static_cast<double>(n) : spec.param_a);
   } else if (spec.distribution == "f2_laplacian") {
     xi = initial::scaled_eigenvector(
-        spectra != nullptr ? spectra->laplacian().f2
+        spectra != nullptr ? spectra->laplacian_f2()
                            : laplacian_spectrum(graph).f2,
         spec.param_a == 0.0 ? static_cast<double>(n) : spec.param_a);
   } else {
@@ -272,8 +272,9 @@ std::vector<double> build_initial(const InitialSpec& spec,
 }
 
 SpectrumNeeds initial_reads_spectra(const InitialSpec& spec) {
-  return {spec.distribution == "f2_walk",
-          spec.distribution == "f2_laplacian"};
+  const bool walk = spec.distribution == "f2_walk";
+  const bool laplacian = spec.distribution == "f2_laplacian";
+  return {walk, laplacian, walk, laplacian};
 }
 
 std::string graph_cache_key(const GraphSpec& spec) {

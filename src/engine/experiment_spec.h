@@ -85,8 +85,9 @@ std::vector<double> build_initial(const InitialSpec& spec,
                                   const Graph& graph,
                                   const GraphSpectra* spectra = nullptr);
 
-/// The spectra build_initial reads for `spec`: the walk spectrum for
-/// f2_walk, the Laplacian spectrum for f2_laplacian, none otherwise.
+/// The spectra build_initial reads for `spec`: f_2 of the walk spectrum
+/// for f2_walk (walk + walk_f2), f_2 of the Laplacian for f2_laplacian
+/// (laplacian + laplacian_f2), none otherwise.
 /// The runner solves them in its prefetch pass, before drawing the state.
 SpectrumNeeds initial_reads_spectra(const InitialSpec& spec);
 

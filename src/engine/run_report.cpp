@@ -108,6 +108,8 @@ json::Value build_run_report(const ExperimentSpec& spec,
   result_block.emplace_back("graphs_built", result.graphs_built);
   result_block.emplace_back("graph_cache_hits", result.graph_cache_hits);
   result_block.emplace_back("spectra_solved", result.spectra_solved);
+  result_block.emplace_back("spectra_vector_solves",
+                            result.spectra_vector_solves);
   result_block.emplace_back("spectra_hits", result.spectra_hits);
   result_block.emplace_back("spectra_late_solves", result.spectra_late_solves);
   report.emplace_back("result", std::move(result_block));
@@ -126,6 +128,7 @@ json::Value build_run_report(const ExperimentSpec& spec,
   spectrum_cache.emplace_back("record_misses",
                               result.spectrum_record_misses);
   spectrum_cache.emplace_back("eigensolves", result.spectra_solved);
+  spectrum_cache.emplace_back("vector_solves", result.spectra_vector_solves);
   spectrum_cache.emplace_back("spectrum_hits", result.spectra_hits);
   spectrum_cache.emplace_back("late_solves", result.spectra_late_solves);
   spectrum_cache.emplace_back("evictions",

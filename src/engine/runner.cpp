@@ -244,6 +244,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   const std::int64_t base_record_hits = spectrum_cache.hits();
   const std::int64_t base_record_misses = spectrum_cache.misses();
   const std::int64_t base_eigensolves = spectrum_cache.eigensolves();
+  const std::int64_t base_vector_solves = spectrum_cache.vector_solves();
   const std::int64_t base_spectrum_hits = spectrum_cache.spectrum_hits();
   const std::int64_t base_spectrum_evictions = spectrum_cache.evictions();
   // Keyed by graph_cache_key; filled by the prefetch pass.
@@ -321,13 +322,9 @@ BatchResult run_experiment(const ExperimentSpec& spec,
                   });
               entry.spectra = spectrum_cache.get(cache_key, graph);
               entry.solved_before = entry.spectra->solved();
-              if (entry.initial.walk) {
+              if (entry.initial.any()) {
                 const ScopedSpan span(metrics, cache_key, "eigensolve");
-                entry.spectra->walk();
-              }
-              if (entry.initial.laplacian) {
-                const ScopedSpan span(metrics, cache_key, "eigensolve");
-                entry.spectra->laplacian();
+                entry.spectra->solve(entry.initial);
               }
             }));
       }
@@ -345,9 +342,11 @@ BatchResult run_experiment(const ExperimentSpec& spec,
       // flight) instead of solving one graph after the other.
       const SpectrumNeeds declared = scenario.reads_spectra();
       for (const auto& [cache_key, entry] : distinct) {
-        const SpectrumNeeds left{declared.walk && !entry.initial.walk,
-                                 declared.laplacian &&
-                                     !entry.initial.laplacian};
+        const SpectrumNeeds left{
+            declared.walk && !entry.initial.walk,
+            declared.laplacian && !entry.initial.laplacian,
+            declared.walk_f2 && !entry.initial.walk_f2,
+            declared.laplacian_f2 && !entry.initial.laplacian_f2};
         if (!left.any()) {
           continue;
         }
@@ -358,12 +357,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
                                     RowEmitter&) {
               const ScopedSpan span(metrics, cache_key, "eigensolve");
               try {
-                if (left.walk) {
-                  spectra->walk();
-                }
-                if (left.laplacian) {
-                  spectra->laplacian();
-                }
+                spectra->solve(left);
               } catch (const ContractError&) {
                 // A graph the solver rejects (an isolated node, say) is
                 // left unsolved: the scenario validates the cell first
@@ -500,6 +494,8 @@ BatchResult run_experiment(const ExperimentSpec& spec,
   result.graph_cache_evictions = graph_cache.evictions() - base_graph_evictions;
   result.graph_cache_resident_bytes = graph_cache.resident_bytes();
   result.spectra_solved = spectrum_cache.eigensolves() - base_eigensolves;
+  result.spectra_vector_solves =
+      spectrum_cache.vector_solves() - base_vector_solves;
   result.spectra_hits = spectrum_cache.spectrum_hits() - base_spectrum_hits;
   // A late solve is one of a spectrum neither the scenario nor the
   // cells' initial distribution declared: it ran behind whichever unit
@@ -510,10 +506,13 @@ BatchResult run_experiment(const ExperimentSpec& spec,
     }
     const SpectrumNeeds declared = scenario.reads_spectra() | entry.initial;
     const SpectrumNeeds solved = entry.spectra->solved();
+    const SpectrumNeeds& before = entry.solved_before;
     result.spectra_late_solves +=
-        (solved.walk && !entry.solved_before.walk && !declared.walk) +
-        (solved.laplacian && !entry.solved_before.laplacian &&
-         !declared.laplacian);
+        (solved.walk && !before.walk && !declared.walk) +
+        (solved.laplacian && !before.laplacian && !declared.laplacian) +
+        (solved.walk_f2 && !before.walk_f2 && !declared.walk_f2) +
+        (solved.laplacian_f2 && !before.laplacian_f2 &&
+         !declared.laplacian_f2);
   }
   result.spectrum_record_hits = spectrum_cache.hits() - base_record_hits;
   result.spectrum_record_misses = spectrum_cache.misses() - base_record_misses;
@@ -538,6 +537,8 @@ BatchResult run_experiment(const ExperimentSpec& spec,
     buffer.count("graph_cache.hits", result.graph_cache_hits);
     buffer.count("graph_cache.evictions", result.graph_cache_evictions);
     buffer.count("spectrum_cache.eigensolves", result.spectra_solved);
+    buffer.count("spectrum_cache.vector_solves",
+                 result.spectra_vector_solves);
     buffer.count("spectrum_cache.hits", result.spectra_hits);
     buffer.count("spectrum_cache.late_solves", result.spectra_late_solves);
     buffer.count("spectrum_cache.evictions",

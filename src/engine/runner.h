@@ -79,6 +79,10 @@ struct BatchResult {
   /// matter how many cells or replicas consumed the result.  0 when the
   /// scenario and the initial distribution need no spectra.
   std::int64_t spectra_solved = 0;
+  /// The part of spectra_solved that also computed eigenvectors (f_2
+  /// for an f2_* initial state or propB1_drop); the rest solved
+  /// eigenvalues only.
+  std::int64_t spectra_vector_solves = 0;
   /// Spectrum requests served from the memoised records.
   std::int64_t spectra_hits = 0;
   /// Eigensolves (part of spectra_solved) of spectra that neither the

@@ -42,10 +42,12 @@ struct RunInput {
   const std::vector<double>& initial;
   /// Memoised eigensolves of `graph`, shared across every cell of the
   /// sweep that resolves to the same graph (see SpectrumCache): call
-  /// spectra.walk() / spectra.laplacian() instead of running
-  /// lazy_walk_spectrum / laplacian_spectrum directly, and the whole
-  /// batch performs one eigensolve per distinct graph and kind.  Declare
-  /// what you read in Scenario::reads_spectra so it is solved up front.
+  /// spectra.walk() / spectra.laplacian() for eigenvalues and
+  /// spectra.walk_f2() / spectra.laplacian_f2() for f_2 instead of
+  /// running lazy_walk_spectrum / laplacian_spectrum directly, and the
+  /// whole batch performs one eigensolve per distinct graph and kind.
+  /// Declare what you read in Scenario::reads_spectra (f_2 included) so
+  /// it is solved up front.
   const GraphSpectra& spectra;
   CellScheduler& scheduler;
   /// The cell's per-replica row channel, or nullptr when no consumer

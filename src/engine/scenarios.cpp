@@ -106,7 +106,7 @@ std::shared_ptr<ReplicaBatch> submit_node_prediction(
   return in.scheduler.submit(
       1, subseed(in.spec.seed, 0x9d), 3,
       [in, config](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
-        const WalkSpectrum& spectrum = in.spectra.walk();
+        const WalkEigenvalues& spectrum = in.spectra.walk();
         OpinionState probe(in.graph, in.initial);
         out[0] = spectrum.gap;
         out[1] = theory::steps_to_epsilon(

@@ -435,7 +435,7 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
         1, subseed(in.spec.seed, 0x24), 3,
         [in, config, convergence](std::int64_t, Rng&,
                                   std::span<double> out, RowEmitter&) {
-          const LaplacianSpectrum& lap = in.spectra.laplacian();
+          const LaplacianEigenvalues& lap = in.spectra.laplacian();
           OpinionState probe(in.graph, in.initial);
           const double rho = theory::edge_model_rho(
               lap.lambda2, config.alpha, in.graph.edge_count(),
@@ -624,7 +624,7 @@ class PropB1DropScenario final : public Scenario {
             "holds"};
   }
   SpectrumNeeds reads_spectra() const override {
-    return {.walk = true};
+    return {.walk = true, .walk_f2 = true};
   }
   CellFold start(const RunInput& in) const override {
     const ModelConfig config = in.spec.model;
@@ -641,7 +641,10 @@ class PropB1DropScenario final : public Scenario {
                 " (the enumeration needs k distinct neighbours "
                 "everywhere)");
           }
-          const WalkSpectrum& spectrum = in.spectra.walk();
+          // f2 first: its full solve also fills the eigenvalues, so
+          // walk() is a hit even while the declared solve is in flight.
+          const std::vector<double>& f2 = in.spectra.walk_f2();
+          const WalkEigenvalues& spectrum = in.spectra.walk();
           // Non-lazy normalisation: the exact one-step enumeration below
           // has no laziness coin, so the bound drops the /2 as well.
           const double rho = theory::node_model_rho(
@@ -653,7 +656,7 @@ class PropB1DropScenario final : public Scenario {
               rng, g.node_count(), 0.0, 1.0);
           initial::center_degree_weighted(g, random_state);
           const std::pair<std::size_t, const std::vector<double>*>
-              states[] = {{0, &spectrum.f2}, {4, &random_state}};
+              states[] = {{0, &f2}, {4, &random_state}};
           for (const auto& [base, xi] : states) {
             OpinionState probe(g, *xi);
             const double phi0 = probe.phi_exact();
@@ -722,7 +725,7 @@ class PropB2NodeScenario final : public Scenario {
         1, subseed(in.spec.seed, 0xB2), 3,
         [in, config](std::int64_t, Rng&, std::span<double> out,
                      RowEmitter&) {
-          const WalkSpectrum& spectrum = in.spectra.walk();
+          const WalkEigenvalues& spectrum = in.spectra.walk();
           const double n = static_cast<double>(in.graph.node_count());
           const double eps = in.spec.convergence.epsilon;
           OpinionState probe(in.graph, in.initial);
@@ -785,7 +788,7 @@ class PropB2EdgeScenario final : public Scenario {
         1, subseed(in.spec.seed, 0xB3), 2,
         [in, config, convergence](std::int64_t, Rng&,
                                   std::span<double> out, RowEmitter&) {
-          const LaplacianSpectrum& lap = in.spectra.laplacian();
+          const LaplacianEigenvalues& lap = in.spectra.laplacian();
           const double n = static_cast<double>(in.graph.node_count());
           out[0] = lap.lambda2;
           out[1] = static_cast<double>(in.graph.edge_count()) *

@@ -24,10 +24,11 @@ std::size_t leading_dimension(std::size_t n) {
   return lines * kLine;
 }
 
-}  // namespace
-
-EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
-                                int max_sweeps) {
+/// The sweeps behind jacobi_eigen and jacobi_eigenvalues.  Without
+/// `with_vectors` no V^T is allocated or rotated and `vectors` stays
+/// empty; the rotations of `a`, and so the values, are the same.
+EigenDecomposition jacobi_solve(const Matrix& symmetric, double tolerance,
+                                int max_sweeps, bool with_vectors) {
   OPINDYN_EXPECTS(symmetric.is_square(), "eigen solver needs square matrix");
   OPINDYN_EXPECTS(symmetric.symmetry_defect() <= 1e-9,
                   "eigen solver needs a symmetric matrix");
@@ -49,9 +50,12 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
   }
   // vt = V^T: row k is eigenvector column k, so the rotation's two
   // eigenvector columns are contiguous too.
-  std::vector<double> vt(n * ld, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    vt[i * ld + i] = 1.0;
+  std::vector<double> vt;
+  if (with_vectors) {
+    vt.assign(n * ld, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      vt[i * ld + i] = 1.0;
+    }
   }
   // stale_below[c]: the pivot p of this sweep's last rotation through
   // column c, so p <= c.  The upper cells a[r][c], r < p, missed the
@@ -77,14 +81,19 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
     }
     for (std::size_t p = 0; p < n; ++p) {
       double* const row_p = a.data() + p * ld;
-      double* const v_p = vt.data() + p * ld;
+      // Whether a rotation of this pivot has run.  Until then apq is
+      // the lower cell A(p, q) of the input or of earlier pivots; from
+      // then on the full mirror would have copied row p into column p,
+      // so row p holds the same value and column p is written once,
+      // after the q loop.
+      bool rotated = false;
       for (std::size_t q = p + 1; q < n; ++q) {
         double* const row_q = a.data() + q * ld;
-        double* const v_q = vt.data() + q * ld;
-        const double apq = row_q[p];
+        const double apq = rotated ? row_p[q] : row_q[p];
         if (std::abs(apq) <= tolerance * 1e-3) {
           continue;
         }
+        rotated = true;
         const double app = row_p[p];
         const double aqq = row_q[q];
         const double theta = (aqq - app) / (2.0 * apq);
@@ -112,22 +121,32 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
         rotate(0, p);
         rotate(p + 1, q);
         rotate(q + 1, n);
-        // Mirror into columns p and q of the rows this pivot's later
-        // rotations read (i > p; at i = q this rewrites the diagonal
-        // with itself and the zeroed pair with zero).  Rows i < p are
-        // not read again this sweep and wait for the restore below.
+        // Mirror into column q of the rows this pivot's later rotations
+        // read (i > p; at i = q this rewrites the diagonal with itself).
+        // Rows i < p are not read again this sweep and wait for the
+        // restore below.
         for (std::size_t i = p + 1; i < n; ++i) {
-          a[i * ld + p] = row_p[i];
           a[i * ld + q] = row_q[i];
         }
-        stale_below[p] = p;
         stale_below[q] = p;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double vip = v_p[i];
-          const double viq = v_q[i];
-          v_p[i] = vip - s * (viq + tau * vip);
-          v_q[i] = viq + s * (vip - tau * viq);
+        if (with_vectors) {
+          double* const v_p = vt.data() + p * ld;
+          double* const v_q = vt.data() + q * ld;
+          for (std::size_t i = 0; i < n; ++i) {
+            const double vip = v_p[i];
+            const double viq = v_q[i];
+            v_p[i] = vip - s * (viq + tau * vip);
+            v_q[i] = viq + s * (vip - tau * viq);
+          }
         }
+      }
+      // Column p's deferred mirror: the values the per-rotation mirror
+      // would have left there after the pivot's last rotation.
+      if (rotated) {
+        for (std::size_t i = p + 1; i < n; ++i) {
+          a[i * ld + p] = row_p[i];
+        }
+        stale_below[p] = p;
       }
     }
     // Restore the upper cells the sweep left stale from their lower
@@ -148,18 +167,34 @@ EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
 
   EigenDecomposition result;
   result.values.reserve(n);
-  result.vectors.reserve(n);
   for (const std::size_t k : order) {
     result.values.push_back(a[k * ld + k]);
-    const double* const v_k = vt.data() + k * ld;
-    std::vector<double> column(v_k, v_k + n);
-    const double len = norm2(column);
-    if (len > 0.0) {
-      scale(column, 1.0 / len);
+  }
+  if (with_vectors) {
+    result.vectors.reserve(n);
+    for (const std::size_t k : order) {
+      const double* const v_k = vt.data() + k * ld;
+      std::vector<double> column(v_k, v_k + n);
+      const double len = norm2(column);
+      if (len > 0.0) {
+        scale(column, 1.0 / len);
+      }
+      result.vectors.push_back(std::move(column));
     }
-    result.vectors.push_back(std::move(column));
   }
   return result;
+}
+
+}  // namespace
+
+EigenDecomposition jacobi_eigen(const Matrix& symmetric, double tolerance,
+                                int max_sweeps) {
+  return jacobi_solve(symmetric, tolerance, max_sweeps, true);
+}
+
+std::vector<double> jacobi_eigenvalues(const Matrix& symmetric,
+                                       double tolerance, int max_sweeps) {
+  return jacobi_solve(symmetric, tolerance, max_sweeps, false).values;
 }
 
 }  // namespace opindyn

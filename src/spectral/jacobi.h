@@ -10,16 +10,31 @@
 // spread over every cache set instead of aliasing into a few.
 //
 // Mirror rule: each rotation rewrites rows p and q whole, but mirrors
-// them into columns p and q only for rows i > p.  While pivot p is
+// only row q into column q, and only for rows i > p.  While pivot p is
 // active the sweep reads only row p and rows q > p, so rows i <= p are
-// not read again this sweep.  The full mirror stores both cells of a
-// pair with the same value on every write, and the lower cell a[c][r]
-// (c > r) still receives every such write here, so it is always current
-// even when the upper cell a[r][c] has gone stale.  At the end of each
-// sweep the stale upper cells of every rotated column are copied from
-// their lower partners (O(n^2) per sweep against O(n^3) of work).  The
-// restore touches only cells the full mirror would have written, so
-// upper cells no rotation reached keep their input values.
+// not read again this sweep.  Column p's cells below the diagonal are
+// read only as the pivot element apq = A(p, q) of a later rotation of
+// the same pivot, and from the pivot's first executed rotation on the
+// textbook mirror keeps them equal to row p, so that rotation reads
+// row_p[q] instead and column p is written once, a[i][p] = row_p[i]
+// for i > p, when the pivot's q loop ends (only if a rotation ran).
+// Before the first executed rotation apq still comes from the column
+// (row_q[p]), because an input symmetric only within the 1e-9 tolerance
+// can hold a different value in row p.  The full mirror stores both
+// cells of a pair with the same value on every write, and the lower
+// cell a[c][r] (c > r) receives the last such write before anything
+// reads it, so it is current whenever it is read even when the upper
+// cell a[r][c] has gone stale.  At the end of each sweep the stale upper
+// cells of every rotated column are copied from their lower partners
+// (O(n^2) per sweep against O(n^3) of work).  The restore touches only
+// cells the full mirror would have written, so upper cells no rotation
+// reached keep their input values.
+//
+// Eigenvalues only: jacobi_eigenvalues runs the same sweeps without
+// V^T -- no n x n eigenvector matrix is allocated or rotated, about a
+// third of the work of a full solve.  The rotation parameters depend
+// only on `a`, which never reads V, so its values are those of
+// jacobi_eigen bit for bit.
 //
 // Identity guarantee: the rotations, their order and every
 // floating-point expression are those of the textbook element-wise
@@ -53,6 +68,13 @@ struct EigenDecomposition {
 EigenDecomposition jacobi_eigen(const Matrix& symmetric,
                                 double tolerance = 1e-13,
                                 int max_sweeps = 100);
+
+/// The eigenvalues of jacobi_eigen(symmetric, tolerance, max_sweeps),
+/// sorted ascending and bit-identical to its `values`, without
+/// computing eigenvectors.  Same contract checks.
+std::vector<double> jacobi_eigenvalues(const Matrix& symmetric,
+                                       double tolerance = 1e-13,
+                                       int max_sweeps = 100);
 
 }  // namespace opindyn
 

@@ -5,6 +5,7 @@
 
 #include "src/spectral/jacobi.h"
 #include "src/spectral/matrix.h"
+#include "src/service/cancel_token.h"
 #include "src/support/assert.h"
 
 namespace opindyn {
@@ -44,6 +45,9 @@ LanczosResult lanczos(const SymmetricOperator& op, std::size_t n,
   std::vector<double> w(n);
   int iterations = 0;
   for (std::size_t j = 0; j < steps; ++j) {
+    // One poll per Krylov step: a cancelled job stops within one
+    // operator application and reorthogonalisation.
+    cancel::poll();
     ++iterations;
     op(basis[j], w);
     const double a = dot(w, basis[j]);
@@ -75,10 +79,8 @@ LanczosResult lanczos(const SymmetricOperator& op, std::size_t n,
       tridiagonal.at(i + 1, i) = beta[i];
     }
   }
-  const EigenDecomposition eig = jacobi_eigen(tridiagonal);
-
   LanczosResult result;
-  result.ritz_values = eig.values;
+  result.ritz_values = jacobi_eigenvalues(tridiagonal);
   result.iterations = iterations;
   return result;
 }

@@ -24,7 +24,8 @@ struct LanczosResult {
 
 /// Runs `steps` Lanczos iterations on an n-dimensional operator.
 /// `deflate` vectors (if any) are projected out of the Krylov space first
-/// -- pass the known top eigenvector to expose lambda_2.
+/// -- pass the known top eigenvector to expose lambda_2.  Polls the
+/// ambient cancel token (cancel::poll) once per Krylov step.
 LanczosResult lanczos(const SymmetricOperator& op, std::size_t n,
                       std::size_t steps, Rng& rng,
                       const std::vector<std::vector<double>>& deflate = {});

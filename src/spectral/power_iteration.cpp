@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/service/cancel_token.h"
 #include "src/support/assert.h"
 
 namespace opindyn {
@@ -69,6 +70,8 @@ StationaryResult stationary_distribution(const Matrix& transition,
   std::vector<double> mu(n, 1.0 / static_cast<double>(n));
   std::vector<double> next;
   for (int it = 0; it < max_iterations; ++it) {
+    // One poll per iteration: a cancelled job stops within one mu Q.
+    cancel::poll();
     next = sparse.left_multiply(mu);
     // Renormalise to counteract floating-point mass leakage.
     double total = 0.0;

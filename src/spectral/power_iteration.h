@@ -21,7 +21,9 @@ struct StationaryResult {
 
 /// Left power iteration mu <- mu Q from the uniform start until the L1
 /// step change drops below `tolerance` or `max_iterations` is hit.
-/// `transition` must be row-stochastic.
+/// `transition` must be row-stochastic.  Polls the ambient cancel token
+/// (cancel::poll) once per iteration, so a serve deadline stops a slow
+/// chain within one mu Q.
 StationaryResult stationary_distribution(const Matrix& transition,
                                          double tolerance = 1e-14,
                                          int max_iterations = 2000000);

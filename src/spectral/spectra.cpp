@@ -46,13 +46,15 @@ Matrix laplacian_matrix(const Graph& graph) {
   return l;
 }
 
-WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
-  const auto n = static_cast<std::size_t>(graph.node_count());
+namespace {
+
+/// S = D^{1/2} P D^{-1/2}: s_ij = 1/(2 sqrt(d_i d_j)) on edges, 1/2 on
+/// the diagonal.  S and P share eigenvalues; if g is an eigenvector of S
+/// then f = D^{-1/2} g is a (right) eigenvector of P.
+Matrix symmetrised_lazy_walk(const Graph& graph) {
   OPINDYN_EXPECTS(graph.min_degree() >= 1,
                   "walk spectrum needs min degree >= 1");
-  // Symmetrize: S = D^{1/2} P D^{-1/2}; s_ij = 1/(2 sqrt(d_i d_j)) on
-  // edges, 1/2 on the diagonal.  S and P share eigenvalues; if g is an
-  // eigenvector of S then f = D^{-1/2} g is a (right) eigenvector of P.
+  const auto n = static_cast<std::size_t>(graph.node_count());
   Matrix s(n, n, 0.0);
   for (NodeId u = 0; u < graph.node_count(); ++u) {
     s.at(static_cast<std::size_t>(u), static_cast<std::size_t>(u)) = 0.5;
@@ -62,13 +64,26 @@ WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
                           static_cast<double>(graph.degree(v)));
     }
   }
-  const EigenDecomposition eig = jacobi_eigen(s);
+  return s;
+}
 
-  WalkSpectrum result;
-  result.values = eig.values;
-  OPINDYN_ENSURES(result.values.size() == n, "spectrum size mismatch");
-  result.lambda2 = n >= 2 ? result.values[n - 2] : 1.0;
-  result.gap = 1.0 - result.lambda2;
+WalkEigenvalues walk_eigenvalues_from(std::vector<double> values) {
+  const std::size_t n = values.size();
+  const double lambda2 = n >= 2 ? values[n - 2] : 1.0;
+  return {std::move(values), lambda2, 1.0 - lambda2};
+}
+
+LaplacianEigenvalues laplacian_eigenvalues_from(std::vector<double> values) {
+  const double lambda2 = values.size() >= 2 ? values[1] : 0.0;
+  return {std::move(values), lambda2};
+}
+
+}  // namespace
+
+WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
+  const auto n = static_cast<std::size_t>(graph.node_count());
+  EigenDecomposition eig = jacobi_eigen(symmetrised_lazy_walk(graph));
+  OPINDYN_ENSURES(eig.values.size() == n, "spectrum size mismatch");
 
   // Map g -> f = D^{-1/2} g and normalise under <.,.>_pi so that the
   // lower-bound experiments can use ||f_2||_pi = 1 directly.
@@ -87,18 +102,25 @@ WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
       scale(f2, 1.0 / std::sqrt(pi_norm2));
     }
   }
-  result.f2 = std::move(f2);
-  return result;
+  return {walk_eigenvalues_from(std::move(eig.values)), std::move(f2)};
+}
+
+WalkEigenvalues lazy_walk_eigenvalues(const Graph& graph) {
+  return walk_eigenvalues_from(
+      jacobi_eigenvalues(symmetrised_lazy_walk(graph)));
 }
 
 LaplacianSpectrum laplacian_spectrum(const Graph& graph) {
-  const EigenDecomposition eig = jacobi_eigen(laplacian_matrix(graph));
-  LaplacianSpectrum result;
-  result.values = eig.values;
-  const std::size_t n = result.values.size();
-  result.lambda2 = n >= 2 ? result.values[1] : 0.0;
-  result.f2 = n >= 2 ? eig.vectors[1] : std::vector<double>{};
-  return result;
+  EigenDecomposition eig = jacobi_eigen(laplacian_matrix(graph));
+  std::vector<double> f2 = eig.vectors.size() >= 2
+                               ? std::move(eig.vectors[1])
+                               : std::vector<double>{};
+  return {laplacian_eigenvalues_from(std::move(eig.values)), std::move(f2)};
+}
+
+LaplacianEigenvalues laplacian_eigenvalues(const Graph& graph) {
+  return laplacian_eigenvalues_from(
+      jacobi_eigenvalues(laplacian_matrix(graph)));
 }
 
 double laplacian_lambda2_lanczos(const Graph& graph, std::size_t steps,

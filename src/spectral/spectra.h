@@ -29,13 +29,18 @@ Matrix walk_matrix(const Graph& graph);
 /// Dense Laplacian L = D - A.
 Matrix laplacian_matrix(const Graph& graph);
 
-struct WalkSpectrum {
+/// The eigenvalue part of the lazy-walk spectrum: what the rates of
+/// Thm. 2.2 and Prop. B.1 read.
+struct WalkEigenvalues {
   /// Eigenvalues of the lazy P, ascending; last is exactly 1.
   std::vector<double> values;
   /// Second-largest eigenvalue lambda_2(P).
   double lambda2;
   /// Spectral gap 1 - lambda_2(P).
   double gap;
+};
+
+struct WalkSpectrum : WalkEigenvalues {
   /// Right eigenvector f_2 of P for lambda_2, normalised under the
   /// pi-weighted inner product <f,f>_pi = 1.
   std::vector<double> f2;
@@ -44,17 +49,29 @@ struct WalkSpectrum {
 /// Full spectrum of the lazy walk matrix via symmetrization + Jacobi.
 WalkSpectrum lazy_walk_spectrum(const Graph& graph);
 
-struct LaplacianSpectrum {
+/// The eigenvalues of lazy_walk_spectrum(graph), bit for bit, from an
+/// eigenvalues-only Jacobi solve (no eigenvectors).
+WalkEigenvalues lazy_walk_eigenvalues(const Graph& graph);
+
+/// The eigenvalue part of the Laplacian spectrum (Thm. 2.4's rate).
+struct LaplacianEigenvalues {
   /// Eigenvalues of L ascending; first is exactly 0.
   std::vector<double> values;
   /// Second-smallest eigenvalue lambda_2(L) (algebraic connectivity).
   double lambda2;
+};
+
+struct LaplacianSpectrum : LaplacianEigenvalues {
   /// Unit eigenvector f_2(L).
   std::vector<double> f2;
 };
 
 /// Full Laplacian spectrum via Jacobi.
 LaplacianSpectrum laplacian_spectrum(const Graph& graph);
+
+/// The eigenvalues of laplacian_spectrum(graph), bit for bit, from an
+/// eigenvalues-only Jacobi solve.
+LaplacianEigenvalues laplacian_eigenvalues(const Graph& graph);
 
 /// lambda_2(L) for large graphs via Lanczos with the all-ones vector
 /// deflated; `accuracy_steps` Krylov steps (>= 50 recommended).

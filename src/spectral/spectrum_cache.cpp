@@ -12,10 +12,13 @@ GraphSpectra::GraphSpectra(std::shared_ptr<const Graph> graph,
   OPINDYN_EXPECTS(graph_ != nullptr, "GraphSpectra needs a graph");
 }
 
-void GraphSpectra::count_solve() const noexcept {
+void GraphSpectra::count_solve(bool vectors) const noexcept {
   solves_.fetch_add(1, std::memory_order_relaxed);
   if (tally_ != nullptr) {
     tally_->solves.fetch_add(1, std::memory_order_relaxed);
+    if (vectors) {
+      tally_->vector_solves.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -26,41 +29,87 @@ void GraphSpectra::count_hit() const noexcept {
   }
 }
 
-const WalkSpectrum& GraphSpectra::walk() const {
+template <class Values>
+const Values& GraphSpectra::values_of(Memo<Values>& memo,
+                                      Values (*solver)(const Graph&)) const {
   bool solved = false;
-  std::call_once(walk_once_, [&] {
-    walk_ = std::make_unique<const WalkSpectrum>(lazy_walk_spectrum(*graph_));
-    walk_solved_.store(true, std::memory_order_relaxed);
-    count_solve();
+  std::call_once(memo.values_once, [&] {
+    memo.values = std::make_unique<const Values>(solver(*graph_));
+    memo.values_solved.store(true, std::memory_order_relaxed);
+    count_solve(false);
     bytes_.fetch_add(
-        (walk_->values.size() + walk_->f2.size()) * sizeof(double) +
-            sizeof(WalkSpectrum),
+        memo.values->values.size() * sizeof(double) + sizeof(Values),
         std::memory_order_relaxed);
     solved = true;
   });
   if (!solved) {
     count_hit();
   }
-  return *walk_;
+  return *memo.values;
 }
 
-const LaplacianSpectrum& GraphSpectra::laplacian() const {
+template <class Values, class Spectrum>
+const std::vector<double>& GraphSpectra::f2_of(
+    Memo<Values>& memo, Spectrum (*solver)(const Graph&)) const {
   bool solved = false;
-  std::call_once(laplacian_once_, [&] {
-    laplacian_ = std::make_unique<const LaplacianSpectrum>(
-        laplacian_spectrum(*graph_));
-    laplacian_solved_.store(true, std::memory_order_relaxed);
-    count_solve();
-    bytes_.fetch_add(
-        (laplacian_->values.size() + laplacian_->f2.size()) * sizeof(double) +
-            sizeof(LaplacianSpectrum),
-        std::memory_order_relaxed);
+  std::call_once(memo.f2_once, [&] {
+    // With the eigenvalues not yet solved, the full solve runs under
+    // their latch as well: its eigenvalues are the values-only solve's,
+    // bit for bit, and an eigenvalue reader arriving meanwhile waits for
+    // them instead of solving a second time.
+    bool filled_values = false;
+    std::call_once(memo.values_once, [&] {
+      Spectrum full = solver(*graph_);
+      memo.f2 = std::move(full.f2);
+      memo.values = std::make_unique<const Values>(
+          std::move(static_cast<Values&>(full)));
+      bytes_.fetch_add(
+          memo.values->values.size() * sizeof(double) + sizeof(Values),
+          std::memory_order_relaxed);
+      filled_values = true;
+    });
+    if (!filled_values) {
+      memo.f2 = solver(*graph_).f2;
+    }
+    memo.f2_solved.store(true, std::memory_order_relaxed);
+    count_solve(true);
+    bytes_.fetch_add(memo.f2.size() * sizeof(double),
+                     std::memory_order_relaxed);
     solved = true;
   });
   if (!solved) {
     count_hit();
   }
-  return *laplacian_;
+  return memo.f2;
+}
+
+const WalkEigenvalues& GraphSpectra::walk() const {
+  return values_of(walk_, &lazy_walk_eigenvalues);
+}
+
+const LaplacianEigenvalues& GraphSpectra::laplacian() const {
+  return values_of(laplacian_, &laplacian_eigenvalues);
+}
+
+const std::vector<double>& GraphSpectra::walk_f2() const {
+  return f2_of(walk_, &lazy_walk_spectrum);
+}
+
+const std::vector<double>& GraphSpectra::laplacian_f2() const {
+  return f2_of(laplacian_, &laplacian_spectrum);
+}
+
+void GraphSpectra::solve(SpectrumNeeds needs) const {
+  if (needs.walk_f2) {
+    walk_f2();
+  } else if (needs.walk) {
+    walk();
+  }
+  if (needs.laplacian_f2) {
+    laplacian_f2();
+  } else if (needs.laplacian) {
+    laplacian();
+  }
 }
 
 std::int64_t GraphSpectra::solves() const noexcept {
@@ -68,8 +117,12 @@ std::int64_t GraphSpectra::solves() const noexcept {
 }
 
 SpectrumNeeds GraphSpectra::solved() const noexcept {
-  return {walk_solved_.load(std::memory_order_relaxed),
-          laplacian_solved_.load(std::memory_order_relaxed)};
+  // values_solved marks only an eigenvalues-only solve: the full solve
+  // fills the values memo without setting it.
+  return {walk_.values_solved.load(std::memory_order_relaxed),
+          laplacian_.values_solved.load(std::memory_order_relaxed),
+          walk_.f2_solved.load(std::memory_order_relaxed),
+          laplacian_.f2_solved.load(std::memory_order_relaxed)};
 }
 
 std::int64_t GraphSpectra::hits() const noexcept {
@@ -153,6 +206,11 @@ std::int64_t SpectrumCache::misses() const {
 std::int64_t SpectrumCache::eigensolves() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return tally_->solves.load(std::memory_order_relaxed);
+}
+
+std::int64_t SpectrumCache::vector_solves() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return tally_->vector_solves.load(std::memory_order_relaxed);
 }
 
 std::int64_t SpectrumCache::spectrum_hits() const {

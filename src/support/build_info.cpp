@@ -3,8 +3,13 @@
 #include <sstream>
 
 // The OPINDYN_BUILD_* macros are injected per-source-file by
-// src/CMakeLists.txt so editing them never rebuilds the whole library;
-// the fallbacks keep non-CMake builds compiling.
+// src/CMakeLists.txt so editing them never rebuilds the whole library:
+// the git hash through a header the build stamps in the build tree, the
+// rest as compile definitions.  The fallbacks keep non-CMake builds
+// compiling.
+#if __has_include("opindyn_git_hash.h")
+#include "opindyn_git_hash.h"
+#endif
 #ifndef OPINDYN_BUILD_GIT_HASH
 #define OPINDYN_BUILD_GIT_HASH "unknown"
 #endif

@@ -116,6 +116,93 @@ TEST(SpectrumCacheEngine, EvictionCannotDiscardAPrefetchedSolve) {
   }
 }
 
+TEST(SpectrumCacheEngine, VectorSolvesOnlyWhereF2IsRead) {
+  // The rates read eigenvalues only; f_2 is read by the f2_* initial
+  // states and by propB1_drop, each with one full solve per graph.  The
+  // counter is deterministic: the same at one and four threads.
+  struct Case {
+    const char* scenario;
+    const char* init;
+    std::int64_t vector_solves_per_graph;
+  };
+  const Case cases[] = {{"thm22_convergence", "rademacher", 0},
+                        {"k_ablation", "rademacher", 0},
+                        {"thm24_edge_convergence", "rademacher", 0},
+                        {"thm22_convergence", "f2_walk", 1},
+                        {"propB1_drop", "rademacher", 1}};
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const Case& c : cases) {
+      ExperimentSpec spec = small_spec(c.scenario);
+      spec.threads = threads;
+      spec.replicas = 4;
+      spec.convergence.epsilon = 1e-3;
+      spec.initial.distribution = c.init;
+      spec.initial.center = "none";
+      spec.sweeps = parse_sweeps("n:8,10;alpha:0.4,0.6");
+      MetricsRegistry metrics;
+      const BatchResult result = run_experiment(spec, {}, {}, &metrics);
+      const std::string tag = std::string(c.scenario) + " init=" + c.init +
+                              " threads=" + std::to_string(threads);
+      EXPECT_EQ(result.spectra_solved, 2) << tag;  // one per graph
+      EXPECT_EQ(result.spectra_vector_solves, 2 * c.vector_solves_per_graph)
+          << tag;
+      EXPECT_EQ(metrics.fold().counters.at("spectrum_cache.vector_solves"),
+                result.spectra_vector_solves)
+          << tag;
+      EXPECT_EQ(result.spectra_late_solves, 0) << tag;
+    }
+  }
+}
+
+TEST(SpectrumCacheEngine, F2RunAfterAnEigenvalueRunOnSharedCachesKeepsItsBytes) {
+  // A serve process runs thm22_convergence (eigenvalues only) and then
+  // init=f2_walk on the same graph through shared caches: the second job
+  // finds the eigenvalues memoised but no f_2, runs one more (full)
+  // solve, and both write the bytes of fresh runs.
+  const auto run_to_csv = [](const ExperimentSpec& spec,
+                             const RunContext& context,
+                             const std::string& tag, BatchResult& result) {
+    const std::string path =
+        ::testing::TempDir() + "spectrum_shared_" + tag + ".csv";
+    {
+      CsvSink csv(path);
+      result = run_experiment(spec, {&csv}, {}, context);
+    }
+    const std::string bytes = read_file(path);
+    std::remove(path.c_str());
+    return bytes;
+  };
+  ExperimentSpec values = small_spec("thm22_convergence");
+  values.sweeps = parse_sweeps("alpha:0.4,0.6");
+  ExperimentSpec f2 = values;
+  f2.initial.distribution = "f2_walk";
+  f2.initial.center = "none";
+
+  GraphCache graphs;
+  SpectrumCache spectra;
+  RunContext shared;
+  shared.graph_cache = &graphs;
+  shared.spectrum_cache = &spectra;
+  BatchResult values_shared;
+  BatchResult f2_shared;
+  const std::string values_bytes =
+      run_to_csv(values, shared, "values", values_shared);
+  const std::string f2_bytes = run_to_csv(f2, shared, "f2", f2_shared);
+  EXPECT_EQ(values_shared.spectra_solved, 1);
+  EXPECT_EQ(values_shared.spectra_vector_solves, 0);
+  EXPECT_EQ(f2_shared.graphs_built, 0);
+  EXPECT_EQ(f2_shared.spectra_solved, 1);
+  EXPECT_EQ(f2_shared.spectra_vector_solves, 1);
+  EXPECT_EQ(f2_shared.spectra_late_solves, 0);
+
+  BatchResult fresh;
+  EXPECT_EQ(values_bytes, run_to_csv(values, RunContext{}, "values_fresh",
+                                     fresh));
+  EXPECT_EQ(f2_bytes, run_to_csv(f2, RunContext{}, "f2_fresh", fresh));
+  EXPECT_FALSE(f2_bytes.empty());
+  EXPECT_NE(values_bytes, f2_bytes);
+}
+
 TEST(SpectrumCacheEngine, NonSpectralScenarioSolvesNothing) {
   ExperimentSpec spec = small_spec("node");
   spec.sweeps = parse_sweeps("alpha:0.3,0.5");

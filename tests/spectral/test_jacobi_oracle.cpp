@@ -10,15 +10,19 @@
 // tridiagonal, an input symmetric only within the 1e-9 contract, row
 // strides with odd and even line counts, and runs capped after one to
 // three sweeps (whose state shows whether the end-of-sweep restore of
-// the deferred mirror is exact).
+// the deferred mirror is exact).  The EigenvaluesOnly cases hold
+// jacobi_eigenvalues to the oracle's values on the same inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/graph/generators.h"
 #include "src/service/cancel_token.h"
@@ -343,6 +347,209 @@ TEST(JacobiOracle, PollsTheAmbientCancelToken) {
   token.cancel("test");
   const CancelScope scope(&token);
   EXPECT_THROW(jacobi_eigen(laplacian_matrix(gen::petersen())),
+               CancelledError);
+}
+
+// --- Eigenvalues only -------------------------------------------------
+//
+// jacobi_eigenvalues runs the same sweeps without V^T; on every input
+// above its values must be the oracle's, bit for bit.  The builders
+// below rebuild those inputs.
+
+/// Asserts jacobi_eigenvalues returns the oracle's values bit for bit.
+void expect_values_bitwise_equal(const Matrix& m, const std::string& what,
+                                 double tolerance = 1e-13,
+                                 int max_sweeps = 100) {
+  const EigenDecomposition expected =
+      reference_jacobi_eigen(m, tolerance, max_sweeps);
+  const std::vector<double> actual =
+      jacobi_eigenvalues(m, tolerance, max_sweeps);
+  ASSERT_EQ(actual.size(), expected.values.size()) << what;
+  for (std::size_t k = 0; k < expected.values.size(); ++k) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[k]),
+              std::bit_cast<std::uint64_t>(expected.values[k]))
+        << what << ": value " << k;
+  }
+}
+
+/// A symmetric matrix with gaussian entries on `blocks` and exact zeros
+/// between them.
+Matrix gaussian_blocks(Rng& rng, std::size_t n,
+                       std::initializer_list<std::pair<std::size_t,
+                                                       std::size_t>>
+                           blocks) {
+  Matrix m(n, n, 0.0);
+  for (const auto& [begin, end] : blocks) {
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = r; c < end; ++c) {
+        const double x = rng.next_gaussian();
+        m.at(r, c) = x;
+        m.at(c, r) = x;
+      }
+    }
+  }
+  return m;
+}
+
+TEST(JacobiOracle, EigenvaluesOnlyOnGraphMatrices) {
+  for (const NodeId n : {2, 3, 17, 64, 128}) {
+    const NodeId degree = std::min<NodeId>(4, n - 1);
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng rng(seed);
+      const Graph g = gen::random_regular(rng, n, degree);
+      const std::string tag = "n=" + std::to_string(n) +
+                              " seed=" + std::to_string(seed);
+      expect_values_bitwise_equal(lazy_walk_matrix(g), "walk " + tag);
+      expect_values_bitwise_equal(laplacian_matrix(g), "laplacian " + tag);
+    }
+  }
+  // The symmetrised walk of an irregular graph: lazy_walk_eigenvalues
+  // must give the oracle's values of the S matrix its full solve builds.
+  Rng rng(7);
+  const Graph pa = gen::preferential_attachment(rng, 48, 3);
+  const auto n = static_cast<std::size_t>(pa.node_count());
+  Matrix s(n, n, 0.0);
+  for (NodeId u = 0; u < pa.node_count(); ++u) {
+    s.at(static_cast<std::size_t>(u), static_cast<std::size_t>(u)) = 0.5;
+    for (const NodeId v : pa.neighbors(u)) {
+      s.at(static_cast<std::size_t>(u), static_cast<std::size_t>(v)) =
+          0.5 / std::sqrt(static_cast<double>(pa.degree(u)) *
+                          static_cast<double>(pa.degree(v)));
+    }
+  }
+  expect_values_bitwise_equal(s, "pref_attach walk");
+  const std::vector<double> walk_values = lazy_walk_eigenvalues(pa).values;
+  const std::vector<double> oracle = reference_jacobi_eigen(s).values;
+  ASSERT_EQ(walk_values.size(), oracle.size());
+  for (std::size_t k = 0; k < oracle.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(walk_values[k]),
+              std::bit_cast<std::uint64_t>(oracle[k]))
+        << "lazy_walk_eigenvalues value " << k;
+  }
+  const Graph petersen = gen::petersen();
+  expect_values_bitwise_equal(laplacian_matrix(petersen),
+                              "petersen laplacian");
+  expect_values_bitwise_equal(lazy_walk_matrix(petersen), "petersen walk");
+  for (const NodeId size : {120, 127, 129, 248, 256}) {
+    Rng size_rng(1);
+    expect_values_bitwise_equal(
+        lazy_walk_matrix(gen::random_regular(size_rng, size, 4)),
+        "walk n=" + std::to_string(size));
+  }
+}
+
+TEST(JacobiOracle, EigenvaluesOnlyOnSkipAndZeroSweepCases) {
+  Matrix d(6, 6, 0.0);
+  const double diagonal[] = {3.0, -1.0, 2.0, 0.0, -0.0, 2.0};
+  for (std::size_t i = 0; i < 6; ++i) {
+    d.at(i, i) = diagonal[i];
+  }
+  expect_values_bitwise_equal(d, "diagonal");
+  expect_values_bitwise_equal(Matrix(1, 1, 4.5), "1x1");
+  Rng rng(11);
+  expect_values_bitwise_equal(gaussian_blocks(rng, 9, {{0, 4}, {4, 9}}),
+                              "block diagonal");
+  expect_values_bitwise_equal(laplacian_matrix(gen::path(12)),
+                              "path laplacian");
+}
+
+TEST(JacobiOracle, EigenvaluesOnlyOnALanczosTridiagonal) {
+  Rng graph_rng(3);
+  const Matrix l = laplacian_matrix(gen::random_regular(graph_rng, 96, 4));
+  const std::size_t n = l.rows();
+  constexpr std::size_t kSteps = 40;
+  Rng rng(5);
+  std::vector<std::vector<double>> basis;
+  std::vector<double> alpha;
+  std::vector<double> beta;
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = rng.next_gaussian();
+  }
+  scale(v, 1.0 / norm2(v));
+  basis.push_back(v);
+  for (std::size_t j = 0; j < kSteps; ++j) {
+    std::vector<double> w = l.multiply(basis[j]);
+    alpha.push_back(dot(w, basis[j]));
+    for (const auto& b : basis) {
+      axpy(-dot(w, b), b, w);
+    }
+    if (j + 1 == kSteps) {
+      break;
+    }
+    beta.push_back(norm2(w));
+    scale(w, 1.0 / beta.back());
+    basis.push_back(std::move(w));
+  }
+  Matrix t(kSteps, kSteps, 0.0);
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    t.at(i, i) = alpha[i];
+    if (i + 1 < kSteps) {
+      t.at(i, i + 1) = beta[i];
+      t.at(i + 1, i) = beta[i];
+    }
+  }
+  expect_values_bitwise_equal(t, "lanczos tridiagonal");
+}
+
+TEST(JacobiOracle, EigenvaluesOnlyOnNearSymmetricAndCappedInputs) {
+  // Near-symmetric inputs are the ones where reading apq from row p
+  // before the pivot's first rotation would differ from the column.
+  Rng rng(13);
+  Matrix near = laplacian_matrix(gen::random_regular(rng, 24, 4));
+  for (std::size_t r = 0; r < near.rows(); ++r) {
+    for (std::size_t c = r + 1; c < near.cols(); ++c) {
+      near.at(r, c) += 1e-11 * rng.next_gaussian();
+    }
+  }
+  ASSERT_GT(near.symmetry_defect(), 0.0);
+  expect_values_bitwise_equal(near, "near-symmetric");
+
+  Rng dense_rng(17);
+  const Matrix dense = gaussian_blocks(dense_rng, 37, {{0, 37}});
+  Rng graph_rng(19);
+  const Matrix walk = lazy_walk_matrix(gen::random_regular(graph_rng, 72, 4));
+  for (const int sweeps : {1, 2, 3}) {
+    const std::string tag = " sweeps=" + std::to_string(sweeps);
+    expect_values_bitwise_equal(dense, "dense" + tag, 1e-13, sweeps);
+    expect_values_bitwise_equal(walk, "walk" + tag, 1e-13, sweeps);
+  }
+
+  Rng block_rng(23);
+  constexpr std::size_t kN = 33;
+  constexpr std::size_t kSplit = 14;
+  Matrix zero_upper(kN, kN, 0.0);
+  Matrix zero_lower(kN, kN, 0.0);
+  for (std::size_t r = 0; r < kN; ++r) {
+    for (std::size_t c = r; c < kN; ++c) {
+      if ((r < kSplit) == (c < kSplit)) {
+        const double x = block_rng.next_gaussian();
+        zero_upper.at(r, c) = zero_upper.at(c, r) = x;
+        zero_lower.at(r, c) = zero_lower.at(c, r) = x;
+      } else {
+        zero_upper.at(c, r) = 1e-12;
+        zero_lower.at(r, c) = 1e-12;
+      }
+    }
+  }
+  for (const int sweeps : {1, 2, 100}) {
+    const std::string tag = " sweeps=" + std::to_string(sweeps);
+    expect_values_bitwise_equal(zero_upper, "zero upper" + tag, 1e-13,
+                                sweeps);
+    expect_values_bitwise_equal(zero_lower, "zero lower" + tag, 1e-13,
+                                sweeps);
+  }
+}
+
+TEST(JacobiOracle, EigenvaluesOnlyKeepsTheContractsAndPolls) {
+  EXPECT_THROW(jacobi_eigenvalues(Matrix(2, 3, 0.0)), ContractError);
+  Matrix asymmetric(2, 2, 0.0);
+  asymmetric.at(0, 1) = 1e-8;
+  EXPECT_THROW(jacobi_eigenvalues(asymmetric), ContractError);
+  CancelToken token;
+  token.cancel("test");
+  const CancelScope scope(&token);
+  EXPECT_THROW(jacobi_eigenvalues(laplacian_matrix(gen::petersen())),
                CancelledError);
 }
 

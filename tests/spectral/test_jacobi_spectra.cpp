@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/graph/generators.h"
+#include "src/service/cancel_token.h"
 #include "src/spectral/jacobi.h"
 #include "src/spectral/lanczos.h"
 #include "src/spectral/spectra.h"
@@ -229,6 +230,14 @@ TEST(Lanczos, LargeCycleFullDimensionIsExact) {
   const double expected = 2.0 - 2.0 * std::cos(2.0 * pi / 300.0);
   const double computed = laplacian_lambda2_lanczos(g, 300);
   EXPECT_NEAR(computed, expected, expected * 1e-6);
+}
+
+TEST(Lanczos, PollsTheAmbientCancelToken) {
+  CancelToken token;
+  token.cancel("test");
+  const CancelScope scope(&token);
+  EXPECT_THROW(laplacian_lambda2_lanczos(gen::cycle(64), 40),
+               CancelledError);
 }
 
 class SpectrumSizes : public ::testing::TestWithParam<NodeId> {};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.h"
+#include "src/service/cancel_token.h"
 #include "src/spectral/spectra.h"
 #include "src/support/assert.h"
 
@@ -65,6 +66,14 @@ TEST(PowerIteration, NonReversibleChain) {
   for (const double x : result.distribution) {
     EXPECT_NEAR(x, 1.0 / 3.0, 1e-10);  // symmetric drift -> uniform
   }
+}
+
+TEST(PowerIteration, PollsTheAmbientCancelToken) {
+  CancelToken token;
+  token.cancel("test");
+  const CancelScope scope(&token);
+  EXPECT_THROW(stationary_distribution(lazy_walk_matrix(gen::petersen())),
+               CancelledError);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // SpectrumCache / GraphSpectra: one eigensolve per graph and spectrum
-// kind, lazily and under concurrency; shared records per cache key; the
-// memoised values match the direct solvers bit for bit.
+// kind, lazily and under concurrency, with eigenvalues and f2 memoised
+// apart; shared records per cache key; the memoised values match the
+// direct solvers bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,9 +19,9 @@ TEST(GraphSpectra, SolvesEachKindLazilyAndOnce) {
   GraphSpectra spectra(std::make_shared<const Graph>(gen::cycle(8)));
   EXPECT_EQ(spectra.solves(), 0);  // nothing solved until asked
 
-  const WalkSpectrum& walk = spectra.walk();
+  const WalkEigenvalues& walk = spectra.walk();
   EXPECT_EQ(spectra.solves(), 1);
-  const LaplacianSpectrum& laplacian = spectra.laplacian();
+  const LaplacianEigenvalues& laplacian = spectra.laplacian();
   EXPECT_EQ(spectra.solves(), 2);
 
   // Repeat accesses are memo hits, never new solves.
@@ -38,9 +39,9 @@ TEST(GraphSpectra, ValuesMatchTheDirectSolvers) {
   // The record runs the identical deterministic solver, so the values
   // are bitwise equal -- the cache can never change golden outputs.
   EXPECT_EQ(spectra.walk().lambda2, direct_walk.lambda2);
-  EXPECT_EQ(spectra.walk().f2, direct_walk.f2);
+  EXPECT_EQ(spectra.walk_f2(), direct_walk.f2);
   EXPECT_EQ(spectra.laplacian().lambda2, direct_lap.lambda2);
-  EXPECT_EQ(spectra.laplacian().f2, direct_lap.f2);
+  EXPECT_EQ(spectra.laplacian_f2(), direct_lap.f2);
 }
 
 TEST(GraphSpectra, ConcurrentAccessorsSolveExactlyOnce) {
@@ -59,6 +60,69 @@ TEST(GraphSpectra, ConcurrentAccessorsSolveExactlyOnce) {
   }
   EXPECT_EQ(spectra.solves(), 2);
   EXPECT_EQ(spectra.hits(), 14);  // 8 accesses per kind, 1 solve each
+}
+
+TEST(GraphSpectra, F2SolveServesTheEigenvaluesButNotTheReverse) {
+  const auto graph = std::make_shared<const Graph>(gen::petersen());
+  // f2 first: the full solve fills the eigenvalue memo, so the later
+  // eigenvalue request is a hit.
+  GraphSpectra f2_first(graph);
+  const std::vector<double>& f2 = f2_first.walk_f2();
+  EXPECT_EQ(f2_first.solves(), 1);
+  EXPECT_EQ(f2_first.walk().lambda2, lazy_walk_spectrum(*graph).lambda2);
+  EXPECT_EQ(f2_first.solves(), 1);
+  EXPECT_EQ(f2_first.hits(), 1);
+  EXPECT_EQ(f2_first.solved().walk, false);  // no values-only solve ran
+  EXPECT_EQ(f2_first.solved().walk_f2, true);
+
+  // Eigenvalues first: an eigenvalues-only solve holds no f2, so the f2
+  // request runs one more (full) solve.
+  GraphSpectra values_first(graph);
+  const double lambda2 = values_first.walk().lambda2;
+  EXPECT_EQ(values_first.solves(), 1);
+  EXPECT_EQ(values_first.walk_f2(), f2);
+  EXPECT_EQ(values_first.solves(), 2);
+  EXPECT_EQ(values_first.walk().lambda2, lambda2);
+  EXPECT_EQ(values_first.laplacian_f2(), laplacian_spectrum(*graph).f2);
+  EXPECT_EQ(values_first.solves(), 3);
+  EXPECT_EQ(values_first.hits(), 1);
+}
+
+TEST(GraphSpectra, ConcurrentValuesAndF2CallersSolveOnceEachWay) {
+  // Half the threads read the eigenvalues, half f2, of both kinds, on
+  // one cold record: each once-latch runs its solve once.  Whether the
+  // eigenvalue latch runs a values-only solve or is filled by the full
+  // solve depends on who arrives first, so there are one or two solves
+  // per kind, and every call is either a solve or a hit.
+  constexpr int kThreads = 8;
+  const auto graph = std::make_shared<const Graph>(gen::complete(24));
+  const auto tally = std::make_shared<GraphSpectra::Tally>();
+  GraphSpectra spectra(graph, tally);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&spectra, t] {
+      if (t % 2 == 0) {
+        EXPECT_GT(spectra.walk().lambda2, 0.0);
+        EXPECT_GT(spectra.laplacian().lambda2, 0.0);
+      } else {
+        EXPECT_EQ(spectra.walk_f2().size(), 24u);
+        EXPECT_EQ(spectra.laplacian_f2().size(), 24u);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(tally->vector_solves.load(), 2);  // one full solve per kind
+  EXPECT_GE(spectra.solves(), 2);
+  EXPECT_LE(spectra.solves(), 4);
+  EXPECT_EQ(spectra.solves() + spectra.hits(), 2 * kThreads);
+  // The memo holds the direct solvers' results whichever way it filled.
+  EXPECT_EQ(spectra.walk().values, lazy_walk_spectrum(*graph).values);
+  EXPECT_EQ(spectra.walk_f2(), lazy_walk_spectrum(*graph).f2);
+  EXPECT_EQ(spectra.laplacian().values, laplacian_spectrum(*graph).values);
+  EXPECT_EQ(spectra.laplacian_f2(), laplacian_spectrum(*graph).f2);
 }
 
 TEST(SpectrumCache, SharesOneRecordPerKey) {
@@ -82,7 +146,11 @@ TEST(SpectrumCache, SharesOneRecordPerKey) {
   b->walk();  // same record: second access is a spectrum hit
   c->laplacian();
   EXPECT_EQ(cache.eigensolves(), 2);
+  EXPECT_EQ(cache.vector_solves(), 0);  // eigenvalues only so far
   EXPECT_EQ(cache.spectrum_hits(), 1);
+  c->laplacian_f2();
+  EXPECT_EQ(cache.eigensolves(), 3);
+  EXPECT_EQ(cache.vector_solves(), 1);
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
