@@ -10,10 +10,20 @@
 // hitting time -- is the exact pass's, never an artefact of drift.
 // Checks and exact passes are reported as engine.checks and
 // engine.exact_checks.
+//
+// The loop runs a group of processes at once: every process of the
+// group is checked at each interval and leaves the group when it
+// converges, while the rest step on together
+// (AveragingProcess::step_burst_group), in lanes where the lane kernel
+// covers them.  No process sees another's state or stream, so each
+// result equals that of running the process alone; the one-process call
+// is a group of one.  Process-steps taken in lanes are reported as
+// engine.lane_steps.
 #ifndef OPINDYN_CORE_CONVERGENCE_H
 #define OPINDYN_CORE_CONVERGENCE_H
 
 #include <cstdint>
+#include <span>
 
 #include "src/core/process.h"
 #include "src/support/rng.h"
@@ -46,6 +56,15 @@ struct ConvergenceOptions {
 
 ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
                                       const ConvergenceOptions& options);
+
+/// The group form: process i steps with *rngs[i] and its result lands in
+/// results[i].  The processes must share one graph and one kind (the
+/// check interval is the first process's default_check_interval() when
+/// options.check_interval is 0) and start at one time.
+void run_until_converged(std::span<AveragingProcess* const> group,
+                         std::span<Rng* const> rngs,
+                         const ConvergenceOptions& options,
+                         std::span<ConvergenceResult> results);
 
 }  // namespace opindyn
 

@@ -132,6 +132,15 @@ EdgeModel::EdgeModel(const Graph& graph, std::vector<double> initial,
   OPINDYN_EXPECTS(graph.edge_count() >= 1, "EdgeModel needs >= 1 edge");
 }
 
+LaneShape EdgeModel::lane_shape(const Graph& graph,
+                                const EdgeModelParams& params) {
+  if (params.lazy || !graph.is_regular() ||
+      graph.arc_count() >= burst::kMaxChunkedArcs) {
+    return {};
+  }
+  return {LaneShape::Rule::edge, params.alpha};
+}
+
 NodeSelection EdgeModel::step_recorded(Rng& rng) {
   NodeSelection selection;
   if (params_.lazy && rng.next_bool(0.5)) {

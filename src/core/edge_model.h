@@ -28,6 +28,13 @@ class EdgeModel final : public AveragingProcess {
 
   void step_burst(Rng& rng, std::int64_t n_steps) override;
 
+  /// Rule::edge for non-lazy runs on regular graphs with 2m < 2^31.
+  static LaneShape lane_shape(const Graph& graph,
+                              const EdgeModelParams& params);
+  LaneShape lane_shape() const override {
+    return lane_shape(graph(), params_);
+  }
+
   const EdgeModelParams& params() const noexcept { return params_; }
 
  private:

@@ -51,6 +51,22 @@ KnobSet knobs_for(ModelKind kind) {
   throw std::runtime_error("unknown ModelKind");
 }
 
+NodeModelParams node_params(const ModelConfig& config) {
+  NodeModelParams params;
+  params.alpha = config.alpha;
+  params.k = config.k;
+  params.lazy = config.lazy;
+  params.sampling = config.sampling;
+  return params;
+}
+
+EdgeModelParams edge_params(const ModelConfig& config) {
+  EdgeModelParams params;
+  params.alpha = config.alpha;
+  params.lazy = config.lazy;
+  return params;
+}
+
 [[noreturn]] void reject_knob(ModelKind kind, const std::string& knob) {
   throw std::runtime_error("model '" + model_kind_name(kind) +
                            "' does not use " + knob +
@@ -163,20 +179,12 @@ std::unique_ptr<AveragingProcess> make_process(const Graph& graph,
                                                std::vector<double> initial) {
   validate_model_config(config);
   switch (config.kind) {
-    case ModelKind::node: {
-      NodeModelParams params;
-      params.alpha = config.alpha;
-      params.k = config.k;
-      params.lazy = config.lazy;
-      params.sampling = config.sampling;
-      return std::make_unique<NodeModel>(graph, std::move(initial), params);
-    }
-    case ModelKind::edge: {
-      EdgeModelParams params;
-      params.alpha = config.alpha;
-      params.lazy = config.lazy;
-      return std::make_unique<EdgeModel>(graph, std::move(initial), params);
-    }
+    case ModelKind::node:
+      return std::make_unique<NodeModel>(graph, std::move(initial),
+                                         node_params(config));
+    case ModelKind::edge:
+      return std::make_unique<EdgeModel>(graph, std::move(initial),
+                                         edge_params(config));
     case ModelKind::voter:
       return std::make_unique<VoterModel>(graph, std::move(initial),
                                           config.lazy);
@@ -202,6 +210,17 @@ std::unique_ptr<AveragingProcess> make_process(const Graph& graph,
           graph, std::move(initial), config.confidence, config.lazy);
   }
   throw std::runtime_error("unknown ModelKind");
+}
+
+LaneShape lane_shape(const ModelConfig& config, const Graph& graph) {
+  switch (config.kind) {
+    case ModelKind::node:
+      return NodeModel::lane_shape(graph, node_params(config));
+    case ModelKind::edge:
+      return EdgeModel::lane_shape(graph, edge_params(config));
+    default:
+      return {};
+  }
 }
 
 }  // namespace opindyn

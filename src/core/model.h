@@ -81,6 +81,10 @@ std::unique_ptr<AveragingProcess> make_process(
     const Graph& graph, const ModelConfig& config,
     std::vector<double> initial);
 
+/// The lane shape (core/lane_kernel.h) of the process make_process
+/// would build for `config` over `graph`, without building it.
+LaneShape lane_shape(const ModelConfig& config, const Graph& graph);
+
 }  // namespace opindyn
 
 #endif  // OPINDYN_CORE_MODEL_H

@@ -16,11 +16,16 @@ namespace {
 /// bit-identical to n_steps repeated step() calls.
 ///
 /// One fused loop, software-pipelined in groups of 8 steps: the
-/// group's draws (two serial rng calls per step at K = 1) resolve to
+/// group's draws (two rng calls per step at K = 1) resolve to
 /// neighbour/target nodes first, then the FP applies walk the group in
-/// step order reading values live.  The rng state chain is the long
-/// pole, so hoisting it ahead of the accumulator chains is worth ~1.4x
-/// over a straight per-step loop.  The recompute cadence is counted
+/// step order reading values live; hoisting the draws was worth ~1.4x
+/// over a straight per-step loop.  What bounds the loop is instruction
+/// throughput, not the rng's serial latency: a K = 1 step issues about
+/// 50 scalar micro-ops (two xoshiro256++ draws, two Lemire multiplies,
+/// 13 FP ops, the loads and the store), and two replicas' streams
+/// interleaved in one loop ran no faster than one.  The lane kernel
+/// (core/lane_kernel.h) issues those micro-ops once for up to eight
+/// replicas, ~2x the per-replica rate.  The recompute cadence is counted
 /// per chunk through the cursor countdown: a chunk that cannot reach
 /// the recompute threshold settles its bookkeeping with one advance(),
 /// and only chunks straddling the threshold (or lazy runs, whose
@@ -86,14 +91,13 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
         std::min<std::int64_t>(burst::kChunkSteps, n_steps - done);
     if (!lazy && cursor.countdown() > chunk) [[likely]] {
       // Software-pipelined 8-wide: each group's K+1 draws per step are
-      // hoisted ahead of its applies.  A node step chains TWO serial
-      // rng draws, so the xoshiro state chain is the long pole here;
-      // hoisting lets the integer draw/Floyd work of the whole group
-      // run ahead while the FP accumulator chains of the previous
-      // group drain.  Draw order and apply order both stay exactly
-      // step()'s, the draw phase reads no values, and the apply phase
-      // reads them in step order, so a step that reads a node written
-      // earlier in the group sees the new value, exactly as in step().
+      // hoisted ahead of its applies, so the integer draw/Floyd work of
+      // the whole group runs ahead while the FP accumulator chains of
+      // the previous group drain.  Draw order and apply order both stay
+      // exactly step()'s, the draw phase reads no values, and the apply
+      // phase reads them in step order, so a step that reads a node
+      // written earlier in the group sees the new value, exactly as in
+      // step().
       constexpr int kGroup = 8;
       std::int64_t c = 0;
       for (; c + kGroup <= chunk; c += kGroup) {
@@ -173,7 +177,10 @@ bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
                 const Topo& topo) {
   switch (k) {
     case 1:
-      run_node_burst<1, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
+      // Floyd's subset draw at K = 1 is one next_below_nonzero(d), the
+      // with-replacement draw: both modes share that instantiation.
+      run_node_burst<1, SamplingMode::with_replacement>(
+          rng, n_steps, lazy, a, state, vals, n, topo);
       return true;
     case 2:
       run_node_burst<2, Mode>(rng, n_steps, lazy, a, state, vals, n, topo);
@@ -244,6 +251,15 @@ NodeId NodeModel::draw_selection(Rng& rng) {
     }
   }
   return u;
+}
+
+LaneShape NodeModel::lane_shape(const Graph& graph,
+                                const NodeModelParams& params) {
+  if (params.k != 1 || params.lazy || !graph.is_regular() ||
+      graph.arc_count() >= burst::kMaxChunkedArcs) {
+    return {};
+  }
+  return {LaneShape::Rule::node, params.alpha};
 }
 
 NodeSelection NodeModel::step_recorded(Rng& rng) {

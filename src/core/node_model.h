@@ -45,6 +45,14 @@ class NodeModel final : public AveragingProcess {
 
   void step_burst(Rng& rng, std::int64_t n_steps) override;
 
+  /// Rule::node for k = 1, non-lazy runs on regular graphs with
+  /// 2m < 2^31 (either sampling mode: at k = 1 both draw the same).
+  static LaneShape lane_shape(const Graph& graph,
+                              const NodeModelParams& params);
+  LaneShape lane_shape() const override {
+    return lane_shape(graph(), params_);
+  }
+
   const NodeModelParams& params() const noexcept { return params_; }
 
  private:

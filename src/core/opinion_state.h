@@ -22,6 +22,7 @@
 #define OPINDYN_CORE_OPINION_STATE_H
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -143,6 +144,18 @@ class OpinionState {
     std::int64_t countdown() const noexcept { return countdown_; }
     void advance(std::int64_t n) noexcept { countdown_ -= n; }
     bool advance_one() noexcept { return --countdown_ <= 0; }
+
+    /// The running sums in update() order: sum, sum_sq, wsum, wsum_sq.
+    /// The lane kernel (core/lane_kernel.h) holds eight cursors' sums in
+    /// vector registers, one lane each, and hands them back here.
+    using Sums = std::array<double, 4>;
+    Sums sums() const noexcept { return {sum_, sum_sq_, wsum_, wsum_sq_}; }
+    void set_sums(const Sums& sums) noexcept {
+      sum_ = sums[0];
+      sum_sq_ = sums[1];
+      wsum_ = sums[2];
+      wsum_sq_ = sums[3];
+    }
 
    private:
     friend class OpinionState;

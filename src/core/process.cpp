@@ -17,6 +17,35 @@ void AveragingProcess::apply(const NodeSelection& selection) {
   ++time_;
 }
 
+std::int64_t AveragingProcess::step_burst_group(
+    std::span<AveragingProcess* const> group, std::span<Rng* const> rngs,
+    std::int64_t n_steps) {
+  OPINDYN_EXPECTS(group.size() == rngs.size(), "one rng per process");
+  const auto size = static_cast<std::int64_t>(group.size());
+  const LaneShape shape = size > 0 ? group[0]->lane_shape() : LaneShape{};
+  bool lockstep = size >= lanes::kMinLanes && size <= lanes::kMaxLanes &&
+                  shape.rule != LaneShape::Rule::none && lanes::enabled();
+  for (const AveragingProcess* process : group) {
+    lockstep = lockstep && process->lane_shape() == shape &&
+               &process->graph() == &group[0]->graph();
+  }
+  if (!lockstep) {
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      group[i]->step_burst(*rngs[i], n_steps);
+    }
+    return 0;
+  }
+  lanes::Lane lane[lanes::kMaxLanes];
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    lane[i] = {&group[i]->state_, rngs[i]};
+  }
+  lanes::step(shape, {lane, group.size()}, n_steps);
+  for (AveragingProcess* process : group) {
+    process->advance_time(n_steps);
+  }
+  return n_steps * size;
+}
+
 bool AveragingProcess::converged(double epsilon,
                                  bool use_plain_potential) const {
   // The O(1) screen settles every check it can prove is above eps; only

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 
+#include "src/core/lane_kernel.h"
 #include "src/core/opinion_state.h"
 #include "src/core/selection.h"
 #include "src/graph/graph.h"
@@ -33,6 +35,21 @@ class AveragingProcess {
   /// loop, so every long-horizon harness (run_until_converged, the
   /// engine's replica bodies) should step through this.
   virtual void step_burst(Rng& rng, std::int64_t n_steps) = 0;
+
+  /// Advances every process of `group` `n_steps` steps, process i with
+  /// *rngs[i]: the result is exactly that of group[i]->step_burst(
+  /// *rngs[i], n_steps) for each i.  When lanes are enabled and
+  /// lanes::kMinLanes to lanes::kMaxLanes processes share one graph and
+  /// a lane shape (lane_shape()), one lane burst advances them all;
+  /// otherwise each steps alone.  Returns the process-steps taken in
+  /// lanes.
+  static std::int64_t step_burst_group(
+      std::span<AveragingProcess* const> group,
+      std::span<Rng* const> rngs, std::int64_t n_steps);
+
+  /// How this process steps in lockstep with others of its shape
+  /// (core/lane_kernel.h); Rule::none, the default, steps it alone.
+  virtual LaneShape lane_shape() const { return {}; }
 
   /// Advances one step and returns the selection chi(t) that was made
   /// (empty sample = lazy no-op).  This is the recorded slow path the

@@ -161,7 +161,10 @@ bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
                 const Topo& topo) {
   switch (k) {
     case 1:
-      run_median_burst<1, Mode>(rng, n_steps, lazy, state, vals, n, topo);
+      // Floyd's subset draw at K = 1 is one next_below_nonzero(d), the
+      // with-replacement draw: both modes share that instantiation.
+      run_median_burst<1, SamplingMode::with_replacement>(
+          rng, n_steps, lazy, state, vals, n, topo);
       return true;
     case 2:
       run_median_burst<2, Mode>(rng, n_steps, lazy, state, vals, n, topo);

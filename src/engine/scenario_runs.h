@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/core/convergence.h"
+#include "src/core/lane_kernel.h"
 #include "src/core/model.h"
 #include "src/engine/scenario.h"
 #include "src/service/cancel_token.h"
@@ -44,8 +45,13 @@ enum ConvergedMetric : std::size_t {
 /// special case: it starts from n distinct opinions 0..n-1 (VoterModel
 /// assigns dense ids by value, so this is the classic all-distinct voter
 /// start).  Each process checks at its own default_check_interval()
-/// unless `convergence` sets one.  With a `rows` stream, each unit emits
-/// its (replica, F, T_eps) row.
+/// unless `convergence` sets one.  With a `rows` stream, each replica
+/// emits its (replica, F, T_eps) row.
+///
+/// Units cover lanes::group_width consecutive replicas, which one
+/// run_until_converged group loop runs together (in lanes where the lane
+/// kernel covers the shape); every replica's result is the one it would
+/// have alone, so only the unit count depends on the width.
 inline std::shared_ptr<ReplicaBatch> submit_converging(
     const RunInput& in, const ModelConfig& config,
     const ConvergenceOptions& convergence, std::uint64_t salt = 0,
@@ -55,25 +61,38 @@ inline std::shared_ptr<ReplicaBatch> submit_converging(
     opinions.resize(static_cast<std::size_t>(in.graph.node_count()));
     std::iota(opinions.begin(), opinions.end(), 0.0);
   }
-  return in.scheduler.submit(
-      in.spec.replicas, salt == 0 ? in.spec.seed : subseed(in.spec.seed, salt),
+  const std::int64_t group = lanes::group_width(
+      in.spec.replicas, lane_shape(config, in.graph), in.graph.node_count());
+  return in.scheduler.submit_groups(
+      in.spec.replicas, group,
+      salt == 0 ? in.spec.seed : subseed(in.spec.seed, salt),
       kConvergedMetrics,
-      [in, config, convergence, opinions = std::move(opinions), rows](
-          std::int64_t r, Rng& rng, std::span<double> out,
-          RowEmitter& emitter) {
-        auto process = make_process(in.graph, config,
-                                    opinions.empty() ? in.initial : opinions);
-        const ConvergenceResult res =
-            run_until_converged(*process, rng, convergence);
-        out[kValue] = res.final_value;
-        out[kSteps] = static_cast<double>(res.steps);
-        out[kConverged] = res.converged ? 1.0 : 0.0;
-        if (res.converged) {
-          out[kHitSteps] = out[kSteps];
+      [in, config, convergence, opinions = std::move(opinions),
+       rows](std::span<ReplicaSlot> slots) {
+        std::vector<std::unique_ptr<AveragingProcess>> owned;
+        std::vector<AveragingProcess*> processes;
+        std::vector<Rng*> rngs;
+        for (ReplicaSlot& slot : slots) {
+          owned.push_back(make_process(
+              in.graph, config, opinions.empty() ? in.initial : opinions));
+          processes.push_back(owned.back().get());
+          rngs.push_back(&slot.rng);
         }
-        if (rows != nullptr) {
-          emitter.row().integer(r).general(res.final_value).integer(
-              res.steps);
+        std::vector<ConvergenceResult> results(slots.size());
+        run_until_converged(processes, rngs, convergence, results);
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+          const ConvergenceResult& res = results[i];
+          std::span<double> out = slots[i].out;
+          out[kValue] = res.final_value;
+          out[kSteps] = static_cast<double>(res.steps);
+          out[kConverged] = res.converged ? 1.0 : 0.0;
+          if (res.converged) {
+            out[kHitSteps] = out[kSteps];
+          }
+          if (rows != nullptr) {
+            slots[i].rows.row().integer(slots[i].replica).general(
+                res.final_value).integer(res.steps);
+          }
         }
       },
       rows);

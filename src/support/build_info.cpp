@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "src/core/lane_kernel.h"
+
 // The OPINDYN_BUILD_* macros are injected per-source-file by
 // src/CMakeLists.txt so editing them never rebuilds the whole library:
 // the git hash through a header the build stamps in the build tree, the
@@ -38,6 +40,7 @@ const BuildInfo& build_info() {
 #else
     b.checked_hot_path = false;
 #endif
+    b.lane_kernel = lanes::kernel_name();
     return b;
   }();
   return info;
@@ -52,6 +55,7 @@ json::Value build_info_json() {
   block.emplace_back("build_type", b.build_type);
   block.emplace_back("cxx_standard", b.cxx_standard);
   block.emplace_back("checked_hot_path", b.checked_hot_path);
+  block.emplace_back("lane_kernel", b.lane_kernel);
   return json::Value(std::move(block));
 }
 
@@ -65,7 +69,8 @@ std::string build_info_text() {
       << "  C++ standard:     " << b.cxx_standard << "\n"
       << "  flags:            " << b.flags << "\n"
       << "  checked hot path: " << (b.checked_hot_path ? "on" : "off")
-      << "\n";
+      << "\n"
+      << "  lane kernel:      " << b.lane_kernel << "\n";
   return out.str();
 }
 

@@ -22,6 +22,10 @@ struct BuildInfo {
   std::string build_type;  // e.g. "Release"
   std::string cxx_standard;
   bool checked_hot_path = false;  // OPINDYN_CHECKED_HOT_PATH state
+  /// The lane kernel this CPU runs (core/lane_kernel.h): "avx512f" or
+  /// "none", from a run-time check -- the one field that describes the
+  /// machine rather than the build.  Output bytes never depend on it.
+  std::string lane_kernel;
 };
 
 const BuildInfo& build_info();

@@ -26,32 +26,41 @@ std::uint64_t subseed(std::uint64_t seed, std::uint64_t salt) noexcept {
   return splitmix64(state);
 }
 
-ReplicaBatch::ReplicaBatch(std::int64_t replicas, std::uint64_t seed,
-                           std::size_t metrics, Body body,
-                           const RowStream* rows)
+ReplicaBatch::ReplicaBatch(std::int64_t replicas, std::int64_t group,
+                           std::uint64_t seed, std::size_t metrics,
+                           GroupBody body, const RowStream* rows)
     : replicas_(replicas),
+      group_(group),
       metric_count_(metrics),
       seed_(seed),
       body_(std::move(body)),
       rows_(rows),
       buffer_(static_cast<std::size_t>(replicas) * metrics,
               std::numeric_limits<double>::quiet_NaN()),
-      pending_(replicas) {}
+      pending_(units()) {}
 
-void ReplicaBatch::run_unit(std::int64_t r) {
-  Rng rng = Rng::fork(seed_, static_cast<std::uint64_t>(r));
-  RowEmitter emitter = rows_ != nullptr ? rows_->emitter() : RowEmitter();
-  body_(r, rng,
+void ReplicaBatch::run_unit(std::int64_t unit) {
+  const std::int64_t first = unit * group_;
+  const std::int64_t last = std::min(first + group_, replicas_);
+  std::vector<ReplicaSlot> slots;
+  slots.reserve(static_cast<std::size_t>(last - first));
+  for (std::int64_t r = first; r < last; ++r) {
+    slots.push_back(ReplicaSlot{
+        r, Rng::fork(seed_, static_cast<std::uint64_t>(r)),
         std::span<double>(
             buffer_.data() + static_cast<std::size_t>(r) * metric_count_,
             metric_count_),
-        emitter);
+        rows_ != nullptr ? rows_->emitter() : RowEmitter()});
+  }
+  body_(slots);
   if (rows_ != nullptr) {
-    rows_->deliver(r, emitter.take());
+    for (ReplicaSlot& slot : slots) {
+      rows_->deliver(slot.replica, slot.rows.take());
+    }
   }
 }
 
-void ReplicaBatch::run_unit_instrumented(std::int64_t r) {
+void ReplicaBatch::run_unit_instrumented(std::int64_t unit) {
   MetricsRegistry& registry = *metrics_registry_;
   const std::uint64_t start_us = registry.now_us();
   {
@@ -59,12 +68,13 @@ void ReplicaBatch::run_unit_instrumented(std::int64_t r) {
     // metrics::count; the scope attributes those counts to this batch's
     // label, which is how the run report's per-cell table is built.
     MetricsScope scope(&registry, label_);
-    run_unit(r);
+    run_unit(unit);
   }
   const std::uint64_t end_us = registry.now_us();
   MetricsBuffer& buffer = registry.buffer();
-  buffer.add_span(
-      TraceSpan{label_, "unit", r, start_us, end_us - start_us, 0});
+  // The span carries the unit's first replica.
+  buffer.add_span(TraceSpan{label_, "unit", unit * group_, start_us,
+                            end_us - start_us, 0});
   buffer.add_busy(end_us - start_us);
   buffer.count("scheduler.units_run", 1);
   if (inflight_ != nullptr) {
@@ -78,14 +88,14 @@ void ReplicaBatch::run_range(std::int64_t begin, std::int64_t end) noexcept {
     // (and the bursts inside them) can poll it; a cancelled batch skips
     // its remaining units and wait() reports a CancelledError.
     const CancelScope cancel_scope(cancel_);
-    for (std::int64_t r = begin; r < end; ++r) {
+    for (std::int64_t unit = begin; unit < end; ++unit) {
       if (cancel_ != nullptr && cancel_->cancelled()) {
         throw CancelledError(cancel_->reason());
       }
       if (metrics_registry_ != nullptr) {
-        run_unit_instrumented(r);
+        run_unit_instrumented(unit);
       } else {
-        run_unit(r);
+        run_unit(unit);
       }
     }
   } catch (const CancelledError& cancelled) {
@@ -189,15 +199,31 @@ std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
                                                     std::size_t metrics,
                                                     ReplicaBatch::Body body,
                                                     const RowStream* rows) {
+  return submit_groups(
+      replicas, 1, seed, metrics,
+      [body = std::move(body)](std::span<ReplicaSlot> slots) {
+        for (ReplicaSlot& slot : slots) {
+          body(slot.replica, slot.rng, slot.out, slot.rows);
+        }
+      },
+      rows);
+}
+
+std::shared_ptr<ReplicaBatch> CellScheduler::submit_groups(
+    std::int64_t replicas, std::int64_t group, std::uint64_t seed,
+    std::size_t metrics, ReplicaBatch::GroupBody body,
+    const RowStream* rows) {
   OPINDYN_EXPECTS(replicas >= 1, "need at least one replica");
+  OPINDYN_EXPECTS(group >= 1, "need at least one replica per unit");
   OPINDYN_EXPECTS(metrics >= 1, "need at least one metric");
   // make_shared is unavailable for the private constructor.
-  std::shared_ptr<ReplicaBatch> batch(
-      new ReplicaBatch(replicas, seed, metrics, std::move(body), rows));
+  std::shared_ptr<ReplicaBatch> batch(new ReplicaBatch(
+      replicas, group, seed, metrics, std::move(body), rows));
   batch->cancel_ = cancel::current();
   if (t_submit_log != nullptr) {
     t_submit_log->batches_.push_back(batch);
   }
+  const std::int64_t units = batch->units();
 
   if (metrics_registry_ != nullptr) {
     batch->metrics_registry_ = metrics_registry_;
@@ -209,16 +235,15 @@ std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
     // different jobs never contend either.
     MetricsBuffer& buffer = metrics_registry_->buffer();
     buffer.count("scheduler.batches_submitted", 1);
-    buffer.count("scheduler.units_submitted", replicas);
+    buffer.count("scheduler.units_submitted", units);
     if (!t_submit_label.empty()) {
-      buffer.count_labeled(t_submit_label, "units", replicas);
+      buffer.count_labeled(t_submit_label, "units", units);
       buffer.count_labeled(t_submit_label, "batches", 1);
     }
     // Queue-depth high-water mark, observed at submission (worker-side
     // decrements race this, which only ever under-counts the peak).
     const std::int64_t depth =
-        inflight_->fetch_add(replicas, std::memory_order_relaxed) +
-        replicas;
+        inflight_->fetch_add(units, std::memory_order_relaxed) + units;
     std::int64_t seen = max_inflight_->load(std::memory_order_relaxed);
     while (depth > seen &&
            !max_inflight_->compare_exchange_weak(
@@ -227,17 +252,17 @@ std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
   }
 
   if (threads_ <= 1) {
-    batch->run_range(0, replicas);
+    batch->run_range(0, units);
     return batch;
   }
   ThreadPool& workers = pool();
   // Several tasks per thread so many small cells interleave and balance
   // across the pool; the task boundaries never affect the results.
   const std::int64_t max_tasks = static_cast<std::int64_t>(threads_) * 2;
-  const std::int64_t tasks = std::min<std::int64_t>(replicas, max_tasks);
-  const std::int64_t chunk = (replicas + tasks - 1) / tasks;
-  for (std::int64_t begin = 0; begin < replicas; begin += chunk) {
-    const std::int64_t end = std::min(begin + chunk, replicas);
+  const std::int64_t tasks = std::min<std::int64_t>(units, max_tasks);
+  const std::int64_t chunk = (units + tasks - 1) / tasks;
+  for (std::int64_t begin = 0; begin < units; begin += chunk) {
+    const std::int64_t end = std::min(begin + chunk, units);
     workers.submit([batch, begin, end] { batch->run_range(begin, end); });
   }
   return batch;

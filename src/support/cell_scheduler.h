@@ -8,15 +8,18 @@
 // CellScheduler runs *many* such batches over one shared ThreadPool:
 // `submit` enqueues a batch's replica units and returns immediately with
 // a ReplicaBatch handle, so every cell of a sweep grid is in flight at
-// once and small cells no longer leave cores idle.  Each unit writes
-// into its own preallocated slot, and folding always happens in strict
-// replica order on the caller's thread -- neither the random streams nor
-// the fold order depend on shard boundaries, so aggregated statistics
+// once and small cells no longer leave cores idle.  A unit runs one
+// replica, or (`submit_groups`) a group of consecutive replicas that the
+// lane kernel steps together; each replica writes into its own
+// preallocated slot, and folding always happens in strict replica order
+// on the caller's thread -- neither the random streams nor the fold
+// order depend on shard or group boundaries, so aggregated statistics
 // and streamed row blocks are bit-identical for every thread count.
 //
 // Every replica harness goes through this class: the scenario engine's
-// batch runner via `submit`, and the benches / examples / tests that
-// run one standalone batch via the synchronous `run`.
+// batch runner via `submit` / `submit_groups`, and the benches /
+// examples / tests that run one standalone batch via the synchronous
+// `run`.
 #ifndef OPINDYN_SUPPORT_CELL_SCHEDULER_H
 #define OPINDYN_SUPPORT_CELL_SCHEDULER_H
 
@@ -46,6 +49,17 @@ class CancelToken;  // see src/service/cancel_token.h
 /// race) its own stream family.
 std::uint64_t subseed(std::uint64_t seed, std::uint64_t salt) noexcept;
 
+/// One replica of a scheduler unit: its index, its forked stream
+/// Rng::fork(seed, replica), its metric slots (pre-filled with NaN = "no
+/// sample") and its row emitter (see RowStream; without a stream its rows
+/// are dropped).
+struct ReplicaSlot {
+  std::int64_t replica = 0;
+  Rng rng;
+  std::span<double> out;
+  RowEmitter rows;
+};
+
 /// Handle to one submitted batch of replica units.  All accessors block
 /// until the batch has fully run (and rethrow the first unit exception),
 /// so a caller that submits many batches and folds them in batch order
@@ -57,6 +71,9 @@ class ReplicaBatch {
   /// emitter (see RowStream; without a stream its rows are dropped).
   using Body = std::function<void(std::int64_t, Rng&, std::span<double>,
                                   RowEmitter&)>;
+  /// Unit body over consecutive replicas (CellScheduler::submit_groups):
+  /// one slot per replica, in replica order.
+  using GroupBody = std::function<void(std::span<ReplicaSlot>)>;
 
   /// True once every unit has run (non-blocking).
   bool done() const;
@@ -74,25 +91,32 @@ class ReplicaBatch {
 
   std::int64_t replicas() const noexcept { return replicas_; }
   std::size_t metrics() const noexcept { return metric_count_; }
+  /// Replicas per unit (the last unit may hold fewer).
+  std::int64_t group() const noexcept { return group_; }
 
  private:
   friend class CellScheduler;
-  ReplicaBatch(std::int64_t replicas, std::uint64_t seed,
-               std::size_t metrics, Body body, const RowStream* rows);
+  ReplicaBatch(std::int64_t replicas, std::int64_t group,
+               std::uint64_t seed, std::size_t metrics, GroupBody body,
+               const RowStream* rows);
 
+  std::int64_t units() const noexcept {
+    return (replicas_ + group_ - 1) / group_;
+  }
   /// Runs units [begin, end); never throws (failures are captured and
   /// rethrown by wait()).
   void run_range(std::int64_t begin, std::int64_t end) noexcept;
   /// The instrumented unit loop body (out of line so the common
   /// metrics-off path stays branch-only).
-  void run_unit_instrumented(std::int64_t r);
-  void run_unit(std::int64_t r);
+  void run_unit_instrumented(std::int64_t unit);
+  void run_unit(std::int64_t unit);
 
   const std::int64_t replicas_;
+  const std::int64_t group_;
   const std::size_t metric_count_;
   const std::uint64_t seed_;
-  const Body body_;
-  /// Where each unit's row block goes when the unit returns (nullptr =
+  const GroupBody body_;
+  /// Where each replica's row block goes when its unit returns (nullptr =
   /// rows are dropped); owned by the submitter, outlives the units.
   const RowStream* const rows_;
   /// Observability (all nullptr/empty when metrics are off): the
@@ -157,6 +181,18 @@ class CellScheduler {
                                        ReplicaBatch::Body body,
                                        const RowStream* rows = nullptr);
 
+  /// submit with units of `group` consecutive replicas: unit u runs
+  /// body over the slots of replicas [u * group, min((u + 1) * group,
+  /// replicas)), each with its own fork(seed, r) stream, metric slots
+  /// and row emitter, so folds and row streams see exactly the
+  /// per-replica data of submit.  Units, not replicas, are what the
+  /// scheduler counters, trace spans and cancellation checks count;
+  /// submit is the group = 1 case.
+  std::shared_ptr<ReplicaBatch> submit_groups(
+      std::int64_t replicas, std::int64_t group, std::uint64_t seed,
+      std::size_t metrics, ReplicaBatch::GroupBody body,
+      const RowStream* rows = nullptr);
+
   /// Records every batch the constructing thread submits, to any
   /// scheduler, while it lives.  A caller that can unwind before it has
   /// waited on all it started -- the engine's runner, when a cell's fold
@@ -196,7 +232,7 @@ class CellScheduler {
   std::size_t threads() const noexcept { return threads_; }
 
   /// Observability hooks (see support/metrics.h).  With a registry set,
-  /// every replica unit records a trace span named after the submit
+  /// every unit records a trace span named after the submit
   /// label, bumps the scheduler counters, and runs under a MetricsScope
   /// so library-level metrics::count calls are attributed to the label.
   /// nullptr (the default) keeps the whole path to a pointer check.

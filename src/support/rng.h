@@ -73,9 +73,18 @@ class Rng {
   /// loops, as the compiler cannot hoist a branch out of an opaque
   /// reference).
   std::uint64_t next_below_nonzero(std::uint64_t bound) noexcept {
+    return below_from((*this)(), bound);
+  }
+
+  /// next_below_nonzero after its first word `x` has been drawn: the
+  /// multiply-shift and, when the low product word falls below the
+  /// threshold, the redraw loop on this generator's words.  The lane
+  /// kernel (core/lane_kernel.h) draws first words eight streams at a
+  /// time and finishes its rare redraws here, so both paths share one
+  /// rejection rule.
+  std::uint64_t below_from(std::uint64_t x, std::uint64_t bound) noexcept {
     // Lemire 2019: unbiased bounded integers without division in the
     // common path.
-    std::uint64_t x = (*this)();
     __uint128_t m = static_cast<__uint128_t>(x) * bound;
     auto low = static_cast<std::uint64_t>(m);
     if (low < bound) {
@@ -160,6 +169,15 @@ class Rng {
   /// jump(jump_polynomial(words)).
   void advance(std::uint64_t words) noexcept { jump(jump_polynomial(words)); }
 
+  /// The four xoshiro256 state words.  The lane kernel loads eight
+  /// streams' words into vector registers and stores them back, so a
+  /// stream stepped in a lane continues exactly where it stopped.
+  using State = std::array<std::uint64_t, 4>;
+  const State& state() const noexcept { return state_; }
+  /// Replaces the state words; the Gaussian cache is left alone.  An
+  /// all-zero state is a fixed point of the engine.
+  void set_state(const State& state) noexcept { state_ = state; }
+
   /// Same state and Gaussian cache: both generators produce the same
   /// stream from here on.
   bool operator==(const Rng& other) const noexcept = default;
@@ -169,7 +187,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> state_;
+  State state_;
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;
 };

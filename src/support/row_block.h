@@ -82,11 +82,11 @@ class RowEmitter {
 };
 
 /// Where a batch's per-replica rows go (CellScheduler::submit's optional
-/// last argument).  Each unit emits into its own RowEmitter over
-/// `prefix` / `width`; when the unit body returns, its block goes to
-/// `deliver` on the thread that ran it -- so rows leave as replicas
-/// finish, not when the whole batch has.  A replica whose body threw or
-/// that a cancellation skipped delivers nothing.
+/// last argument).  Each replica emits into its own RowEmitter over
+/// `prefix` / `width`; when its unit's body returns, each replica's block
+/// goes to `deliver`, in replica order, on the thread that ran the unit
+/// -- so rows leave as units finish, not when the whole batch has.  A
+/// unit whose body threw or that a cancellation skipped delivers nothing.
 struct RowStream {
   std::string prefix;
   std::size_t width = 0;

@@ -6,17 +6,26 @@
 // unchanged).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "src/core/convergence.h"
 #include "src/core/initial_values.h"
+#include "src/core/lane_kernel.h"
 #include "src/core/model.h"
 #include "src/core/theory.h"
 #include "src/graph/generators.h"
 #include "src/spectral/spectra.h"
 #include "src/support/assert.h"
 #include "src/support/cell_scheduler.h"
+#include "src/support/metrics.h"
 #include "tests/replica_harness.h"
 
 namespace opindyn {
@@ -86,6 +95,171 @@ TEST(Convergence, PlainPotentialModeUsesPhiV) {
   const ConvergenceResult result = run_until_converged(model, rng, options);
   ASSERT_TRUE(result.converged);
   EXPECT_LE(model.state().phi_plain_exact(), options.epsilon);
+}
+
+// The group loop: processes run together, each checked at every
+// interval and leaving the group when it converges, must give every
+// process the result, state and rng end state of its own run -- with
+// lanes on and off -- and report the same counter totals.
+struct GroupOutcome {
+  std::vector<ConvergenceResult> results;
+  std::vector<Rng> rngs;
+  std::vector<std::vector<double>> values;
+  std::vector<std::int64_t> exact_checks;
+  std::map<std::string, std::int64_t> counters;
+};
+
+GroupOutcome run_group(const Graph& graph, const ModelConfig& config,
+                       const std::vector<double>& xi, int size,
+                       const ConvergenceOptions& options, bool together) {
+  std::vector<std::unique_ptr<AveragingProcess>> owned;
+  std::vector<AveragingProcess*> group;
+  GroupOutcome out;
+  for (int l = 0; l < size; ++l) {
+    owned.push_back(make_process(graph, config, xi));
+    group.push_back(owned.back().get());
+    out.rngs.push_back(Rng::fork(31, static_cast<std::uint64_t>(l)));
+  }
+  std::vector<Rng*> rngs;
+  for (Rng& rng : out.rngs) {
+    rngs.push_back(&rng);
+  }
+  out.results.resize(group.size());
+  MetricsRegistry registry;
+  {
+    const MetricsScope scope(&registry, "group");
+    if (together) {
+      run_until_converged(group, rngs, options, out.results);
+    } else {
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        out.results[i] = run_until_converged(*group[i], *rngs[i], options);
+      }
+    }
+  }
+  for (const AveragingProcess* process : group) {
+    out.values.push_back(process->state().values());
+    out.exact_checks.push_back(process->exact_checks());
+  }
+  out.counters = registry.fold().counters;
+  return out;
+}
+
+void expect_same_runs(const GroupOutcome& group, const GroupOutcome& alone) {
+  ASSERT_EQ(group.results.size(), alone.results.size());
+  for (std::size_t i = 0; i < alone.results.size(); ++i) {
+    SCOPED_TRACE("process " + std::to_string(i));
+    EXPECT_EQ(group.results[i].steps, alone.results[i].steps);
+    EXPECT_EQ(group.results[i].converged, alone.results[i].converged);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(group.results[i].final_phi),
+              std::bit_cast<std::uint64_t>(alone.results[i].final_phi));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(group.results[i].final_value),
+              std::bit_cast<std::uint64_t>(alone.results[i].final_value));
+    EXPECT_EQ(group.rngs[i], alone.rngs[i]);
+    EXPECT_EQ(group.values[i], alone.values[i]);
+    EXPECT_EQ(group.exact_checks[i], alone.exact_checks[i]);
+  }
+  for (const char* counter :
+       {"engine.steps", "engine.checks", "engine.exact_checks"}) {
+    EXPECT_EQ(group.counters.at(counter), alone.counters.at(counter))
+        << counter;
+  }
+  EXPECT_EQ(group.counters.count("engine.unconverged_runs"),
+            alone.counters.count("engine.unconverged_runs"));
+}
+
+TEST(ConvergenceGroup, EveryProcessGetsItsOwnRunWithLanesOnAndOff) {
+  Rng graph_rng(71);
+  const Graph regular = gen::random_regular(graph_rng, 48, 4);
+  const Graph irregular = gen::preferential_attachment(graph_rng, 48, 2);
+  Rng init_rng(72);
+  const auto xi = initial::gaussian(init_rng, 48, 0.0, 1.0);
+  ModelConfig node;
+  ModelConfig edge;
+  edge.kind = ModelKind::edge;
+  ModelConfig node_k2;
+  node_k2.k = 2;
+  ModelConfig voter;
+  voter.kind = ModelKind::voter;
+  struct Case {
+    const char* name;
+    const Graph* graph;
+    ModelConfig config;
+  };
+  const Case cases[] = {{"node", &regular, node},
+                        {"edge", &regular, edge},
+                        {"node k=2", &regular, node_k2},
+                        {"edge pref_attach", &irregular, edge},
+                        {"voter", &regular, voter}};
+  ConvergenceOptions options;
+  options.epsilon = 1e-8;
+  for (const Case& c : cases) {
+    for (const int size : {1, 3, 4, 8}) {
+      for (const bool lanes_on : {true, false}) {
+        SCOPED_TRACE(std::string(c.name) + " size=" + std::to_string(size) +
+                     " lanes=" + std::to_string(lanes_on));
+        std::optional<lanes::ScopedDisable> off;
+        if (!lanes_on) {
+          off.emplace();
+        }
+        const GroupOutcome alone =
+            run_group(*c.graph, c.config, xi, size, options, false);
+        const GroupOutcome group =
+            run_group(*c.graph, c.config, xi, size, options, true);
+        expect_same_runs(group, alone);
+        // Lanes converge at different checks: the group shrank.
+        std::set<std::int64_t> steps;
+        for (const ConvergenceResult& result : alone.results) {
+          steps.insert(result.steps);
+        }
+        EXPECT_EQ(steps.size() > 1, size > 1);
+        const bool lockstep = lanes::enabled() && size >= lanes::kMinLanes &&
+                              lane_shape(c.config, *c.graph).rule !=
+                                  LaneShape::Rule::none;
+        EXPECT_EQ(group.counters.count("engine.lane_steps"),
+                  lockstep ? 1U : 0U);
+        EXPECT_EQ(alone.counters.count("engine.lane_steps"), 0U);
+      }
+    }
+  }
+}
+
+TEST(ConvergenceGroup, MaxStepsStopsEveryLaneAtTheCap) {
+  Rng graph_rng(73);
+  const Graph graph = gen::random_regular(graph_rng, 64, 4);
+  Rng init_rng(74);
+  const auto xi = initial::gaussian(init_rng, 64, 0.0, 1.0);
+  ModelConfig edge;
+  edge.kind = ModelKind::edge;
+  ConvergenceOptions options;
+  options.epsilon = 1e-12;
+  options.max_steps = 1000;  // not a multiple of the 16-step interval
+  const GroupOutcome alone = run_group(graph, edge, xi, 8, options, false);
+  const GroupOutcome group = run_group(graph, edge, xi, 8, options, true);
+  expect_same_runs(group, alone);
+  for (const ConvergenceResult& result : group.results) {
+    EXPECT_FALSE(result.converged);
+    EXPECT_EQ(result.steps, 1000);
+  }
+  EXPECT_EQ(group.counters.at("engine.unconverged_runs"), 8);
+  if (lanes::enabled()) {
+    EXPECT_EQ(group.counters.at("engine.lane_steps"), 8000);
+  }
+}
+
+TEST(ConvergenceGroup, ProcessesMustStartAtOneTime) {
+  const Graph graph = gen::cycle(16);
+  const std::vector<double> xi(16, 1.0);
+  NodeModel a(graph, xi, NodeModelParams{});
+  NodeModel b(graph, xi, NodeModelParams{});
+  Rng rng_a(1);
+  Rng rng_b(2);
+  b.step(rng_b);
+  AveragingProcess* const group[] = {&a, &b};
+  Rng* const rngs[] = {&rng_a, &rng_b};
+  std::vector<ConvergenceResult> results(2);
+  EXPECT_THROW(
+      run_until_converged(group, rngs, ConvergenceOptions{}, results),
+      ContractError);
 }
 
 TEST(MonteCarlo, MeanOfFMatchesMartingaleExpectation) {

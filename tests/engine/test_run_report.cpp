@@ -11,8 +11,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 
+#include "src/core/lane_kernel.h"
 #include "src/engine/run_report.h"
 #include "src/engine/runner.h"
 #include "src/support/json.h"
@@ -68,6 +71,55 @@ TEST(RunReport, DeterministicSectionsAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(cells[0], cells[2]);
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[0], results[2]);
+}
+
+TEST(RunReport, LaneKernelAndLaneStepsAreReported) {
+  // 16 replicas of node and edge on a regular graph: groups of eight.
+  ExperimentSpec spec;
+  spec.scenario = "cross_model";
+  spec.graph.family = "random_regular";
+  spec.graph.n = 64;
+  spec.graph.degree = 4;
+  spec.initial.distribution = "gaussian";
+  spec.replicas = 16;
+  spec.seed = 6;
+  spec.convergence.epsilon = 1e-8;
+  spec.sweeps = parse_sweeps("model:node,edge");
+  spec.print_table = false;
+  spec.threads = 2;
+  std::map<std::string, std::int64_t> counters[2];
+  for (const bool on : {true, false}) {
+    std::optional<lanes::ScopedDisable> off;
+    if (!on) {
+      off.emplace();
+    }
+    MetricsRegistry registry;
+    const BatchResult result = run_experiment(spec, {}, {}, &registry);
+    const json::Value report =
+        build_run_report(spec, result, registry.fold(), RunReportOptions{});
+    EXPECT_EQ(report.find("build")->find("lane_kernel")->as_string(),
+              lanes::kernel_name());
+    for (const auto& [name, value] :
+         report.find("counters")->as_object()) {
+      counters[on ? 0 : 1][name] = value.as_int();
+    }
+  }
+  auto& [with_lanes, without] = counters;
+  EXPECT_EQ(without.count("engine.lane_steps"), 0U);
+  EXPECT_EQ(without.at("scheduler.units_run"),
+            with_lanes.at("scheduler.units_run") +
+                (lanes::enabled() ? 2 * (16 - 2) : 0));
+  if (lanes::enabled()) {
+    // Every step but those of replicas left alone at the end of a group.
+    EXPECT_GT(with_lanes.at("engine.lane_steps"),
+              with_lanes.at("engine.steps") / 2);
+    EXPECT_LE(with_lanes.at("engine.lane_steps"),
+              with_lanes.at("engine.steps"));
+  }
+  for (const char* name : {"engine.steps", "engine.checks",
+                           "engine.exact_checks"}) {
+    EXPECT_EQ(with_lanes.at(name), without.at(name)) << name;
+  }
 }
 
 TEST(RunReport, ConvergenceWorkCountersAreDeterministicAndScreened) {

@@ -1,9 +1,11 @@
 // The CellScheduler's determinism contract at the unit level: batches
 // submitted asynchronously fold bit-identically for every thread count,
 // streamed row blocks arrive once per replica in emission order, NaN slots mean "no
-// sample", and unit exceptions surface on wait().
+// sample", unit exceptions surface on wait(), and units grouping several
+// replicas (submit_groups) give each one what a unit of its own would.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -113,6 +115,103 @@ TEST(CellScheduler, FailedReplicasDeliverNoRows) {
         &stream);
     EXPECT_THROW(batch->wait(), std::runtime_error);
     EXPECT_TRUE(delivered.empty()) << threads;
+  }
+}
+
+// Group units: submit_groups hands each unit the slots of consecutive
+// replicas, and every replica must see exactly what submit gives it --
+// its fork(seed, r) stream, its own metric slots and its own row block.
+struct PerReplica {
+  std::vector<double> samples;
+  std::vector<std::string> rows;
+  std::int64_t units_run = 0;
+};
+
+PerReplica run_grouped(std::size_t threads, std::int64_t replicas,
+                       std::int64_t group) {
+  CellScheduler scheduler(threads);
+  MetricsRegistry registry;
+  scheduler.set_metrics(&registry);
+  std::mutex mutex;
+  PerReplica out;
+  out.rows.resize(static_cast<std::size_t>(replicas));
+  RowStream stream;
+  stream.prefix = "p,";
+  stream.deliver = [&](std::int64_t r, RowBlock block) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    out.rows[static_cast<std::size_t>(r)] += block.bytes;
+  };
+  const auto draw = [](std::int64_t r, Rng& rng, std::span<double> slot,
+                       RowEmitter& rows) {
+    slot[0] = rng.next_double();
+    slot[1] = static_cast<double>(r);
+    rows.row().integer(r).integer(static_cast<std::int64_t>(rng() >> 33));
+  };
+  std::shared_ptr<ReplicaBatch> batch;
+  if (group == 0) {
+    batch = scheduler.submit(replicas, 77, 2, draw, &stream);
+  } else {
+    batch = scheduler.submit_groups(
+        replicas, group, 77, 2,
+        [&draw, group](std::span<ReplicaSlot> slots) {
+          EXPECT_LE(static_cast<std::int64_t>(slots.size()), group);
+          EXPECT_EQ(slots.front().replica % group, 0);
+          for (std::size_t i = 0; i < slots.size(); ++i) {
+            EXPECT_EQ(slots[i].replica, slots.front().replica +
+                                            static_cast<std::int64_t>(i));
+            draw(slots[i].replica, slots[i].rng, slots[i].out,
+                 slots[i].rows);
+          }
+        },
+        &stream);
+  }
+  out.samples = batch->samples();
+  out.units_run = registry.fold().counters.at("scheduler.units_run");
+  return out;
+}
+
+TEST(CellSchedulerGroups, EveryReplicaKeepsItsStreamSlotsAndRows) {
+  for (const std::int64_t replicas : {1, 5, 8, 17}) {
+    const PerReplica reference = run_grouped(1, replicas, 0);
+    EXPECT_EQ(reference.units_run, replicas);
+    for (const std::int64_t group : {1, 3, 4, 8}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("replicas=" + std::to_string(replicas) +
+                     " group=" + std::to_string(group) +
+                     " threads=" + std::to_string(threads));
+        const PerReplica grouped = run_grouped(threads, replicas, group);
+        EXPECT_EQ(grouped.samples, reference.samples);
+        EXPECT_EQ(grouped.rows, reference.rows);
+        EXPECT_EQ(grouped.units_run, (replicas + group - 1) / group);
+      }
+    }
+  }
+}
+
+TEST(CellSchedulerGroups, AFailedUnitDeliversNoRowsAndSurfacesOnWait) {
+  for (const std::size_t threads : {1u, 4u}) {
+    CellScheduler scheduler(threads);
+    std::mutex mutex;
+    std::vector<std::int64_t> delivered;
+    RowStream stream;
+    stream.deliver = [&](std::int64_t r, RowBlock) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      delivered.push_back(r);
+    };
+    auto batch = scheduler.submit_groups(
+        8, 4, 1, 1,
+        [](std::span<ReplicaSlot> slots) {
+          for (ReplicaSlot& slot : slots) {
+            slot.rows.row().integer(slot.replica);
+          }
+          if (slots.front().replica == 4) {
+            throw std::runtime_error("unit failed after emitting");
+          }
+        },
+        &stream);
+    EXPECT_THROW(batch->wait(), std::runtime_error);
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_EQ(delivered, (std::vector<std::int64_t>{0, 1, 2, 3})) << threads;
   }
 }
 
