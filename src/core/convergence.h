@@ -1,28 +1,26 @@
-// Runs a process until its own stop rule, AveragingProcess::converged,
-// holds -- eps-convergence phi(xi(t)) <= eps (Section 4) unless the rule
-// overrides it -- checking every `check_interval` steps (0: the
-// process's default_check_interval()).  Each phi check is
-// screen-then-exact: OpinionState::phi_certainly_above reads the O(1)
-// running accumulators and subtracts a rigorous bound on their rounding
-// drift; when that proves phi > eps the check is settled, and only
-// otherwise does the O(n) centered two-pass recomputation decide.  The
-// screen never declares convergence, so every stop -- and the reported
-// hitting time -- is the exact pass's, never an artefact of drift.
-// Checks and exact passes are reported as engine.checks and
-// engine.exact_checks.
-//
-// The loop runs a group of processes at once: every process of the
-// group is checked at each interval and leaves the group when it
-// converges, while the rest step on together
-// (AveragingProcess::step_burst_group), in lanes where the lane kernel
-// covers them.  No process sees another's state or stream, so each
-// result equals that of running the process alone; the one-process call
-// is a group of one.  Process-steps taken in lanes are reported as
-// engine.lane_steps.
+// The one loop that advances processes, with two stop rules:
+// run_until_converged stops each process of a group when its own rule,
+// AveragingProcess::converged, holds -- eps-convergence phi(xi(t)) <= eps
+// (Section 4) unless the rule overrides it -- asked every
+// `check_interval` steps (0: the process's default_check_interval());
+// run_fixed_horizon runs the same loop with a rule that never holds, so
+// the fixed-time reads (M(t), Var(M(t)), the (M, phi) trajectory) step
+// exactly as the T_eps runs do.  Each phi check is screen-then-exact:
+// OpinionState::phi_certainly_above reads the O(1) running accumulators
+// less a rigorous bound on their rounding drift, and only when that
+// cannot prove phi > eps does the O(n) centered two-pass recomputation
+// decide, so every stop -- and the reported hitting time -- is the exact
+// pass's.  Checks and exact passes are counted as engine.checks and
+// engine.exact_checks.  Processes leave the group as they stop, while the
+// rest step on together (AveragingProcess::step_burst_group), in lanes
+// where the lane kernel covers them (counted as engine.lane_steps).  No
+// process sees another's state or stream, so each result equals that of
+// running the process alone; the one-process call is a group of one.
 #ifndef OPINDYN_CORE_CONVERGENCE_H
 #define OPINDYN_CORE_CONVERGENCE_H
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "src/core/process.h"
@@ -65,6 +63,14 @@ void run_until_converged(std::span<AveragingProcess* const> group,
                          std::span<Rng* const> rngs,
                          const ConvergenceOptions& options,
                          std::span<ConvergenceResult> results);
+
+/// The fixed-horizon form: checkpoint(i) sees process i at t = 0, every
+/// check interval and options.max_steps, which may cut the last burst
+/// short (epsilon and use_plain_potential are not read).
+void run_fixed_horizon(std::span<AveragingProcess* const> group,
+                       std::span<Rng* const> rngs,
+                       const ConvergenceOptions& options,
+                       const std::function<void(std::size_t)>& checkpoint);
 
 }  // namespace opindyn
 

@@ -308,8 +308,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
             1, 0, 1,
             [&graph_cache, &spectrum_cache, &scheduler, metrics,
              &cache_key = cache_key,
-             &entry = entry](std::int64_t, Rng&, std::span<double>,
-                             RowEmitter&) {
+             &entry = entry](std::int64_t, Rng&, std::span<double>) {
               // The builder lambdas only run on a cache miss (under the
               // per-key latch), so the spans below time actual builds.
               // A build that searches (random_regular) also offers its
@@ -353,8 +352,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
         declared_solves.push_back(scheduler.submit(
             1, 0, 1,
             [spectra = entry.spectra, left, metrics,
-             cache_key = cache_key](std::int64_t, Rng&, std::span<double>,
-                                    RowEmitter&) {
+             cache_key = cache_key](std::int64_t, Rng&, std::span<double>) {
               const ScopedSpan span(metrics, cache_key, "eigensolve");
               try {
                 spectra->solve(left);

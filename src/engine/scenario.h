@@ -53,8 +53,8 @@ struct RunInput {
   /// The cell's per-replica row channel, or nullptr when no consumer
   /// wants it; streaming scenarios skip formatting replica rows then,
   /// so a plain aggregate run never pays for them.  Rows formed inside
-  /// replica units stream by passing it to CellScheduler::submit (one
-  /// streaming batch per cell: its replica r is the cell's block r);
+  /// replica units stream by passing it to CellScheduler::submit_groups
+  /// (one streaming batch per cell: its replica r is the cell's block r);
   /// rows formed in the fold go through rows->emitter() into
   /// CellRows::replica.
   const RowStream* rows = nullptr;

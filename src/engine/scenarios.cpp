@@ -6,15 +6,15 @@
 // trajectory workloads.  Each scenario self-registers, so `opindyn
 // list` and the batch runner discover them by name.
 //
-// Every scenario builds its processes with make_process and runs a model
-// to its own stop rule through run_until_converged: via
-// submit_converging (scenario_runs.h), or in a one-replica batch for the
-// deterministic degroot / friedkin_johnsen baselines.  The single-model
-// scenarios (node, edge, lazy, weighted_median) are registrations of the
-// cross_model class that force their own ModelKind through
-// config_for_kind (which also drops knobs the kind does not read); the
-// cross_model registration honours `model=` verbatim, so `model` is a
-// legal sweep axis there.
+// Every scenario builds its processes with make_process and runs them in
+// the one group loop (scenario_runs.h): to their own stop rule, or to a
+// fixed horizon (trajectory, hegselmann_krause); the deterministic
+// degroot / friedkin_johnsen baselines run in a one-replica batch.  The
+// single-model scenarios (node, edge, lazy, weighted_median) are
+// registrations of the cross_model class that force their own ModelKind
+// through config_for_kind (which also drops knobs the kind does not
+// read); the cross_model registration honours `model=` verbatim, so
+// `model` is a legal sweep axis there.
 //
 // Scenarios run in two phases (see scenario.h): start() submits replica
 // batches to the shared CellScheduler without blocking -- heavy per-cell
@@ -42,9 +42,7 @@
 #include "src/engine/scenario_format.h"
 #include "src/engine/scenario_runs.h"
 #include "src/graph/algorithms.h"
-#include "src/service/cancel_token.h"
 #include "src/spectral/spectra.h"
-#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace engine {
@@ -105,7 +103,7 @@ std::shared_ptr<ReplicaBatch> submit_node_prediction(
     const RunInput& in, const ModelConfig& config) {
   return in.scheduler.submit(
       1, subseed(in.spec.seed, 0x9d), 3,
-      [in, config](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
+      [in, config](std::int64_t, Rng&, std::span<double> out) {
         const WalkEigenvalues& spectrum = in.spectra.walk();
         OpinionState probe(in.graph, in.initial);
         out[0] = spectrum.gap;
@@ -289,35 +287,25 @@ class TrajectoryScenario final : public Scenario {
     const std::int64_t stride = in.spec.convergence.check_interval > 0
                                     ? in.spec.convergence.check_interval
                                     : std::max<std::int64_t>(1, n / 4);
-    const ModelConfig config =
-        config_for_kind(in.spec.model, ModelKind::node);
-    auto batch = in.scheduler.submit(
-        in.spec.replicas, in.spec.seed, 2,
-        [in, config, horizon, stride](std::int64_t r, Rng& rng,
-                                      std::span<double> out,
-                                      RowEmitter& rows) {
-          auto process = make_process(in.graph, config, in.initial);
-          const OpinionState& state = process->state();
-          for (std::int64_t t = 0; t <= horizon; t += stride) {
-            // One poll per checkpoint: a cancelled replica stops between
-            // rows and delivers none of them.
-            cancel::poll();
-            process->step_burst(rng, t - process->time());
-            if (in.rows != nullptr) {
-              // The printed digits of phi from its O(1) certified
-              // bounds; the O(n) pass runs only when they straddle one.
-              const OpinionState::Bounds phi = state.phi_bounds(false);
-              rows.row()
-                  .integer(r)
-                  .integer(t)
-                  .general(state.weighted_average())
-                  .sci_certified(phi.lo, phi.hi, 4,
-                                 [&state] { return state.phi_exact(); });
-            }
-          }
-          out[0] = state.weighted_average();
-          out[1] = state.phi_exact();
-          metrics::count("engine.steps", process->time());
+    // Rows at t = 0, stride, ... <= horizon; the state ends at the last.
+    auto batch = submit_horizon(
+        in, config_for_kind(in.spec.model, ModelKind::node),
+        {.max_steps = horizon / stride * stride, .check_interval = stride}, 2,
+        [](const AveragingProcess& process, std::span<double> out) {
+          out[0] = process.state().weighted_average();
+          out[1] = process.state().phi_exact();
+        },
+        [](const AveragingProcess& process, ReplicaSlot& slot) {
+          // The printed digits of phi from its O(1) certified bounds; the
+          // O(n) pass runs only when they straddle one.
+          const OpinionState& state = process.state();
+          const OpinionState::Bounds phi = state.phi_bounds(false);
+          slot.rows.row()
+              .integer(slot.replica)
+              .integer(process.time())
+              .general(state.weighted_average())
+              .sci_certified(phi.lo, phi.hi, 4,
+                             [&state] { return state.phi_exact(); });
         },
         in.rows);
     const std::int64_t per_replica = horizon / stride + 1;
@@ -379,17 +367,18 @@ class GossipScenario final : public Scenario {
     // submit_converging records) for E[F] and the drift.
     ConvergenceOptions convergence = in.spec.convergence;
     convergence.use_plain_potential = true;
-    auto batch = in.scheduler.submit(
-        in.spec.replicas, in.spec.seed, 3,
-        [in, config, convergence](std::int64_t, Rng& rng,
-                                  std::span<double> out, RowEmitter&) {
-          auto process = make_process(in.graph, config, in.initial);
-          const double start = process->state().average();
-          const ConvergenceResult res =
-              run_until_converged(*process, rng, convergence);
-          out[0] = process->state().average();
-          out[1] = static_cast<double>(res.steps);
-          out[2] = std::abs(out[0] - start);
+    auto batch = submit_processes(
+        in, config, in.spec.seed, 3,
+        [convergence](const auto& processes, const auto& rngs,
+                      std::span<ReplicaSlot> slots) {
+          const double start = processes[0]->state().average();
+          std::vector<ConvergenceResult> results(slots.size());
+          run_until_converged(processes, rngs, convergence, results);
+          for (std::size_t i = 0; i < slots.size(); ++i) {
+            slots[i].out[0] = processes[i]->state().average();
+            slots[i].out[1] = static_cast<double>(results[i].steps);
+            slots[i].out[2] = std::abs(slots[i].out[0] - start);
+          }
         });
     return [batch] {
       const std::vector<RunningStats>& stats = batch->stats();
@@ -430,8 +419,7 @@ class DeGrootScenario final : public Scenario {
     config.lazy = true;
     auto batch = in.scheduler.submit(
         1, in.spec.seed, 4,
-        [in, config](std::int64_t, Rng& rng, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng& rng, std::span<double> out) {
           auto process = make_process(in.graph, config, in.initial);
           out[0] = rounds_to_stop(*process, rng, in.spec.convergence);
           const double m0 = degree_weighted_average(in.graph, in.initial);
@@ -468,8 +456,7 @@ class FriedkinJohnsenScenario final : public Scenario {
         config_for_kind(in.spec.model, ModelKind::friedkin_johnsen);
     auto batch = in.scheduler.submit(
         1, in.spec.seed, 4,
-        [in, config](std::int64_t, Rng& rng, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng& rng, std::span<double> out) {
           auto process = make_process(in.graph, config, in.initial);
           out[0] = rounds_to_stop(*process, rng, in.spec.convergence);
           const auto& model =
@@ -519,7 +506,7 @@ class AveragingVsVoterScenario final : public Scenario {
 
     auto coalescence = in.scheduler.submit(
         spec.replicas, subseed(spec.seed, 2), 1,
-        [in](std::int64_t, Rng& rng, std::span<double> out, RowEmitter&) {
+        [in](std::int64_t, Rng& rng, std::span<double> out) {
           const CoalescenceResult res = run_to_coalescence(
               in.graph, rng, in.spec.convergence.max_steps);
           if (res.coalesced) {
@@ -734,16 +721,13 @@ class HegselmannKrauseScenario final : public Scenario {
     const std::int64_t horizon =
         in.spec.horizon > 0 ? in.spec.horizon : 16 * in.graph.node_count();
     const ModelConfig config = model_config(in.spec);
-    auto batch = in.scheduler.submit(
-        in.spec.replicas, in.spec.seed, 3,
-        [in, config, horizon](std::int64_t, Rng& rng,
-                              std::span<double> out, RowEmitter&) {
-          auto process = make_process(in.graph, config, in.initial);
-          run_to_horizon(*process, rng, horizon);
+    auto batch = submit_horizon(
+        in, config, {.max_steps = horizon}, 3,
+        [config](const AveragingProcess& process, std::span<double> out) {
           out[0] = static_cast<double>(
-              cluster_count(process->state().values(), config.confidence));
-          out[1] = process->state().discrepancy();
-          out[2] = process->state().weighted_average();
+              cluster_count(process.state().values(), config.confidence));
+          out[1] = process.state().discrepancy();
+          out[2] = process.state().weighted_average();
         });
     return [batch] {
       const std::vector<RunningStats>& stats = batch->stats();

@@ -113,8 +113,7 @@ class DualityScenario final : public Scenario {
         config_for_kind(in.spec.model, ModelKind::node);
     auto batch = in.scheduler.submit(
         in.spec.replicas, in.spec.seed, 2,
-        [in, config, steps](std::int64_t, Rng& rng, std::span<double> out,
-                            RowEmitter&) {
+        [in, config, steps](std::int64_t, Rng& rng, std::span<double> out) {
           auto averaging = make_process(in.graph, config, in.initial);
           SelectionSequence sequence;
           sequence.reserve(static_cast<std::size_t>(steps));
@@ -183,8 +182,7 @@ class MartingaleScenario final : public Scenario {
     // needs every node able to draw k distinct neighbours).
     auto exact = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x41), 4,
-        [in, config](std::int64_t, Rng&, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng&, std::span<double> out) {
           const Graph& g = in.graph;
           const std::vector<double>& xi = in.initial;
           const double m0 = degree_weighted_average(g, xi);
@@ -224,32 +222,28 @@ class MartingaleScenario final : public Scenario {
     ModelConfig node = config;
     node.kind = ModelKind::node;
     const bool k_fits = config.k <= in.graph.min_degree();
-    auto mc = in.scheduler.submit(
-        k_fits ? in.spec.replicas : 1, in.spec.seed, 1,
-        [in, node, horizon, k_fits](std::int64_t, Rng& rng,
-                                    std::span<double> out, RowEmitter&) {
-          if (!k_fits) {
-            return;  // slot stays NaN -> "n/a" row cells
-          }
-          auto process = make_process(in.graph, node, in.initial);
-          run_to_horizon(*process, rng, horizon);
-          out[0] = process->state().weighted_average();
-        });
+    const auto read_m = [](const AveragingProcess& process,
+                           std::span<double> out) {
+      out[0] = process.state().weighted_average();
+    };
+    const auto mc =
+        k_fits ? submit_horizon(in, node, {.max_steps = horizon}, 1, read_m)
+               : nullptr;
 
     const RowStream* const stream = in.rows;
     return [in, exact, mc, k_fits, stream] {
       const double m0 = degree_weighted_average(in.graph, in.initial);
-      const std::vector<RunningStats>& stats = mc->stats();
+      const RunningStats m_t = k_fits ? mc->stats()[0] : RunningStats();
       CellRows rows;
       rows.aggregate.push_back(
           {sci_or_na(exact->sample(0, 0), 2),
            sci_or_na(exact->sample(0, 1), 2),
            fmt_sci(exact->sample(0, 2), 2),
            fmt_sci(exact->sample(0, 3), 2),
-           k_fits ? fmt_fixed(stats[0].mean(), 5) : "n/a",
-           k_fits ? fmt_fixed(stats[0].mean_ci_halfwidth(), 5) : "n/a",
+           k_fits ? fmt_fixed(m_t.mean(), 5) : "n/a",
+           k_fits ? fmt_fixed(m_t.mean_ci_halfwidth(), 5) : "n/a",
            fmt_fixed(m0, 5),
-           k_fits ? fmt_sci(stats[0].population_variance(), 3) : "n/a"});
+           k_fits ? fmt_sci(m_t.population_variance(), 3) : "n/a"});
       if (stream != nullptr && k_fits) {
         rows.replica = replica_rows(*stream, *mc, 0, 6, false);
       }
@@ -281,8 +275,7 @@ class QChainScenario final : public Scenario {
     const ModelConfig config = in.spec.model;
     auto batch = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x57), 6,
-        [in, config](std::int64_t, Rng&, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng&, std::span<double> out) {
           const Graph& g = in.graph;
           if (!g.is_regular()) {
             throw std::runtime_error(
@@ -364,8 +357,7 @@ class Thm22VarianceScenario final : public Scenario {
         submit_converging(in, config, in.spec.convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x22), 3,
-        [in, config](std::int64_t, Rng&, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng&, std::span<double> out) {
           if (!in.graph.is_regular() ||
               config.k > in.graph.min_degree()) {
             return;  // closed form undefined; slots stay NaN -> "n/a"
@@ -433,8 +425,7 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
     auto measured = submit_converging(in, config, convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x24), 3,
-        [in, config, convergence](std::int64_t, Rng&,
-                                  std::span<double> out, RowEmitter&) {
+        [in, config, convergence](std::int64_t, Rng&, std::span<double> out) {
           const LaplacianEigenvalues& lap = in.spectra.laplacian();
           OpinionState probe(in.graph, in.initial);
           const double rho = theory::edge_model_rho(
@@ -507,8 +498,7 @@ class Thm24EdgeVarianceScenario final : public Scenario {
 
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x42), 1,
-        [in, node](std::int64_t, Rng&, std::span<double> out,
-                   RowEmitter&) {
+        [in, node](std::int64_t, Rng&, std::span<double> out) {
           if (in.graph.is_regular()) {
             out[0] = theory::variance_exact(in.graph, node.alpha, 1,
                                             in.initial);
@@ -576,8 +566,7 @@ class Prop58VarianceScenario final : public Scenario {
         submit_converging(in, config, in.spec.convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x58), 2,
-        [in, config](std::int64_t, Rng&, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng&, std::span<double> out) {
           out[1] = theory::directed_edge_correlation(in.graph, in.initial);
           if (in.graph.is_regular() &&
               config.k <= in.graph.min_degree()) {
@@ -630,8 +619,7 @@ class PropB1DropScenario final : public Scenario {
     const ModelConfig config = in.spec.model;
     auto batch = in.scheduler.submit(
         1, subseed(in.spec.seed, 0xB1), 8,
-        [in, config](std::int64_t, Rng& rng, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng& rng, std::span<double> out) {
           const Graph& g = in.graph;
           if (config.k > g.min_degree()) {
             throw std::runtime_error(
@@ -723,8 +711,7 @@ class PropB2NodeScenario final : public Scenario {
         submit_converging(in, config, in.spec.convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0xB2), 3,
-        [in, config](std::int64_t, Rng&, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng&, std::span<double> out) {
           const WalkEigenvalues& spectrum = in.spectra.walk();
           const double n = static_cast<double>(in.graph.node_count());
           const double eps = in.spec.convergence.epsilon;
@@ -786,8 +773,7 @@ class PropB2EdgeScenario final : public Scenario {
     auto measured = submit_converging(in, config, convergence);
     auto prediction = in.scheduler.submit(
         1, subseed(in.spec.seed, 0xB3), 2,
-        [in, config, convergence](std::int64_t, Rng&,
-                                  std::span<double> out, RowEmitter&) {
+        [in, config, convergence](std::int64_t, Rng&, std::span<double> out) {
           const LaplacianEigenvalues& lap = in.spectra.laplacian();
           const double n = static_cast<double>(in.graph.node_count());
           out[0] = lap.lambda2;
@@ -879,7 +865,7 @@ class CorE2BoundsScenario final : public Scenario {
                                : 16 * in.graph.node_count();
     auto exact = in.scheduler.submit(
         1, subseed(in.spec.seed, 0xE2), 3,
-        [in](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
+        [in](std::int64_t, Rng&, std::span<double> out) {
           const double ig = isoperimetric_number_exact(in.graph);
           out[0] = ig;
           out[1] = theory::cheeger_lambda2_lower_bound(
@@ -887,14 +873,11 @@ class CorE2BoundsScenario final : public Scenario {
           out[2] = in.spectra.laplacian().lambda2;
         });
     const bool edge = config.kind == ModelKind::edge;
-    auto measured = in.scheduler.submit(
-        in.spec.replicas, in.spec.seed, 1,
-        [in, config, t, edge](std::int64_t, Rng& rng, std::span<double> out,
-                              RowEmitter&) {
-          auto process = make_process(in.graph, config, in.initial);
-          run_to_horizon(*process, rng, t);
-          out[0] = edge ? process->state().average()
-                        : process->state().weighted_average();
+    auto measured = submit_horizon(
+        in, config, {.max_steps = t}, 1,
+        [edge](const AveragingProcess& process, std::span<double> out) {
+          out[0] = edge ? process.state().average()
+                        : process.state().weighted_average();
         });
     return [in, exact, measured, t, edge] {
       const Graph& g = in.graph;
@@ -955,8 +938,7 @@ class FutureExtensionsScenario final : public Scenario {
     auto measured = submit_converging(in, config, in.spec.convergence);
     auto exact = in.scheduler.submit(
         1, subseed(in.spec.seed, 0x56), 2,
-        [in, config](std::int64_t, Rng&, std::span<double> out,
-                     RowEmitter&) {
+        [in, config](std::int64_t, Rng&, std::span<double> out) {
           if (config.kind == ModelKind::node) {
             out[0] = predicted_moment(in.graph, config.alpha, config.k,
                                       in.initial, 3);

@@ -197,16 +197,14 @@ void CellScheduler::set_submit_label(std::string label) {
 std::shared_ptr<ReplicaBatch> CellScheduler::submit(std::int64_t replicas,
                                                     std::uint64_t seed,
                                                     std::size_t metrics,
-                                                    ReplicaBatch::Body body,
-                                                    const RowStream* rows) {
+                                                    ReplicaBatch::Body body) {
   return submit_groups(
       replicas, 1, seed, metrics,
       [body = std::move(body)](std::span<ReplicaSlot> slots) {
         for (ReplicaSlot& slot : slots) {
-          body(slot.replica, slot.rng, slot.out, slot.rows);
+          body(slot.replica, slot.rng, slot.out);
         }
-      },
-      rows);
+      });
 }
 
 std::shared_ptr<ReplicaBatch> CellScheduler::submit_groups(
@@ -287,15 +285,11 @@ void CellScheduler::offer(std::size_t count,
   }
 }
 
-std::vector<RunningStats> CellScheduler::run(
-    std::int64_t replicas, std::uint64_t seed, std::size_t metrics,
-    const std::function<void(std::int64_t, Rng&, std::span<double>)>& body) {
-  const auto batch = submit(
-      replicas, seed, metrics,
-      [&body](std::int64_t r, Rng& rng, std::span<double> out, RowEmitter&) {
-        body(r, rng, out);
-      });
-  return batch->stats();
+std::vector<RunningStats> CellScheduler::run(std::int64_t replicas,
+                                             std::uint64_t seed,
+                                             std::size_t metrics,
+                                             const ReplicaBatch::Body& body) {
+  return submit(replicas, seed, metrics, body)->stats();
 }
 
 }  // namespace opindyn

@@ -9,12 +9,13 @@
 // `submit` enqueues a batch's replica units and returns immediately with
 // a ReplicaBatch handle, so every cell of a sweep grid is in flight at
 // once and small cells no longer leave cores idle.  A unit runs one
-// replica, or (`submit_groups`) a group of consecutive replicas that the
-// lane kernel steps together; each replica writes into its own
-// preallocated slot, and folding always happens in strict replica order
-// on the caller's thread -- neither the random streams nor the fold
-// order depend on shard or group boundaries, so aggregated statistics
-// and streamed row blocks are bit-identical for every thread count.
+// replica, or (`submit_groups`, which also streams rows) a group of
+// consecutive replicas that the lane kernel steps together; each replica
+// writes into its own preallocated slot, and folding always happens in
+// strict replica order on the caller's thread -- neither the random
+// streams nor the fold order depend on shard or group boundaries, so
+// aggregated statistics and streamed row blocks are bit-identical for
+// every thread count.
 //
 // Every replica harness goes through this class: the scenario engine's
 // batch runner via `submit` / `submit_groups`, and the benches /
@@ -66,11 +67,9 @@ struct ReplicaSlot {
 /// observes results independent of completion order.
 class ReplicaBatch {
  public:
-  /// Unit body: replica index, the replica's forked stream, the metric
-  /// slots (pre-filled with NaN = "no sample"), and the replica's row
-  /// emitter (see RowStream; without a stream its rows are dropped).
-  using Body = std::function<void(std::int64_t, Rng&, std::span<double>,
-                                  RowEmitter&)>;
+  /// Unit body: replica index, the replica's forked stream and its
+  /// metric slots (pre-filled with NaN = "no sample").
+  using Body = std::function<void(std::int64_t, Rng&, std::span<double>)>;
   /// Unit body over consecutive replicas (CellScheduler::submit_groups):
   /// one slot per replica, in replica order.
   using GroupBody = std::function<void(std::span<ReplicaSlot>)>;
@@ -160,14 +159,10 @@ class CellScheduler {
   CellScheduler(const CellScheduler&) = delete;
   CellScheduler& operator=(const CellScheduler&) = delete;
 
-  /// Enqueues `replicas` independent units for body(r, rng, out, rows)
-  /// and returns immediately.  Unit r draws from Rng::fork(seed, r).
-  /// With 1 thread the batch runs inline before returning -- results are
-  /// bit-identical either way.  With a `rows` stream (which must outlive
-  /// the batch's units), unit r's row block goes to rows->deliver(r, ...)
-  /// as soon as the unit returns; a unit's rows never depend on the
-  /// thread that ran it, so the blocks are identical for every thread
-  /// count and only their arrival order varies.
+  /// Enqueues `replicas` independent units for body(r, rng, out) and
+  /// returns immediately.  Unit r draws from Rng::fork(seed, r).  With 1
+  /// thread the batch runs inline before returning -- results are
+  /// bit-identical either way.
   ///
   /// Safe to call from several threads at once (the serve-mode workers
   /// share one scheduler): the pool is created under a latch and the
@@ -178,16 +173,19 @@ class CellScheduler {
   std::shared_ptr<ReplicaBatch> submit(std::int64_t replicas,
                                        std::uint64_t seed,
                                        std::size_t metrics,
-                                       ReplicaBatch::Body body,
-                                       const RowStream* rows = nullptr);
+                                       ReplicaBatch::Body body);
 
   /// submit with units of `group` consecutive replicas: unit u runs
   /// body over the slots of replicas [u * group, min((u + 1) * group,
   /// replicas)), each with its own fork(seed, r) stream, metric slots
-  /// and row emitter, so folds and row streams see exactly the
-  /// per-replica data of submit.  Units, not replicas, are what the
-  /// scheduler counters, trace spans and cancellation checks count;
-  /// submit is the group = 1 case.
+  /// and row emitter, so folds see exactly the per-replica data of
+  /// submit.  Units, not replicas, are what the scheduler counters,
+  /// trace spans and cancellation checks count; submit is the group = 1
+  /// case.  With a `rows` stream (which must outlive the batch's units),
+  /// replica r's row block goes to rows->deliver(r, ...) as soon as its
+  /// unit returns; a replica's rows never depend on the thread or the
+  /// group that ran it, so the blocks are identical for every thread
+  /// count and group width and only their arrival order varies.
   std::shared_ptr<ReplicaBatch> submit_groups(
       std::int64_t replicas, std::int64_t group, std::uint64_t seed,
       std::size_t metrics, ReplicaBatch::GroupBody body,
@@ -223,11 +221,10 @@ class CellScheduler {
   /// return at once when there is nothing left to help with.
   void offer(std::size_t count, const std::function<void()>& task);
 
-  /// Synchronous convenience (the historical ReplicaScheduler::run):
-  /// submit + wait + fold for bodies without row streaming.
-  std::vector<RunningStats> run(
-      std::int64_t replicas, std::uint64_t seed, std::size_t metrics,
-      const std::function<void(std::int64_t, Rng&, std::span<double>)>& body);
+  /// Synchronous convenience: submit + wait + fold.
+  std::vector<RunningStats> run(std::int64_t replicas, std::uint64_t seed,
+                                std::size_t metrics,
+                                const ReplicaBatch::Body& body);
 
   std::size_t threads() const noexcept { return threads_; }
 
@@ -267,10 +264,6 @@ class CellScheduler {
   std::shared_ptr<std::atomic<std::int64_t>> max_inflight_ =
       std::make_shared<std::atomic<std::int64_t>>(0);
 };
-
-/// Historical name: the scheduler used to shard only replicas within one
-/// cell.  Call sites that never submit whole cells can keep the old name.
-using ReplicaScheduler = CellScheduler;
 
 }  // namespace opindyn
 

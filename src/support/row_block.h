@@ -81,12 +81,13 @@ class RowEmitter {
   std::size_t cells_ = 0;  // cells of the open row after the prefix
 };
 
-/// Where a batch's per-replica rows go (CellScheduler::submit's optional
-/// last argument).  Each replica emits into its own RowEmitter over
-/// `prefix` / `width`; when its unit's body returns, each replica's block
-/// goes to `deliver`, in replica order, on the thread that ran the unit
-/// -- so rows leave as units finish, not when the whole batch has.  A
-/// unit whose body threw or that a cancellation skipped delivers nothing.
+/// Where a batch's per-replica rows go (the optional last argument of
+/// CellScheduler::submit_groups).  Each replica emits into its own
+/// RowEmitter over `prefix` / `width`; when its unit's body returns,
+/// each replica's block goes to `deliver`, in replica order, on the
+/// thread that ran the unit -- so rows leave as units finish, not when
+/// the whole batch has.  A unit whose body threw or that a cancellation
+/// skipped delivers nothing.
 struct RowStream {
   std::string prefix;
   std::size_t width = 0;

@@ -6,6 +6,8 @@
 // unchanged).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -260,6 +262,174 @@ TEST(ConvergenceGroup, ProcessesMustStartAtOneTime) {
   EXPECT_THROW(
       run_until_converged(group, rngs, ConvergenceOptions{}, results),
       ContractError);
+}
+
+// The fixed-horizon form of the group loop: every process must end where
+// step_burst alone takes it to the horizon (values, rng state, time), and
+// the checkpoint must see the (t, M, phi) that stepping alone to t = 0,
+// stride, ... and the horizon gives -- in groups of 1 to 8, lanes on and
+// off.  The reference steps each process by itself, so a loop that drops
+// the last partial burst or shows a checkpoint before its burst fails.
+struct HorizonOutcome {
+  std::vector<Rng> rngs;
+  std::vector<std::vector<double>> values;
+  std::vector<std::int64_t> times;
+  // Per process, one (t, bits of M, bits of phi) per checkpoint.
+  std::vector<std::vector<std::array<std::uint64_t, 3>>> seen;
+  std::map<std::string, std::int64_t> counters;
+};
+
+std::array<std::uint64_t, 3> checkpoint_of(const AveragingProcess& process) {
+  return {static_cast<std::uint64_t>(process.time()),
+          std::bit_cast<std::uint64_t>(process.state().weighted_average()),
+          std::bit_cast<std::uint64_t>(process.state().phi_exact())};
+}
+
+HorizonOutcome run_horizon(const Graph& graph, const ModelConfig& config,
+                           const std::vector<double>& xi, int size,
+                           std::int64_t horizon, std::int64_t stride,
+                           bool together) {
+  std::vector<std::unique_ptr<AveragingProcess>> owned;
+  std::vector<AveragingProcess*> group;
+  HorizonOutcome out;
+  for (int l = 0; l < size; ++l) {
+    owned.push_back(make_process(graph, config, xi));
+    group.push_back(owned.back().get());
+    out.rngs.push_back(Rng::fork(41, static_cast<std::uint64_t>(l)));
+  }
+  std::vector<Rng*> rngs;
+  for (Rng& rng : out.rngs) {
+    rngs.push_back(&rng);
+  }
+  out.seen.resize(group.size());
+  MetricsRegistry registry;
+  if (together) {
+    const MetricsScope scope(&registry, "group");
+    run_fixed_horizon(group, rngs,
+                      {.max_steps = horizon, .check_interval = stride},
+                      [&](std::size_t i) {
+                        out.seen[i].push_back(checkpoint_of(*group[i]));
+                      });
+  } else {
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      for (std::int64_t t = 0;; t += stride) {
+        group[i]->step_burst(*rngs[i], std::min(t, horizon) - group[i]->time());
+        out.seen[i].push_back(checkpoint_of(*group[i]));
+        if (t >= horizon) {
+          break;
+        }
+      }
+    }
+  }
+  for (const AveragingProcess* process : group) {
+    out.values.push_back(process->state().values());
+    out.times.push_back(process->time());
+    EXPECT_EQ(process->exact_checks(), 0);
+  }
+  out.counters = registry.fold().counters;
+  return out;
+}
+
+std::int64_t counter(const HorizonOutcome& outcome, const char* name) {
+  const auto it = outcome.counters.find(name);
+  return it == outcome.counters.end() ? 0 : it->second;
+}
+
+void expect_horizon_runs(const Graph& graph, const ModelConfig& config,
+                         const std::vector<double>& xi, int size,
+                         std::int64_t horizon, std::int64_t stride) {
+  const HorizonOutcome alone =
+      run_horizon(graph, config, xi, size, horizon, stride, false);
+  const HorizonOutcome group =
+      run_horizon(graph, config, xi, size, horizon, stride, true);
+  for (std::size_t i = 0; i < alone.rngs.size(); ++i) {
+    SCOPED_TRACE("process " + std::to_string(i));
+    EXPECT_EQ(group.times[i], horizon);
+    EXPECT_EQ(group.times[i], alone.times[i]);
+    EXPECT_EQ(group.rngs[i], alone.rngs[i]);
+    EXPECT_EQ(group.values[i], alone.values[i]);
+    EXPECT_EQ(group.seen[i], alone.seen[i]);
+  }
+  EXPECT_EQ(counter(group, "engine.steps"), size * horizon);
+  EXPECT_EQ(counter(group, "engine.checks"), 0);
+  EXPECT_EQ(counter(group, "engine.exact_checks"), 0);
+  EXPECT_EQ(counter(group, "engine.unconverged_runs"), 0);
+  const bool lockstep = lanes::enabled() && size >= lanes::kMinLanes &&
+                        lane_shape(config, graph).rule != LaneShape::Rule::none;
+  EXPECT_EQ(counter(group, "engine.lane_steps"), lockstep ? size * horizon : 0);
+}
+
+TEST(ConvergenceGroup, HorizonRunsMatchStepBurstAtEveryCheckpoint) {
+  Rng graph_rng(75);
+  const Graph regular = gen::random_regular(graph_rng, 48, 4);
+  const Graph irregular = gen::preferential_attachment(graph_rng, 48, 2);
+  Rng init_rng(76);
+  const auto xi = initial::gaussian(init_rng, 48, 0.0, 1.0);
+  ModelConfig node;
+  ModelConfig edge;
+  edge.kind = ModelKind::edge;
+  ModelConfig lazy;
+  lazy.lazy = true;
+  ModelConfig hk;
+  hk.kind = ModelKind::hegselmann_krause;
+  hk.confidence = 0.5;
+  struct Case {
+    const char* name;
+    const Graph* graph;
+    ModelConfig config;
+  };
+  const Case cases[] = {{"node", &regular, node},
+                        {"edge", &regular, edge},
+                        {"node lazy", &regular, lazy},
+                        {"edge pref_attach", &irregular, edge},
+                        {"hegselmann_krause", &regular, hk}};
+  // (horizon, stride): a partial last burst, horizon 0, a stride past the
+  // horizon, and a horizon the stride divides.
+  const std::int64_t runs[][2] = {{1000, 16}, {0, 16}, {10, 64}, {96, 12}};
+  for (const Case& c : cases) {
+    for (int size = 1; size <= 8; ++size) {
+      for (const auto& [horizon, stride] : runs) {
+        for (const bool lanes_on : {true, false}) {
+          SCOPED_TRACE(std::string(c.name) + " size=" + std::to_string(size) +
+                       " horizon=" + std::to_string(horizon) + " stride=" +
+                       std::to_string(stride) +
+                       " lanes=" + std::to_string(lanes_on));
+          std::optional<lanes::ScopedDisable> off;
+          if (!lanes_on) {
+            off.emplace();
+          }
+          expect_horizon_runs(*c.graph, c.config, xi, size, horizon, stride);
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvergenceGroup, HorizonBurstsStraddlingTheRecompute) {
+  // Bursts of 300001 steps cross the 2^20-update rebuild of the running
+  // sums inside the fourth, and the horizon cuts the fifth short.  A
+  // cycle of 1001 nodes is still far from consensus at 1.2M steps.
+  const Graph graph = gen::cycle(1001);
+  Rng init_rng(77);
+  const auto xi = initial::gaussian(init_rng, 1001, 0.0, 1.0);
+  ModelConfig node;
+  ModelConfig edge;
+  edge.kind = ModelKind::edge;
+  for (const ModelConfig& config : {node, edge}) {
+    for (const int size : {5, 8}) {
+      for (const bool lanes_on : {true, false}) {
+        SCOPED_TRACE(std::string(config.kind == ModelKind::node ? "node"
+                                                                 : "edge") +
+                     " size=" + std::to_string(size) +
+                     " lanes=" + std::to_string(lanes_on));
+        std::optional<lanes::ScopedDisable> off;
+        if (!lanes_on) {
+          off.emplace();
+        }
+        expect_horizon_runs(graph, config, xi, size, 1'200'003, 300'001);
+      }
+    }
+  }
 }
 
 TEST(MonteCarlo, MeanOfFMatchesMartingaleExpectation) {

@@ -6,8 +6,13 @@
 // engine.lane_steps counter.  A spec whose lanes-on run takes no lane
 // step (no cell has a covered shape and 4 or more replicas, or the CPU
 // has no AVX-512F) ran the lanes-off code path already, so its other
-// three runs are skipped.  Labelled `specs` with the CLI spec runs: the
-// whole set takes about a minute of CPU.
+// three runs are skipped.  Fixed-horizon runs go through the same group
+// loop as converging ones, so a fixed-horizon spec skips only for its
+// shape (corE2_cheeger and lemma41_martingale_drift take lanes); on an
+// AVX-512F CPU the 24 skips are the lazy, k > 1-only, irregular-only
+// and lane-free (duality, qchain, propB1_drop, degroot, friedkin_johnsen)
+// specs.  Labelled `specs` with the CLI spec runs: the whole set takes
+// about a minute of CPU.
 #include <gtest/gtest.h>
 
 #include <algorithm>

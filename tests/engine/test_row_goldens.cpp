@@ -6,6 +6,9 @@
 // (thm22_variance, whp_tail), sweep-label columns and a quoted graph
 // name.
 //
+// Trajectory replicas step in lane groups where the lane kernel covers
+// them, so the trajectory bytes are also checked with lanes off.
+//
 // Larger trajectory runs are pinned by digest (64-bit FNV-1a of the
 // whole file, byte and row counts), written while every row still ran
 // the exact potential pass: one where the certified O(1) interval now
@@ -23,6 +26,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/core/lane_kernel.h"
 #include "src/engine/runner.h"
 #include "src/support/metrics.h"
 
@@ -207,6 +211,33 @@ TEST(RowGoldens, LongTrajectoriesMatchPinnedDigestsAtOneAndFourThreads) {
                     std::count(bytes.begin(), bytes.end(), '\n')),
                 golden.rows);
       EXPECT_EQ(fnv1a(bytes), golden.fnv1a);
+    }
+  }
+}
+
+TEST(RowGoldens, TrajectoryBytesMatchWithLanesOffAndOn) {
+  // Trajectory replicas step in lane groups of four or more: the pinned
+  // bytes must also come out of per-replica stepping, and an 8-replica
+  // run of the trajectory case (two lane groups of four) must give the
+  // same bytes with lanes on and off, at one and at four threads.
+  // File names of their own: ctest runs the other RowGoldens tests, and
+  // their temporary files, at the same time.
+  const Golden& trajectory = kGoldens[0];
+  std::map<std::string, std::string> eight = trajectory.spec;
+  eight["replicas"] = "8";
+  const std::string on = rows_csv_of("lanes_on_8", eight, 4, false);
+  EXPECT_EQ(rows_csv_of("lanes_on_8", eight, 1, false), on);
+  const lanes::ScopedDisable off;
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(rows_csv_of("lanes_off", trajectory.spec, threads, false),
+              trajectory.rows_csv);
+    EXPECT_EQ(rows_csv_of("lanes_off_8", eight, threads, false), on);
+    for (const DigestGolden& golden : kDigestGoldens) {
+      SCOPED_TRACE(golden.name);
+      const std::string name = std::string("lanes_off_") + golden.name;
+      EXPECT_EQ(fnv1a(rows_csv_of(name.c_str(), golden.spec, threads, false)),
+                golden.fnv1a);
     }
   }
 }

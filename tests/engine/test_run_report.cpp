@@ -9,6 +9,7 @@
 //    and the graph-cache hit/miss split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -99,6 +100,10 @@ TEST(RunReport, LaneKernelAndLaneStepsAreReported) {
         build_run_report(spec, result, registry.fold(), RunReportOptions{});
     EXPECT_EQ(report.find("build")->find("lane_kernel")->as_string(),
               lanes::kernel_name());
+    // The flags name the options every TU and the kernel TUs get.
+    const std::string flags = report.find("build")->find("flags")->as_string();
+    EXPECT_NE(flags.find("-ffp-contract=off"), std::string::npos) << flags;
+    EXPECT_NE(flags.find("-funroll-loops"), std::string::npos) << flags;
     for (const auto& [name, value] :
          report.find("counters")->as_object()) {
       counters[on ? 0 : 1][name] = value.as_int();
@@ -119,6 +124,61 @@ TEST(RunReport, LaneKernelAndLaneStepsAreReported) {
   for (const char* name : {"engine.steps", "engine.checks",
                            "engine.exact_checks"}) {
     EXPECT_EQ(with_lanes.at(name), without.at(name)) << name;
+  }
+}
+
+TEST(RunReport, TrajectoryStepsEveryReplicaInLanes) {
+  // rows_stream's shape, rows included, at a shorter horizon: 16
+  // replicas are two groups of eight, so every step is a lane step and
+  // 14 fewer units run; trajectory asks no stop question, so it reports
+  // no check either way, and the rows are the same bytes.
+  ExperimentSpec spec;
+  spec.scenario = "trajectory";
+  spec.graph.family = "random_regular";
+  spec.graph.n = 4096;
+  spec.graph.degree = 4;
+  spec.initial.distribution = "gaussian";
+  spec.replicas = 16;
+  spec.seed = 1;
+  spec.horizon = 6400;
+  spec.convergence.check_interval = 64;
+  spec.print_table = false;
+  spec.threads = 2;
+  std::map<std::string, std::int64_t> counters[2];
+  std::string rows_bytes[2];
+  for (const bool on : {true, false}) {
+    std::optional<lanes::ScopedDisable> off;
+    if (!on) {
+      off.emplace();
+    }
+    const std::string path =
+        ::testing::TempDir() + "opindyn_trajectory_lanes_rows.csv";
+    MetricsRegistry registry;
+    {
+      CsvSink rows(path);
+      run_experiment(spec, {}, {&rows}, &registry);
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::remove(path.c_str());
+    rows_bytes[on ? 0 : 1] = bytes.str();
+    counters[on ? 0 : 1] = registry.fold().counters;
+  }
+  auto& [with_lanes, without] = counters;
+  EXPECT_EQ(rows_bytes[0], rows_bytes[1]);
+  EXPECT_EQ(std::count(rows_bytes[0].begin(), rows_bytes[0].end(), '\n'),
+            1 + 16 * 101);
+  for (const auto* run : {&with_lanes, &without}) {
+    EXPECT_EQ(run->at("engine.steps"), 16 * 6400);
+    EXPECT_EQ(run->count("engine.checks"), 0U);
+    EXPECT_EQ(run->count("engine.exact_checks"), 0U);
+  }
+  EXPECT_EQ(without.count("engine.lane_steps"), 0U);
+  if (lanes::enabled()) {
+    EXPECT_EQ(with_lanes.at("engine.lane_steps"), 16 * 6400);
+    EXPECT_EQ(without.at("scheduler.units_run"),
+              with_lanes.at("scheduler.units_run") + 14);
   }
 }
 

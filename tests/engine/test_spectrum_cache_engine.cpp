@@ -221,7 +221,7 @@ class UndeclaredWalkScenario final : public Scenario {
   CellFold start(const RunInput& in) const override {
     auto batch = in.scheduler.submit(
         1, 0, 1,
-        [in](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
+        [in](std::int64_t, Rng&, std::span<double> out) {
           out[0] = in.spectra.walk().gap;
         });
     return [batch] {

@@ -250,7 +250,7 @@ void expect_pool_builds_match_oracle(NodeId n, NodeId d, std::uint64_t seed,
     Rng rng(seed);
     std::optional<Graph> g;
     const auto batch = scheduler.submit(
-        1, 0, 1, [&](std::int64_t, Rng&, std::span<double>, RowEmitter&) {
+        1, 0, 1, [&](std::int64_t, Rng&, std::span<double>) {
           try {
             g.emplace(gen::random_regular(rng, n, d, &scheduler));
           } catch (const std::runtime_error&) {

@@ -303,16 +303,16 @@ TEST(ServeSession, DeadlineExceededJobReportsCancelled) {
   EXPECT_EQ(records.back().find("cancelled")->as_int(), 1);
 }
 
-// Trajectory polls the ambient cancel token once per checkpoint, the
-// converging runs (gossip, and the degroot / friedkin_johnsen baselines
-// checked every round) once per burst, and the fixed-horizon runs
-// (hegselmann_krause, martingale's Monte-Carlo part) once per n/4-step
-// chunk: jobs that would run for minutes all come back cancelled shortly
-// after their 200 ms deadline.  friedkin_johnsen stays at n=256 because
-// its dense equilibrium solve does not poll.  One job worker per job and
-// one pool thread per replica unit (11 in all) start every job before
-// its deadline, so each must stop itself instead of being cancelled
-// while it waits in a queue.
+// The group loop polls the ambient cancel token once per burst: one
+// checkpoint for trajectory, one check for the converging runs (gossip,
+// and the degroot / friedkin_johnsen baselines checked every round), and
+// n/4 steps for the other fixed-horizon runs (hegselmann_krause,
+// martingale's Monte-Carlo part): jobs that would run for minutes all
+// come back cancelled shortly after their 200 ms deadline.
+// friedkin_johnsen stays at n=256 because its dense equilibrium solve
+// does not poll.  One job worker per job and one pool thread per
+// replica unit (11 in all) start every job before its deadline, so each
+// must stop itself instead of being cancelled while it waits in a queue.
 TEST(ServeSession, DeadlineCancelsTrajectoryAndGossipJobsWithinASecond) {
   const std::string input =
       "scenario=trajectory n=4096 replicas=2 horizon=4000000000 "

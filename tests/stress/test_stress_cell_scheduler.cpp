@@ -37,25 +37,27 @@ struct BlockCollector {
 };
 
 /// A unit body with enough arithmetic per replica that batches genuinely
-/// overlap on the pool.  Streams one row per replica so the row channel
-/// is exercised too.
-ReplicaBatch::Body worky_body(std::int64_t spin) {
-  return [spin](std::int64_t r, Rng& rng, std::span<double> out,
-                RowEmitter& rows) {
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < spin; ++i) {
-      acc += rng.next_double();
+/// overlap on the pool, one replica per unit (submit_groups with group
+/// 1, the entry point that takes a row stream).  Streams one row per
+/// replica so the row channel is exercised too.
+ReplicaBatch::GroupBody worky_body(std::int64_t spin) {
+  return [spin](std::span<ReplicaSlot> slots) {
+    for (ReplicaSlot& slot : slots) {
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < spin; ++i) {
+        acc += slot.rng.next_double();
+      }
+      slot.out[0] = acc;
+      // Always draw the second value so the rng stream is identical at
+      // every metric count, but only store it when the batch actually
+      // has a second metric slot (the span is exactly metric_count wide
+      // -- TSan caught an out[1] heap overflow here under metrics=1).
+      const double tail = static_cast<double>(slot.rng.next_below(1000));
+      if (slot.out.size() > 1) {
+        slot.out[1] = tail;
+      }
+      slot.rows.row().integer(slot.replica).general(tail);
     }
-    out[0] = acc;
-    // Always draw the second value so the rng stream is identical at
-    // every metric count, but only store it when the batch actually has
-    // a second metric slot (the span is exactly metric_count wide --
-    // TSan caught an out[1] heap overflow here under metrics=1).
-    const double tail = static_cast<double>(rng.next_below(1000));
-    if (out.size() > 1) {
-      out[1] = tail;
-    }
-    rows.row().integer(r).general(tail);
   };
 }
 
@@ -69,8 +71,8 @@ TEST(StressCellScheduler, BurstyBatchesFoldIdenticallyToSingleThread) {
   {
     CellScheduler reference(1);
     for (int b = 0; b < kBatches; ++b) {
-      auto batch = reference.submit(kReplicas, 1000 + b, kMetrics,
-                                    worky_body(200 + b));
+      auto batch = reference.submit_groups(kReplicas, 1, 1000 + b, kMetrics,
+                                           worky_body(200 + b));
       std::vector<double> means;
       for (const RunningStats& stats : batch->stats()) {
         means.push_back(stats.mean());
@@ -87,9 +89,9 @@ TEST(StressCellScheduler, BurstyBatchesFoldIdenticallyToSingleThread) {
   batches.reserve(kBatches);
   for (int b = 0; b < kBatches; ++b) {
     collected.push_back(std::make_unique<BlockCollector>(kReplicas));
-    batches.push_back(scheduler.submit(kReplicas, 1000 + b, kMetrics,
-                                       worky_body(200 + b),
-                                       &collected.back()->stream));
+    batches.push_back(scheduler.submit_groups(kReplicas, 1, 1000 + b,
+                                              kMetrics, worky_body(200 + b),
+                                              &collected.back()->stream));
   }
   for (int b = 0; b < kBatches; ++b) {
     auto& batch = batches[static_cast<std::size_t>(b)];
@@ -123,7 +125,7 @@ TEST(StressCellScheduler, FoldsInterleaveWithRunningBatches) {
   std::shared_ptr<ReplicaBatch> previous;
   double checksum = 0.0;
   for (int b = 0; b < kBatches; ++b) {
-    auto batch = scheduler.submit(8, 77 + b, 1, worky_body(500));
+    auto batch = scheduler.submit_groups(8, 1, 77 + b, 1, worky_body(500));
     if (previous) {
       checksum += previous->stats()[0].mean();
       // A second fold of the same batch is the cached result.
@@ -139,7 +141,7 @@ TEST(StressCellScheduler, BatchOutlivesItsScheduler) {
   std::shared_ptr<ReplicaBatch> batch;
   {
     CellScheduler scheduler(4);
-    batch = scheduler.submit(32, 9, 1, worky_body(1000));
+    batch = scheduler.submit_groups(32, 1, 9, 1, worky_body(1000));
     // Scheduler destruction drains the pool with units mid-flight.
   }
   ASSERT_TRUE(batch->done());
@@ -150,7 +152,7 @@ TEST(StressCellScheduler, UnitExceptionSurfacesOnEveryAccessor) {
   CellScheduler scheduler(4);
   auto batch = scheduler.submit(
       16, 5, 1,
-      [](std::int64_t r, Rng& rng, std::span<double> out, RowEmitter&) {
+      [](std::int64_t r, Rng& rng, std::span<double> out) {
         out[0] = rng.next_double();
         if (r == 11) {
           throw std::runtime_error("unit 11 failed");
@@ -173,11 +175,13 @@ TEST(StressCellScheduler, ManySmallBatchesKeepReplicaOrderUnderContention) {
   batches.reserve(kBatches);
   for (int b = 0; b < kBatches; ++b) {
     collected.push_back(std::make_unique<BlockCollector>(3));
-    batches.push_back(scheduler.submit(
-        3, b, 1,
-        [](std::int64_t r, Rng&, std::span<double> out, RowEmitter& rows) {
-          out[0] = static_cast<double>(r);
-          rows.row().integer(r);
+    batches.push_back(scheduler.submit_groups(
+        3, 1, b, 1,
+        [](std::span<ReplicaSlot> slots) {
+          for (ReplicaSlot& slot : slots) {
+            slot.out[0] = static_cast<double>(slot.replica);
+            slot.rows.row().integer(slot.replica);
+          }
         },
         &collected.back()->stream));
   }

@@ -91,7 +91,7 @@ TEST(StressMetrics, SchedulerCountersAreExactAtAnyThreadCount) {
       scheduler.set_submit_label("cell/" + std::to_string(b));
       batches.push_back(scheduler.submit(
           kReplicas, 42 + b, 1,
-          [](std::int64_t, Rng& rng, std::span<double> out, RowEmitter&) {
+          [](std::int64_t, Rng& rng, std::span<double> out) {
             metrics::count("stress.units", 1);
             out[0] = rng.next_double();
           }));

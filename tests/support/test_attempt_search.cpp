@@ -83,7 +83,7 @@ TEST(AttemptSearch, MatchesTheSerialLoopWhenAttemptsDrawExtraWords) {
       Rng rng(seed);
       const auto batch = scheduler.submit(
           1, 0, 1,
-          [&](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
+          [&](std::int64_t, Rng&, std::span<double> out) {
             out[0] = static_cast<double>(
                 toy_search(rng, 10000, 24, &scheduler).accepted);
           });
@@ -118,8 +118,8 @@ TEST(AttemptSearch, LateHelpersFindTheSearchOverAndReturn) {
   std::promise<void> release;
   const std::shared_future<void> released = release.get_future().share();
   const auto blockers = scheduler.submit(
-      2, 0, 1, [released](std::int64_t, Rng&, std::span<double>,
-                          RowEmitter&) { released.wait(); });
+      2, 0, 1,
+      [released](std::int64_t, Rng&, std::span<double>) { released.wait(); });
   Rng serial_rng(7);
   const SerialOutcome expected = serial_loop(serial_rng, 10000, 24);
   Rng rng(7);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -21,12 +22,23 @@
 namespace opindyn {
 namespace {
 
+/// Units of one replica each that stream rows: only submit_groups takes
+/// a row stream, so a per-replica body that emits rows runs through it.
+ReplicaBatch::GroupBody one_by_one(
+    std::function<void(std::int64_t, Rng&, std::span<double>, RowEmitter&)>
+        body) {
+  return [body = std::move(body)](std::span<ReplicaSlot> slots) {
+    for (ReplicaSlot& slot : slots) {
+      body(slot.replica, slot.rng, slot.out, slot.rows);
+    }
+  };
+}
+
 TEST(CellScheduler, ConcurrentBatchesFoldIdenticallyToSerialOnes) {
   // Submit several interleaved batches ("cells") before folding any of
   // them -- the parallel scheduler has every unit in flight at once.
   const auto body = [](std::uint64_t salt) {
-    return [salt](std::int64_t r, Rng& rng, std::span<double> out,
-                  RowEmitter&) {
+    return [salt](std::int64_t r, Rng& rng, std::span<double> out) {
       double acc = static_cast<double>(salt);
       for (int i = 0; i < 50; ++i) {
         acc += rng.next_double();
@@ -73,14 +85,15 @@ TEST(CellScheduler, StreamedRowsKeepReplicaThenEmissionOrder) {
       ASSERT_FALSE(blocks[static_cast<std::size_t>(r)].has_value());
       blocks[static_cast<std::size_t>(r)] = std::move(block);
     };
-    auto batch = scheduler.submit(
-        10, 3, 1,
-        [](std::int64_t r, Rng&, std::span<double> out, RowEmitter& rows) {
+    auto batch = scheduler.submit_groups(
+        10, 1, 3, 1,
+        one_by_one([](std::int64_t r, Rng&, std::span<double> out,
+                      RowEmitter& rows) {
           out[0] = static_cast<double>(r);
           for (int i = 0; i < 3; ++i) {
             rows.row().text(std::to_string(r) + ":" + std::to_string(i));
           }
-        },
+        }),
         &stream);
     batch->wait();
     // One block per replica, delivered once, holding that replica's
@@ -106,12 +119,12 @@ TEST(CellScheduler, FailedReplicasDeliverNoRows) {
       const std::lock_guard<std::mutex> lock(mutex);
       delivered.push_back(r);
     };
-    auto batch = scheduler.submit(
-        1, 1, 1,
-        [](std::int64_t, Rng&, std::span<double>, RowEmitter& rows) {
+    auto batch = scheduler.submit_groups(
+        1, 1, 1, 1,
+        one_by_one([](std::int64_t, Rng&, std::span<double>, RowEmitter& rows) {
           rows.row().integer(1);
           throw std::runtime_error("replica failed after emitting");
-        },
+        }),
         &stream);
     EXPECT_THROW(batch->wait(), std::runtime_error);
     EXPECT_TRUE(delivered.empty()) << threads;
@@ -119,8 +132,9 @@ TEST(CellScheduler, FailedReplicasDeliverNoRows) {
 }
 
 // Group units: submit_groups hands each unit the slots of consecutive
-// replicas, and every replica must see exactly what submit gives it --
-// its fork(seed, r) stream, its own metric slots and its own row block.
+// replicas, and every replica must see exactly what a unit of its own
+// gives it -- its fork(seed, r) stream, its own metric slots and its own
+// row block.
 struct PerReplica {
   std::vector<double> samples;
   std::vector<std::string> rows;
@@ -149,7 +163,8 @@ PerReplica run_grouped(std::size_t threads, std::int64_t replicas,
   };
   std::shared_ptr<ReplicaBatch> batch;
   if (group == 0) {
-    batch = scheduler.submit(replicas, 77, 2, draw, &stream);
+    batch = scheduler.submit_groups(replicas, 1, 77, 2, one_by_one(draw),
+                                    &stream);
   } else {
     batch = scheduler.submit_groups(
         replicas, group, 77, 2,
@@ -218,7 +233,7 @@ TEST(CellSchedulerGroups, AFailedUnitDeliversNoRowsAndSurfacesOnWait) {
 TEST(CellScheduler, NanSlotsAreSkippedByTheFoldButKeptInSamples) {
   CellScheduler scheduler(4);
   auto batch = scheduler.submit(
-      8, 1, 2, [](std::int64_t r, Rng&, std::span<double> out, RowEmitter&) {
+      8, 1, 2, [](std::int64_t r, Rng&, std::span<double> out) {
         if (r % 2 == 0) {
           out[0] = 1.0;
         }
@@ -236,7 +251,7 @@ TEST(CellScheduler, UnitExceptionsSurfaceOnWait) {
     CellScheduler scheduler(threads);
     auto batch = scheduler.submit(
         16, 1, 1,
-        [](std::int64_t r, Rng&, std::span<double>, RowEmitter&) {
+        [](std::int64_t r, Rng&, std::span<double>) {
           if (r == 11) {
             throw std::runtime_error("unit 11 failed");
           }
@@ -253,24 +268,22 @@ TEST(CellScheduler, SubmitLogWaitsForEveryBatchSubmittedInItsScope) {
   CellScheduler scheduler(2);
   std::atomic<bool> release{false};
   std::atomic<int> finished{0};
-  scheduler.submit(1, 1, 1, [](std::int64_t, Rng&, std::span<double>,
-                               RowEmitter&) {});  // before the log
+  // Before the log.
+  scheduler.submit(1, 1, 1, [](std::int64_t, Rng&, std::span<double>) {});
   CellScheduler::SubmitLog outer;
   auto failing = scheduler.submit(
-      1, 2, 1, [&finished](std::int64_t, Rng&, std::span<double>,
-                           RowEmitter&) {
+      1, 2, 1, [&finished](std::int64_t, Rng&, std::span<double>) {
         ++finished;
         throw std::runtime_error("fails first");
       });
   {
     // An inner log records its own scope only, then hands back.
     CellScheduler::SubmitLog inner;
-    scheduler.submit(1, 3, 1, [](std::int64_t, Rng&, std::span<double>,
-                                 RowEmitter&) {});
+    scheduler.submit(1, 3, 1, [](std::int64_t, Rng&, std::span<double>) {});
     inner.wait_all();
   }
   auto slow = scheduler.submit(
-      1, 4, 1, [&](std::int64_t, Rng&, std::span<double>, RowEmitter&) {
+      1, 4, 1, [&](std::int64_t, Rng&, std::span<double>) {
         while (!release.load()) {
           std::this_thread::yield();
         }
@@ -288,10 +301,10 @@ TEST(CellScheduler, SubmitLogWaitsForEveryBatchSubmittedInItsScope) {
   releaser.join();
 }
 
-TEST(CellScheduler, SynchronousRunMatchesHistoricalReplicaScheduler) {
+TEST(CellScheduler, SynchronousRunIsSubmitPlusFold) {
   // The sync convenience used by standalone benches and tests is just
-  // submit + fold; the historical alias still compiles.
-  ReplicaScheduler scheduler(3);
+  // submit + fold.
+  CellScheduler scheduler(3);
   const std::vector<RunningStats> stats = scheduler.run(
       20, 7, 1, [](std::int64_t, Rng& rng, std::span<double> out) {
         out[0] = rng.next_double();
