@@ -295,10 +295,7 @@ std::int64_t group_width(std::int64_t replicas, const LaneShape& shape,
   if (!enabled() || shape.rule == LaneShape::Rule::none || n > kMaxNodes) {
     return 1;
   }
-  if (replicas >= 2 * kMaxLanes) {
-    return kMaxLanes;
-  }
-  return replicas >= kMaxLanes / 2 ? kMaxLanes / 2 : 1;
+  return replicas >= kMinLanes ? kMaxLanes : 1;
 }
 
 std::uint64_t finish_below(Rng::State& state, std::uint64_t x,

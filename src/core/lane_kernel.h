@@ -52,10 +52,11 @@ namespace lanes {
 
 /// Most processes one lane burst advances.
 inline constexpr std::int64_t kMaxLanes = 8;
-/// Fewest live processes worth a lane burst.  One vector step costs
-/// about as much as 3 scalar steps (node ~25 ns, edge ~18 ns at
-/// n = 16384 on a 4-core AVX-512 Xeon VM), so 3 live lanes break even
-/// and 2 lose ~40%.
+/// Fewest live processes worth a lane burst.  A vector step costs the
+/// same however many lanes are live, about 4 scalar steps (node ~20-25
+/// ns, edge ~13-20 ns at n = 1024-16384 on a 4-core AVX-512 Xeon VM):
+/// eight live lanes step 1.6-2.2x the scalar per-process rate, four
+/// 1.03-1.2x, the break-even, and fewer lose.
 inline constexpr std::int64_t kMinLanes = 4;
 /// Largest graph the engine groups replicas on.  Eight live value
 /// arrays of n = 65536 fill 4 MB and lanes still win there (node
@@ -82,10 +83,14 @@ class ScopedDisable {
 };
 
 /// Replicas per scheduler unit for a cell of `replicas` runs of a
-/// `shape` process over `n` nodes: 8 from 16 replicas on, 4 from 4, and
-/// 1 (per-replica units) below that, past kMaxNodes, for shapes the
-/// kernel does not cover, or while lanes are not enabled().  It never
-/// depends on the thread count, so neither do the scheduler counters.
+/// `shape` process over `n` nodes: kMaxLanes from kMinLanes replicas on,
+/// and 1 (per-replica units) below that, past kMaxNodes, for shapes the
+/// kernel does not cover, or while lanes are not enabled().  Since a
+/// vector step costs the same at 4 and 8 live lanes, one unit of 8
+/// replicas steps them in 55-70% of the CPU time two units of 4 take.  A
+/// cell's last unit takes the replicas left over, and 1-3 step alone.
+/// It never depends on the thread count, so neither do the scheduler
+/// counters.
 std::int64_t group_width(std::int64_t replicas, const LaneShape& shape,
                          NodeId n) noexcept;
 

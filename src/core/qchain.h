@@ -69,7 +69,9 @@ class QChain {
                                         int max_iterations = 2000000) const;
 
   /// Predicted asymptotic second moment E[W~(a) W~(b)] of Lemma 5.5:
-  /// sum_{u,v} mu(u,v) xi_u xi_v for a given stationary vector.
+  /// sum_{u,v} mu(u,v) xi_u xi_v for a given stationary vector.  With
+  /// closed_form_stationary() and Avg(xi0) = 0 it is Prop. 5.8's
+  /// theory::variance_exact, since (sum_u xi_u)^2 = 0 cancels mu+.
   double second_moment(const std::vector<double>& stationary,
                        const std::vector<double>& xi0) const;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,6 +36,29 @@ bool parse_bool(const std::string& key, const std::string& value) {
     return false;
   }
   fail("spec key '" + key + "': expected a boolean, got '" + value + "'");
+}
+
+std::string unknown_family(const std::string& family) {
+  std::string known;
+  for (const std::string& name : graph_family_names()) {
+    known += known.empty() ? name : ", " + name;
+  }
+  return "unknown graph family '" + family + "' (known: " + known + ")";
+}
+
+/// The distributions build_initial draws, sorted.
+constexpr const char* kDistributions[] = {
+    "alternating", "blocks",     "constant", "f2_laplacian",
+    "f2_walk",     "gaussian",   "hub_spike", "rademacher",
+    "ramp",        "spike",      "uniform"};
+
+std::string unknown_distribution(const std::string& distribution) {
+  std::string known;
+  for (const char* name : kDistributions) {
+    known += known.empty() ? name : std::string(", ") + name;
+  }
+  return "unknown initial distribution '" + distribution + "' (known: " +
+         known + ")";
 }
 
 SamplingMode parse_sampling(const std::string& value) {
@@ -194,11 +219,54 @@ Graph build_graph(const GraphSpec& spec, CellScheduler* workers) {
   }
   if (family == "barbell") return gen::barbell(n / 2, n - 2 * (n / 2));
   if (family == "lollipop") return gen::lollipop(n / 2, n - n / 2);
-  std::string known;
-  for (const std::string& name : graph_family_names()) {
-    known += known.empty() ? name : ", " + name;
+  fail(unknown_family(family));
+}
+
+std::string graph_spec_error(const GraphSpec& spec) {
+  const std::string& family = spec.family;
+  const std::vector<std::string> families = graph_family_names();
+  if (std::find(families.begin(), families.end(), family) == families.end()) {
+    return "'graph': " + unknown_family(family);
   }
-  fail("unknown graph family '" + family + "' (known: " + known + ")");
+  const std::int64_t n = spec.n;
+  // The smallest n each generator accepts: a cycle needs 3 nodes, a
+  // double star 2 leaves, random_regular_4 a fifth node, barbell and
+  // lollipop a 3-clique, pref_attach its attach + 1 seed clique and one
+  // more node; torus rounds up to 3x3 and petersen ignores n.
+  std::int64_t min_n = 2;
+  if (family == "cycle") {
+    min_n = 3;
+  } else if (family == "double_star") {
+    min_n = 4;
+  } else if (family == "random_regular_4") {
+    min_n = 5;
+  } else if (family == "barbell" || family == "lollipop") {
+    min_n = 6;
+  } else if (family == "pref_attach") {
+    min_n = std::int64_t{spec.attach} + 2;
+  } else if (family == "torus" || family == "petersen") {
+    min_n = std::numeric_limits<std::int64_t>::min();
+  }
+  const std::int64_t degree = spec.degree;
+  std::ostringstream bad;
+  if (family == "pref_attach" && spec.attach < 1) {
+    bad << "'attach': pref_attach needs attach >= 1, got " << spec.attach;
+  } else if (n < min_n) {
+    bad << "'n': " << family << " needs n >= " << min_n << ", got " << n;
+  } else if (family == "hypercube" && n >= (std::int64_t{1} << 21)) {
+    bad << "'n': hypercube needs n < 2^21 (dimension <= 20), got " << n;
+  } else if (family == "random_regular" && !(degree >= 1 && degree < n)) {
+    bad << "'degree': random_regular needs 1 <= degree < n = " << n
+        << ", got " << degree;
+  } else if (family == "random_regular" && n * degree % 2 != 0) {
+    bad << "'degree': random_regular needs n * degree even, got n = " << n
+        << ", degree = " << degree;
+  } else if (family == "erdos_renyi" &&
+             !(spec.edge_probability > 0.0 && spec.edge_probability <= 1.0)) {
+    bad << "'p': erdos_renyi needs p in (0, 1], got "
+        << spec.edge_probability;
+  }
+  return bad.str();
 }
 
 std::vector<std::string> graph_family_names() {
@@ -257,9 +325,7 @@ std::vector<double> build_initial(const InitialSpec& spec,
                            : laplacian_spectrum(graph).f2,
         spec.param_a == 0.0 ? static_cast<double>(n) : spec.param_a);
   } else {
-    fail("unknown initial distribution '" + spec.distribution +
-         "' (known: alternating, blocks, constant, f2_laplacian, f2_walk, "
-         "gaussian, hub_spike, rademacher, ramp, spike, uniform)");
+    fail(unknown_distribution(spec.distribution));
   }
   if (spec.center == "plain") {
     initial::center_plain(xi);
@@ -269,6 +335,25 @@ std::vector<double> build_initial(const InitialSpec& spec,
     fail("unknown centering '" + spec.center + "'");
   }
   return xi;
+}
+
+std::string initial_spec_error(const InitialSpec& spec) {
+  const std::string& name = spec.distribution;
+  if (std::find(std::begin(kDistributions), std::end(kDistributions),
+                name) == std::end(kDistributions)) {
+    return "'init': " + unknown_distribution(name);
+  }
+  std::ostringstream bad;
+  if ((name == "ramp" || name == "blocks") && !(spec.param_a >= 0.0)) {
+    bad << "'init-a': " << name
+        << " needs a magnitude > 0 (0 means 1), got " << spec.param_a;
+  } else if (name == "gaussian" && !(spec.param_b >= 0.0)) {
+    bad << "'init-b': gaussian needs a stddev >= 0, got " << spec.param_b;
+  } else if (name == "uniform" && !(spec.param_b >= spec.param_a)) {
+    bad << "'init-b': uniform needs hi >= lo = init-a = " << spec.param_a
+        << ", got " << spec.param_b;
+  }
+  return bad.str();
 }
 
 SpectrumNeeds initial_reads_spectra(const InitialSpec& spec) {

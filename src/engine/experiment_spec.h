@@ -55,6 +55,13 @@ Graph build_graph(const GraphSpec& spec, CellScheduler* workers);
 /// Names accepted by `build_graph`, sorted.
 std::vector<std::string> graph_family_names();
 
+/// Why build_graph would reject `spec` -- one line naming the spec key
+/// at fault ("'n': cycle needs n >= 3, got 2") -- or "" when it builds.
+/// It mirrors the generators' parameter preconditions so validate_spec
+/// can reject a spec before any output file opens; the generators keep
+/// their own checks.
+std::string graph_spec_error(const GraphSpec& spec);
+
 /// Which initial opinion vector xi(0) to draw.
 struct InitialSpec {
   /// constant | uniform | gaussian | rademacher | spike | hub_spike |
@@ -90,6 +97,11 @@ std::vector<double> build_initial(const InitialSpec& spec,
 /// (laplacian + laplacian_f2), none otherwise.
 /// The runner solves them in its prefetch pass, before drawing the state.
 SpectrumNeeds initial_reads_spectra(const InitialSpec& spec);
+
+/// graph_spec_error for build_initial's distribution and parameters
+/// ("'init-a': ramp needs a magnitude > 0 ..."), or "".  The state's size
+/// comes from a graph that graph_spec_error accepted.
+std::string initial_spec_error(const InitialSpec& spec);
 
 /// One sweep axis: the spec key to override and the values to try.
 struct SweepAxis {

@@ -124,8 +124,15 @@ void validate_spec(const ExperimentSpec& spec) {
     } else if (cell.model.k < 1) {
       bad << "'k': expected an integer >= 1, got " << cell.model.k;
     }
-    if (!bad.str().empty()) {
-      throw std::runtime_error("spec key " + bad.str());
+    std::string why = bad.str();
+    if (why.empty()) {
+      why = graph_spec_error(cell.graph);
+    }
+    if (why.empty()) {
+      why = initial_spec_error(cell.initial);
+    }
+    if (!why.empty()) {
+      throw std::runtime_error("spec key " + why);
     }
     scenario.validate(cell);
   }
@@ -367,6 +374,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
       scheduler.set_submit_label("");
     }
 
+    const std::int64_t setup_units = submitted.units();
     {
       const PhaseTimer phase(metrics, "start");
       for (std::size_t index = 0; index < cells.size(); ++index) {
@@ -456,6 +464,7 @@ BatchResult run_experiment(const ExperimentSpec& spec,
       }
       result.work_items += 1;
     }
+    result.units = submitted.units() - setup_units;
     for (const auto& batch : declared_solves) {
       batch->wait();
     }

@@ -68,6 +68,11 @@ struct BatchResult {
   /// (RowEmitter::sci_certified); deterministic, 0 without row sinks.
   std::int64_t row_exact_phis = 0;
   std::int64_t work_items = 0;
+  /// Scheduler units the cells' batches ran (ReplicaBatch::units()
+  /// summed; the graph prefetch and declared-solve units excluded): one
+  /// per lane group or lone replica.  Deterministic: it depends on the
+  /// grid and the CPU's lane support, never on the thread count.
+  std::int64_t units = 0;
   /// Distinct graphs actually constructed; < work_items whenever the
   /// cache shared a graph across cells.
   std::int64_t graphs_built = 0;
@@ -133,8 +138,9 @@ struct RunContext {
 /// with one-line errors: the scenario name, its row channel when a
 /// row-consuming output (rows-csv, hist-csv, hist-column, quantiles) is
 /// set, and every grid cell -- its sweep overrides applied to a copy,
-/// then replicas >= 1, eps > 0, max-steps >= 0 and the scenario's own
-/// Scenario::validate (cross_model's model/knob check).  The default-sink
+/// then replicas >= 1, eps > 0, max-steps >= 0, the graph and initial
+/// parameters (graph_spec_error / initial_spec_error) and the scenario's
+/// own Scenario::validate (cross_model's model/knob check).  The default-sink
 /// wrapper and serve mode call it before SpecSinks opens (and
 /// truncates) any output file.
 void validate_spec(const ExperimentSpec& spec);

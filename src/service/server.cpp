@@ -458,6 +458,7 @@ struct JobStreamService::Impl {
       record.emplace_back("replica_rows", result.replica_rows.size());
       record.emplace_back("row_exact_phis", result.row_exact_phis);
       record.emplace_back("work_items", result.work_items);
+      record.emplace_back("units", result.units);
       record.emplace_back("wall_ms", wall_ms);
       json::Object cache;
       cache.reserve(3);

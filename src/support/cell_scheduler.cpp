@@ -190,6 +190,14 @@ void CellScheduler::SubmitLog::wait_all() noexcept {
   }
 }
 
+std::int64_t CellScheduler::SubmitLog::units() const noexcept {
+  std::int64_t total = 0;
+  for (const auto& batch : batches_) {
+    total += batch->units();
+  }
+  return total;
+}
+
 void CellScheduler::set_submit_label(std::string label) {
   t_submit_label = std::move(label);
 }

@@ -92,6 +92,10 @@ class ReplicaBatch {
   std::size_t metrics() const noexcept { return metric_count_; }
   /// Replicas per unit (the last unit may hold fewer).
   std::int64_t group() const noexcept { return group_; }
+  /// Scheduler units of the batch: ceil(replicas / group).
+  std::int64_t units() const noexcept {
+    return (replicas_ + group_ - 1) / group_;
+  }
 
  private:
   friend class CellScheduler;
@@ -99,9 +103,6 @@ class ReplicaBatch {
                std::uint64_t seed, std::size_t metrics, GroupBody body,
                const RowStream* rows);
 
-  std::int64_t units() const noexcept {
-    return (replicas_ + group_ - 1) / group_;
-  }
   /// Runs units [begin, end); never throws (failures are captured and
   /// rethrown by wait()).
   void run_range(std::int64_t begin, std::int64_t end) noexcept;
@@ -206,6 +207,8 @@ class CellScheduler {
     /// Blocks until every recorded batch has finished.  Their failures
     /// and cancellations are the folds' to report, so they are dropped.
     void wait_all() noexcept;
+    /// Sum of ReplicaBatch::units() over the recorded batches.
+    std::int64_t units() const noexcept;
 
    private:
     friend class CellScheduler;

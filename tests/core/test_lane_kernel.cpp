@@ -488,8 +488,9 @@ TEST(LaneKernel, GroupWidthFollowsReplicasSizeAndSupport) {
   if (lanes::enabled()) {
     EXPECT_EQ(lanes::group_width(24, node, 16384), 8);
     EXPECT_EQ(lanes::group_width(16, node, 16384), 8);
-    EXPECT_EQ(lanes::group_width(15, node, 16384), 4);
-    EXPECT_EQ(lanes::group_width(4, node, 16384), 4);
+    for (const std::int64_t replicas : {15, 9, 8, 7, 5, 4}) {
+      EXPECT_EQ(lanes::group_width(replicas, node, 16384), 8) << replicas;
+    }
     EXPECT_EQ(lanes::group_width(3, node, 16384), 1);
     EXPECT_EQ(lanes::group_width(24, node, lanes::kMaxNodes), 8);
     EXPECT_EQ(lanes::group_width(24, node, lanes::kMaxNodes + 1), 1);

@@ -10,8 +10,10 @@
 #include <cmath>
 #include <ostream>
 
+#include "src/core/initial_values.h"
 #include "src/core/node_model.h"
 #include "src/core/qchain.h"
+#include "src/core/theory.h"
 #include "tests/common/random_walks.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
@@ -174,6 +176,40 @@ INSTANTIATE_TEST_SUITE_P(
                       QChainCase{"torus33", 4, 0.6},
                       QChainCase{"circulant10", 3, 0.35},
                       QChainCase{"random12_4", 2, 0.55}));
+
+// Lemma 5.5's second moment sum_{u,v} mu(u,v) xi_u xi_v under Lemma 5.7's
+// mu is Prop. 5.8's Var(F) once Avg(0) = 0: the mu+ term is mu+ (sum_u
+// xi_u)^2 less the diagonal and edge terms, and (sum_u xi_u)^2 = 0.
+// Both sides read the same q_stationary_closed_form values.  The power
+// iteration stops at an L1 step of 1e-13, ~3e-12 in L1 from the closed
+// form on these chains, so its mu gives the moment to ~2e-11 relative.
+TEST(QChain, SecondMomentIsTheProp58VarianceOnRegularGraphs) {
+  Rng graph_rng(77);
+  const Graph graphs[] = {gen::cycle(8), gen::complete(6),
+                          gen::random_regular(graph_rng, 10, 3),
+                          gen::random_regular(graph_rng, 12, 4)};
+  for (const Graph& g : graphs) {
+    for (const std::int64_t k : {1, 2}) {
+      SCOPED_TRACE(g.name() + " k=" + std::to_string(k));
+      const double alpha = 0.4;
+      Rng rng(5);
+      std::vector<double> xi0 =
+          initial::gaussian(rng, g.node_count(), 0.0, 1.0);
+      initial::center_plain(xi0);
+      const QChain chain(g, alpha, k);
+      const double predicted = theory::variance_exact(g, alpha, k, xi0);
+      ASSERT_GT(predicted, 0.0);
+      const double closed =
+          chain.second_moment(chain.closed_form_stationary(), xi0);
+      EXPECT_NEAR(closed, predicted, 1e-10 * predicted);
+      const StationaryResult numerical =
+          chain.numerical_stationary(1e-13, 4000000);
+      ASSERT_TRUE(numerical.converged);
+      EXPECT_NEAR(chain.second_moment(numerical.distribution, xi0), closed,
+                  1e-9 * predicted);
+    }
+  }
+}
 
 TEST(QChain, SimulatedPairFrequenciesMatchStationary) {
   // Long-run empirical occupation of the two-walk pair state matches mu.

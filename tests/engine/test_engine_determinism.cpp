@@ -475,9 +475,56 @@ void expect_rejected_before_output(std::map<std::string, std::string> keys,
     const std::string message = error.what();
     EXPECT_NE(message.find(needle), std::string::npos) << message;
     EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    EXPECT_EQ(message.find("precondition"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
   }
   EXPECT_EQ(read_file(path), "precious,rows\n1,2\n");
   std::remove(path.c_str());
+}
+
+// The generators' parameter preconditions are checked from the spec,
+// per grid cell, before any output opens: each case names its key and
+// no source file.
+TEST(EngineDeterminism, OddRandomRegularDegreeSumLeavesExistingOutputIntact) {
+  expect_rejected_before_output({{"scenario", "node"},
+                                 {"graph", "random_regular"},
+                                 {"n", "15"},
+                                 {"degree", "3"}},
+                                "spec key 'degree': random_regular needs "
+                                "n * degree even, got n = 15, degree = 3");
+}
+
+TEST(EngineDeterminism, ErdosRenyiProbabilityAboveOneLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "node"}, {"graph", "erdos_renyi"}, {"p", "2"}},
+      "spec key 'p': erdos_renyi needs p in (0, 1], got 2");
+}
+
+TEST(EngineDeterminism, ZeroAttachLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "node"}, {"graph", "pref_attach"}, {"attach", "0"}},
+      "spec key 'attach': pref_attach needs attach >= 1, got 0");
+}
+
+TEST(EngineDeterminism, TwoNodeCycleLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "node"}, {"graph", "cycle"}, {"n", "2"}},
+      "spec key 'n': cycle needs n >= 3, got 2");
+  expect_rejected_before_output(
+      {{"scenario", "node"}, {"graph", "cycle"}, {"sweep", "n:8,2"}},
+      "spec key 'n': cycle needs n >= 3, got 2");
+}
+
+TEST(EngineDeterminism, OneNodeHypercubeLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "node"}, {"graph", "hypercube"}, {"n", "1"}},
+      "spec key 'n': hypercube needs n >= 2, got 1");
+}
+
+TEST(EngineDeterminism, NegativeRampMagnitudeLeavesExistingOutputIntact) {
+  expect_rejected_before_output(
+      {{"scenario", "node"}, {"init", "ramp"}, {"init-a", "-1"}},
+      "spec key 'init-a': ramp needs a magnitude > 0 (0 means 1), got -1");
 }
 
 // hegselmann_krause runs an unset confidence (0) at its default bound,

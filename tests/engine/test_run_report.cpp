@@ -182,6 +182,65 @@ TEST(RunReport, TrajectoryStepsEveryReplicaInLanes) {
   }
 }
 
+TEST(RunReport, CellsOfFourOrMoreReplicasRunInUnitsOfEight) {
+  // serve_mix's job shape over the replica counts around the width
+  // rule: a cell of R >= 4 replicas runs ceil(R / 8) units, its last
+  // unit stepping 1-3 leftover replicas alone, and the aggregate and
+  // per-replica bytes are those of one replica per unit, at any thread
+  // count.
+  ExperimentSpec spec;
+  spec.scenario = "cross_model";
+  spec.graph.family = "random_regular";
+  spec.graph.n = 1024;
+  spec.graph.degree = 4;
+  spec.initial.distribution = "gaussian";
+  spec.seed = 8;
+  spec.convergence.epsilon = 1e-8;
+  spec.sweeps = parse_sweeps("model:node,edge");
+  spec.print_table = false;
+  const struct {
+    bool lanes;
+    std::size_t threads;
+  } runs[] = {{true, 1}, {true, 4}, {false, 4}};
+  for (const std::int64_t replicas : {4, 5, 8, 9, 11, 12, 15}) {
+    spec.replicas = replicas;
+    std::string bytes[3];
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE("replicas=" + std::to_string(replicas) +
+                   " run=" + std::to_string(i));
+      std::optional<lanes::ScopedDisable> off;
+      if (!runs[i].lanes) {
+        off.emplace();
+      }
+      spec.threads = runs[i].threads;
+      const std::string aggregate_path =
+          ::testing::TempDir() + "opindyn_units_of_eight.csv";
+      const std::string rows_path =
+          ::testing::TempDir() + "opindyn_units_of_eight_rows.csv";
+      MetricsRegistry registry;
+      BatchResult result;
+      {
+        CsvSink aggregate(aggregate_path);
+        CsvSink rows(rows_path);
+        result = run_experiment(spec, {&aggregate}, {&rows}, &registry);
+      }
+      bytes[i] = read_file(aggregate_path) + read_file(rows_path);
+      std::remove(aggregate_path.c_str());
+      std::remove(rows_path.c_str());
+
+      const std::int64_t per_cell =
+          lanes::enabled() ? (replicas + 7) / 8 : replicas;
+      EXPECT_EQ(result.units, 2 * per_cell);
+      // One more unit prefetched the graph.
+      EXPECT_EQ(registry.fold().counters.at("scheduler.units_run"),
+                2 * per_cell + 1);
+    }
+    EXPECT_FALSE(bytes[0].empty());
+    EXPECT_EQ(bytes[0], bytes[1]) << "replicas=" << replicas;
+    EXPECT_EQ(bytes[0], bytes[2]) << "replicas=" << replicas;
+  }
+}
+
 TEST(RunReport, ConvergenceWorkCountersAreDeterministicAndScreened) {
   ExperimentSpec spec;
   spec.scenario = "cross_model";

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/lane_kernel.h"
 #include "src/engine/runner.h"
 #include "src/engine/sinks.h"
 #include "src/service/cancel_token.h"
@@ -222,6 +223,32 @@ TEST(ServeSession, InvalidJobSpecsLeaveTheirCsvIntact) {
   bytes << in.rdbuf();
   EXPECT_EQ(bytes.str(), "precious,rows\n1,2\n");
   std::remove(csv_path.c_str());
+}
+
+// Each ok record carries the job's cell units, the same count as the
+// one-shot run's: serve_mix's 8-replica job is one lane group, and 9
+// replicas per model take a group and a lone replica each.
+TEST(ServeSession, OkRecordsCountTheJobsUnits) {
+  const std::string job =
+      "scenario=cross_model graph=random_regular degree=4 n=64 "
+      "init=gaussian eps=1e-8";
+  const auto records = serve_records(
+      job + " model=node replicas=8\n" + job +
+          " replicas=9 sweep=model:node,edge\n",
+      service::ServeOptions{});
+  const std::int64_t expected[] = {lanes::enabled() ? 1 : 8,
+                                   lanes::enabled() ? 4 : 18};
+  for (std::int64_t id = 1; id <= 2; ++id) {
+    const json::Value* record = find_job_record(records, id);
+    ASSERT_NE(record, nullptr) << "job " << id;
+    ASSERT_EQ(record->find("status")->as_string(), "ok");
+    EXPECT_EQ(record->find("units")->as_int(), expected[id - 1]) << id;
+  }
+  const engine::ExperimentSpec spec = engine::parse_spec(
+      {{"scenario", "cross_model"}, {"graph", "random_regular"},
+       {"degree", "4"}, {"n", "64"}, {"init", "gaussian"}, {"eps", "1e-8"},
+       {"model", "node"}, {"replicas", "8"}, {"table", "false"}});
+  EXPECT_EQ(engine::run_experiment(spec).units, expected[0]);
 }
 
 // A cross_model job with a knob its model does not use, in the spec or
