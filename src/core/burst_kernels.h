@@ -1,8 +1,10 @@
 // Shared constants for the chunked burst kernels (kernel v2).
 //
-// node_model.cpp, edge_model.cpp and weighted_median_model.cpp run each
-// burst as fixed-size chunks of one fused loop, software-pipelined in
-// groups of 8 steps:
+// Two kernels run each burst as fixed-size chunks of one fused loop,
+// software-pipelined in groups of 8 steps: the k-sample kernel
+// (k_sample_burst.h), which NodeModel and WeightedMedianModel
+// instantiate with their mean and median rules, and the edge kernel
+// (edge_model.cpp):
 //
 //   draw   -- consume the rng in EXACT step() order for the whole
 //             group (the node-style kernels also resolve the drawn

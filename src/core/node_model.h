@@ -16,6 +16,7 @@
 #ifndef OPINDYN_CORE_NODE_MODEL_H
 #define OPINDYN_CORE_NODE_MODEL_H
 
+#include <cstdint>
 #include <vector>
 
 #include "src/core/process.h"
@@ -27,6 +28,41 @@ enum class SamplingMode {
   with_replacement,     // Appendix B analysis variant
 };
 
+/// The k-sample of u's neighbours that one NodeModel-style step draws
+/// (Definition 2.1), shared by NodeModel and WeightedMedianModel: the
+/// recorded path and the scratch its draw fills, allocated once.
+class KSample {
+ public:
+  /// Requires k >= 1, and k <= min degree for sampling without
+  /// replacement (every node must be able to draw k distinct
+  /// neighbours).
+  KSample(const Graph& graph, std::int64_t k, SamplingMode mode);
+
+  /// Draws one step's updating node u (returned) and its k-sample into
+  /// nodes(), consuming `rng` exactly as step_recorded does.
+  NodeId draw(Rng& rng, const Graph& graph);
+
+  /// One recorded step of `process` (its step_recorded): a no-op with
+  /// probability 1/2 when `lazy`, else a draw; applies the selection
+  /// and returns it.
+  NodeSelection step_recorded(AveragingProcess& process, Rng& rng,
+                              bool lazy);
+
+  std::int64_t k() const noexcept { return k_; }
+  SamplingMode mode() const noexcept { return mode_; }
+  /// The last draw's sampled node ids, in draw order.
+  const std::vector<NodeId>& nodes() const noexcept { return nodes_; }
+  /// k doubles of scratch for the sampled values.
+  double* values() noexcept { return values_.data(); }
+
+ private:
+  std::int64_t k_;
+  SamplingMode mode_;
+  std::vector<std::int32_t> picked_;  // Floyd subset indices
+  std::vector<NodeId> nodes_;
+  std::vector<double> values_;
+};
+
 struct NodeModelParams {
   double alpha = 0.5;
   std::int64_t k = 1;
@@ -36,8 +72,7 @@ struct NodeModelParams {
 
 class NodeModel final : public AveragingProcess {
  public:
-  /// Requires k <= min_degree for without-replacement sampling (every node
-  /// must be able to draw k distinct neighbours).
+  /// Requires k <= min_degree for without-replacement sampling (KSample).
   NodeModel(const Graph& graph, std::vector<double> initial,
             const NodeModelParams& params);
 
@@ -56,18 +91,8 @@ class NodeModel final : public AveragingProcess {
   const NodeModelParams& params() const noexcept { return params_; }
 
  private:
-  /// Draws one step's updating node and its k-sample into the member
-  /// scratch buffers (no allocation), consuming `rng` exactly as
-  /// step_recorded does; returns the updating node u.
-  NodeId draw_selection(Rng& rng);
-
-  /// step_burst fallback for configurations without a specialised
-  /// compile-time-k kernel.
-  void step_burst_generic(Rng& rng, std::int64_t n_steps);
-
   NodeModelParams params_;
-  std::vector<std::int32_t> scratch_;   // Floyd subset indices buffer
-  std::vector<NodeId> sample_scratch_;  // sampled node ids, draw order
+  KSample sample_;
 };
 
 }  // namespace opindyn

@@ -1,5 +1,6 @@
-// Topology policies shared by the node-style burst kernels (NodeModel,
-// WeightedMedianModel, HegselmannKrauseModel): how a kernel
+// Topology policies shared by the node-style burst kernels -- the
+// k-sample kernel that NodeModel and WeightedMedianModel share
+// (k_sample_burst.h) and HegselmannKrauseModel's: how a kernel
 // instantiation finds a node's adjacency row and its stationary
 // weight.  All calls inline into the chunk loops.
 #ifndef OPINDYN_CORE_NODE_TOPOLOGY_H

@@ -3,8 +3,10 @@
 // value to the *median* of the sampled values (lower median for even k).
 // The interaction skeleton -- uniform node, k-sample of its row -- is
 // exactly the NodeModel's (Definition 2.1); only the aggregation
-// changes, from mean to median.  For k = 1 the rule degenerates to the
-// continuous voter copy.  Medians are order statistics, not arithmetic,
+// changes, from mean to median.  Both models therefore draw through one
+// KSample and step through one burst kernel (core/k_sample_burst.h),
+// which takes the aggregation as its rule.  For k = 1 the rule
+// degenerates to the continuous voter copy.  Medians are order statistics, not arithmetic,
 // so the rule is robust to outlier opinions where the mean rule is not
 // -- that contrast is what the weighted_median scenario measures.
 #ifndef OPINDYN_CORE_WEIGHTED_MEDIAN_MODEL_H
@@ -13,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/node_model.h"  // SamplingMode
+#include "src/core/node_model.h"  // KSample, SamplingMode
 #include "src/core/process.h"
 #include "src/graph/graph.h"
 #include "src/support/rng.h"
@@ -45,7 +47,7 @@ struct WeightedMedianParams {
 
 class WeightedMedianModel final : public AveragingProcess {
  public:
-  /// Requires k <= min_degree for without-replacement sampling.
+  /// Requires k <= min_degree for without-replacement sampling (KSample).
   WeightedMedianModel(const Graph& graph, std::vector<double> initial,
                       const WeightedMedianParams& params);
 
@@ -59,19 +61,9 @@ class WeightedMedianModel final : public AveragingProcess {
   void apply_update(const NodeSelection& selection) override;
 
  private:
-  /// Draws one step's updating node and its k-sample into the member
-  /// scratch buffers (no allocation), consuming `rng` exactly as
-  /// step_recorded does; returns the updating node u.
-  NodeId draw_selection(Rng& rng);
-
-  /// step_burst fallback for configurations without a specialised
-  /// compile-time-k kernel.
-  void step_burst_generic(Rng& rng, std::int64_t n_steps);
-
   WeightedMedianParams params_;
-  std::vector<std::int32_t> scratch_;   // Floyd subset indices buffer
-  std::vector<NodeId> sample_scratch_;  // sampled node ids, draw order
-  std::vector<double> median_scratch_;  // sampled values, draw order
+  KSample sample_;
+  std::vector<double> median_scratch_;  // apply_update's sampled values
 };
 
 }  // namespace opindyn

@@ -88,7 +88,7 @@ class Graph {
   /// All undirected edges, each once with u < v.
   std::vector<std::pair<NodeId, NodeId>> undirected_edges() const;
 
-  // Raw CSR arrays for the burst kernels (see core/node_model.cpp,
+  // Raw CSR arrays for the burst kernels (see core/k_sample_burst.h,
   // core/edge_model.cpp): the kernels index these directly in their hot
   // loops and must not pay a per-access accessor.  Layout contract:
   //   offsets_data()[u] .. offsets_data()[u+1]  -- u's row (sorted asc),

@@ -23,13 +23,8 @@ namespace {
 
 // Burst split with a zero-length burst, tiny bursts, and one large
 // remainder -- exercises every chunking pattern a harness produces.
-void run_in_bursts(AveragingProcess& process, Rng& rng,
-                   std::int64_t total) {
-  process.step_burst(rng, 0);
-  process.step_burst(rng, 1);
-  process.step_burst(rng, 7);
-  process.step_burst(rng, 100);
-  process.step_burst(rng, total - 108);
+std::vector<std::int64_t> harness_bursts(std::int64_t total) {
+  return {0, 1, 7, 100, total - 108};
 }
 
 void expect_bit_identical(const AveragingProcess& single,
@@ -55,19 +50,27 @@ void expect_bit_identical(const AveragingProcess& single,
 void check_burst_equivalence(const Graph& g, const ModelConfig& config,
                              const std::vector<double>& xi,
                              std::uint64_t seed,
-                             std::int64_t total = 600) {
+                             const std::vector<std::int64_t>& bursts) {
   auto single = make_process(g, config, xi);
   auto burst = make_process(g, config, xi);
   Rng rng_single(seed);
   Rng rng_burst(seed);
-  for (std::int64_t i = 0; i < total; ++i) {
-    single->step(rng_single);
+  for (const std::int64_t steps : bursts) {
+    for (std::int64_t i = 0; i < steps; ++i) {
+      single->step(rng_single);
+    }
+    burst->step_burst(rng_burst, steps);
   }
-  run_in_bursts(*burst, rng_burst, total);
   expect_bit_identical(*single, *burst);
   // Same number of raw draws consumed: the streams stay in lockstep
   // after the runs.
   EXPECT_EQ(rng_single(), rng_burst());
+}
+
+void check_burst_equivalence(const Graph& g, const ModelConfig& config,
+                             const std::vector<double>& xi,
+                             std::uint64_t seed, std::int64_t total = 600) {
+  check_burst_equivalence(g, config, xi, seed, harness_bursts(total));
 }
 
 ModelConfig base_config(ModelKind kind) {
@@ -138,25 +141,39 @@ TEST(ModelBurst, FriedkinJohnsenMatchesSingleSteps) {
 
 TEST(ModelBurst, WeightedMedianMatchesSingleStepsForEveryVariant) {
   Rng graph_rng(103);
-  const Graph g = gen::random_regular(graph_rng, 24, 5);
+  // Degree 8 makes every specialised k legal without replacement; at
+  // k = 8 the subset is the whole row, Floyd's hardest duplicate case.
+  const Graph circulant = gen::circulant(24, {1, 3, 7, 10});
+  ASSERT_EQ(circulant.min_degree(), 8);
+  struct Case {
+    Graph graph;
+    std::vector<std::int64_t> ks;
+  };
+  // k = 1, 2, 3, 4 and 8 hit the specialised kernels, 5 the generic
+  // loop.
+  const std::vector<Case> cases = {
+      {gen::random_regular(graph_rng, 24, 5), {1, 3, 5}},
+      {circulant, {1, 2, 3, 4, 5, 8}},
+  };
   Rng init_rng(17);
-  const auto xi = initial::gaussian(init_rng, g.node_count(), 0.0, 1.0);
-  for (const bool lazy : {false, true}) {
-    for (const SamplingMode sampling :
-         {SamplingMode::without_replacement,
-          SamplingMode::with_replacement}) {
-      // k = 1 and 3 hit the specialised kernels, 5 the generic loop.
-      for (const std::int64_t k :
-           {std::int64_t{1}, std::int64_t{3}, std::int64_t{5}}) {
-        SCOPED_TRACE("lazy=" + std::to_string(lazy) + " k=" +
-                     std::to_string(k) + " with_replacement=" +
-                     std::to_string(sampling ==
-                                    SamplingMode::with_replacement));
-        ModelConfig config = base_config(ModelKind::weighted_median);
-        config.k = k;
-        config.lazy = lazy;
-        config.sampling = sampling;
-        check_burst_equivalence(g, config, xi, 8101);
+  const auto xi = initial::gaussian(init_rng, 24, 0.0, 1.0);
+  for (const Case& c : cases) {
+    for (const bool lazy : {false, true}) {
+      for (const SamplingMode sampling :
+           {SamplingMode::without_replacement,
+            SamplingMode::with_replacement}) {
+        for (const std::int64_t k : c.ks) {
+          SCOPED_TRACE("degree=" + std::to_string(c.graph.min_degree()) +
+                       " lazy=" + std::to_string(lazy) + " k=" +
+                       std::to_string(k) + " with_replacement=" +
+                       std::to_string(sampling ==
+                                      SamplingMode::with_replacement));
+          ModelConfig config = base_config(ModelKind::weighted_median);
+          config.k = k;
+          config.lazy = lazy;
+          config.sampling = sampling;
+          check_burst_equivalence(c.graph, config, xi, 8101);
+        }
       }
     }
   }
@@ -173,6 +190,44 @@ TEST(ModelBurst, WeightedMedianIrregularGraphMatchesSingleSteps) {
     ModelConfig config = base_config(ModelKind::weighted_median);
     config.k = k;
     check_burst_equivalence(g, config, xi, 607, 601);
+  }
+}
+
+// A non-lazy chunk whose countdown() is no larger than its length
+// straddles the 2^20 recompute of the running sums and accounts per
+// update with advance_one().  The node and median rules share that
+// branch; a run of ~1.2M steps crosses the threshold once, with one
+// burst ending 30 updates short of it so that the next bursts split
+// the straddling window.
+TEST(ModelBurst, StraddlingChunksMatchSingleSteps) {
+  constexpr std::int64_t kRecompute = std::int64_t{1} << 20;
+  const std::vector<std::int64_t> bursts = {
+      1, 7, kRecompute - 38, 7, 100, 1'200'000 - kRecompute - 77};
+  Rng graph_rng(37);
+  const Graph regular = gen::random_regular(graph_rng, 20, 4);
+  const Graph irregular = gen::preferential_attachment(graph_rng, 30, 3);
+  ASSERT_FALSE(irregular.is_regular());
+  ASSERT_GE(irregular.min_degree(), 3);
+  Rng init_rng(43);
+  const auto xi = initial::gaussian(init_rng, 30, 0.0, 1.0);
+  for (const Graph* g : {&regular, &irregular}) {
+    const std::vector<double> xi_g(xi.begin(), xi.begin() + g->node_count());
+    for (const ModelKind kind :
+         {ModelKind::node, ModelKind::weighted_median}) {
+      for (const SamplingMode sampling :
+           {SamplingMode::without_replacement,
+            SamplingMode::with_replacement}) {
+        SCOPED_TRACE("regular=" + std::to_string(g->is_regular()) +
+                     " kind=" + model_kind_name(kind) +
+                     " with_replacement=" +
+                     std::to_string(sampling ==
+                                    SamplingMode::with_replacement));
+        ModelConfig config = base_config(kind);
+        config.k = kind == ModelKind::node ? 2 : 3;
+        config.sampling = sampling;
+        check_burst_equivalence(*g, config, xi_g, 1201, bursts);
+      }
+    }
   }
 }
 
