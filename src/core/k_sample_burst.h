@@ -32,9 +32,11 @@ namespace ksample {
 /// One step's draws in exact step() order: the updating node u
 /// (returned) and its K sampled neighbours, written to nbr[0..K) in
 /// draw order.  Reads no values, so the pipelined group runs a whole
-/// group's draws ahead of its applies.
+/// group's draws ahead of its applies.  Forced inline: left to itself,
+/// GCC calls it out of line from the irregular-graph Floyd kernels.
 template <int K, SamplingMode Mode, class Topo>
-NodeId draw_step(Rng& rng, std::uint64_t n, const Topo& topo, NodeId* nbr) {
+[[gnu::always_inline]] inline NodeId draw_step(Rng& rng, std::uint64_t n,
+                                               const Topo& topo, NodeId* nbr) {
   const auto u = static_cast<NodeId>(rng.next_below_nonzero(n));
   const NodeId* row = topo.adjacency() + topo.row_base(u);
   const std::int32_t d = topo.degree(u);
@@ -61,32 +63,24 @@ NodeId draw_step(Rng& rng, std::uint64_t n, const Topo& topo, NodeId* nbr) {
   return u;
 }
 
-/// The chunked kernel.  One fused loop, software-pipelined in groups of
-/// 8 steps: the group's draws (two rng calls per step at K = 1) resolve
-/// to neighbour nodes first, then the applies walk the group in step
-/// order reading values live; hoisting the draws was worth ~1.4x over
-/// a straight per-step loop.  What bounds the loop is instruction
+/// The chunked kernel (burst_kernels.h: draw a group of 8 steps, then
+/// apply it in step order).  Hoisting the draws was worth ~1.4x over a
+/// straight per-step loop.  The loop is bound by instruction
 /// throughput, not the rng's serial latency: a K = 1 mean step issues
-/// about 50 scalar micro-ops (two xoshiro256++ draws, two Lemire
-/// multiplies, 13 FP ops, the loads and the store), and two replicas'
-/// streams interleaved in one loop ran no faster than one.  The lane
-/// kernel (core/lane_kernel.h) issues those micro-ops once for up to
-/// eight replicas, ~2x the per-replica rate.  The recompute cadence is
-/// counted per chunk through the cursor countdown: a chunk that cannot
-/// reach the recompute threshold settles its bookkeeping with one
-/// advance(), and only chunks straddling the threshold (or lazy runs,
-/// whose update count is coin-dependent) check per update.
+/// about 50 scalar micro-ops, and two replicas' streams interleaved in
+/// one loop ran no faster than one.  The lane kernel
+/// (core/lane_kernel.h) issues them once for up to eight replicas.
+/// `rule` is taken by value: through a reference, every vals[] store
+/// could alias its fields, and GCC reloads them on each step.
 template <int K, SamplingMode Mode, class Topo, class Rule>
-void run_chunked(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
+void run_chunked(Rng& rng, std::int64_t n_steps, bool lazy, Rule rule,
                  OpinionState& state, const Topo& topo) {
   const auto n = static_cast<std::uint64_t>(state.graph().node_count());
   double* vals = state.mutable_values();
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.stationary(0);
-  // Applies one drawn step.  Nothing is written until all of a step's
-  // draws are made, and the sampled values are read here, live and in
-  // step order, so a step sees every write of the steps before it,
-  // exactly like KSample::draw + apply_update.
+  // Applies one drawn step, reading the sampled values live: a step
+  // sees every write of the steps before it, as in step().
   const auto apply = [&](NodeId u, double pi, const NodeId* nbr) {
     double m[K];
     for (int i = 0; i < K; ++i) {
@@ -107,10 +101,6 @@ void run_chunked(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
     const std::int64_t chunk =
         std::min<std::int64_t>(burst::kChunkSteps, n_steps - done);
     if (!lazy && cursor.countdown() > chunk) [[likely]] {
-      // Software-pipelined 8-wide: each group's K+1 draws per step are
-      // hoisted ahead of its applies, so the integer draw/Floyd work of
-      // the whole group runs ahead while the FP chains of the previous
-      // group drain.
       constexpr int kGroup = 8;
       std::int64_t c = 0;
       for (; c + kGroup <= chunk; c += kGroup) {
@@ -133,9 +123,8 @@ void run_chunked(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
       }
       cursor.advance(chunk);
     } else {
-      // Lazy runs (coin-dependent update count) and chunks straddling
-      // the recompute threshold account per update, firing at exactly
-      // the count where set_value's tail recompute would.
+      // Per-update accounting fires at exactly the count where
+      // set_value's tail recompute would.
       for (std::int64_t c = 0; c < chunk; ++c) {
         if (lazy && rng.next_bool(0.5)) {
           continue;  // lazy no-op: consumes the coin, still counts a step
@@ -152,9 +141,10 @@ void run_chunked(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
   state.end_burst(cursor);
 }
 
+/// The sampling-mode dispatch onto the chunked kernel for one K.
 template <int K, class Topo, class Rule>
-bool run_mode(SamplingMode mode, Rng& rng, std::int64_t n_steps, bool lazy,
-              const Rule& rule, OpinionState& state, const Topo& topo) {
+void run_mode(SamplingMode mode, Rng& rng, std::int64_t n_steps, bool lazy,
+              Rule rule, OpinionState& state, const Topo& topo) {
   // Floyd's subset draw at K = 1 is one next_below_nonzero(d), the
   // with-replacement draw: both modes share that instantiation.
   constexpr SamplingMode kFloyd = K == 1 ? SamplingMode::with_replacement
@@ -165,42 +155,12 @@ bool run_mode(SamplingMode mode, Rng& rng, std::int64_t n_steps, bool lazy,
     run_chunked<K, SamplingMode::with_replacement>(rng, n_steps, lazy, rule,
                                                    state, topo);
   }
-  return true;
-}
-
-/// The k / sampling mode / topology dispatch onto the chunked kernel;
-/// false (nothing consumed) for a k without an instantiation or a graph
-/// with 2m >= 2^31, which the generic loop handles.
-template <class Rule>
-bool run_chunked_dispatch(std::int64_t k, SamplingMode mode, Rng& rng,
-                          std::int64_t n_steps, bool lazy, const Rule& rule,
-                          OpinionState& state) {
-  const auto on = [&](const auto& topo) {
-    switch (k) {
-      case 1: return run_mode<1>(mode, rng, n_steps, lazy, rule, state, topo);
-      case 2: return run_mode<2>(mode, rng, n_steps, lazy, rule, state, topo);
-      case 3: return run_mode<3>(mode, rng, n_steps, lazy, rule, state, topo);
-      case 4: return run_mode<4>(mode, rng, n_steps, lazy, rule, state, topo);
-      case 8: return run_mode<8>(mode, rng, n_steps, lazy, rule, state, topo);
-      default: return false;
-    }
-  };
-  const Graph& g = state.graph();
-  if (g.arc_count() >= burst::kMaxChunkedArcs) {
-    return false;
-  }
-  if (g.is_regular()) {
-    return on(NodeRegularTopo{g.adjacency_data(), g.min_degree(),
-                              g.stationary(0)});
-  }
-  return on(NodeIrregularTopo{g.offsets_data(), g.adjacency_data(),
-                              state.stationary_data()});
 }
 
 /// The runtime-k loop: one recorded-path draw and one set_value per
 /// step.
 template <class Rule>
-void run_generic(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
+void run_generic(Rng& rng, std::int64_t n_steps, bool lazy, Rule rule,
                  OpinionState& state, KSample& sample) {
   // values() never reallocates under set_value, so one raw pointer
   // serves the whole burst; reads through it skip per-access checks.
@@ -222,11 +182,28 @@ void run_generic(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
 /// Advances `state` n_steps steps of the k-sample rule `rule`, consuming
 /// `rng` exactly as n_steps step() calls do.  The caller advances time.
 template <class Rule>
-void run_burst(Rng& rng, std::int64_t n_steps, bool lazy, const Rule& rule,
+void run_burst(Rng& rng, std::int64_t n_steps, bool lazy, Rule rule,
                OpinionState& state, KSample& sample) {
-  if (!run_chunked_dispatch(sample.k(), sample.mode(), rng, n_steps, lazy,
-                            rule, state)) {
+  const SamplingMode mode = sample.mode();
+  const auto dispatch_k = [&](const auto& topo) {
+    switch (sample.k()) {
+      case 1: return run_mode<1>(mode, rng, n_steps, lazy, rule, state, topo);
+      case 2: return run_mode<2>(mode, rng, n_steps, lazy, rule, state, topo);
+      case 3: return run_mode<3>(mode, rng, n_steps, lazy, rule, state, topo);
+      case 4: return run_mode<4>(mode, rng, n_steps, lazy, rule, state, topo);
+      case 8: return run_mode<8>(mode, rng, n_steps, lazy, rule, state, topo);
+      default: return run_generic(rng, n_steps, lazy, rule, state, sample);
+    }
+  };
+  const Graph& g = state.graph();
+  if (g.arc_count() >= burst::kMaxChunkedArcs) {
     run_generic(rng, n_steps, lazy, rule, state, sample);
+  } else if (g.is_regular()) {
+    dispatch_k(NodeRegularTopo{g.adjacency_data(), g.min_degree(),
+                               g.stationary(0)});
+  } else {
+    dispatch_k(NodeIrregularTopo{g.offsets_data(), g.adjacency_data(),
+                                 state.stationary_data()});
   }
 }
 

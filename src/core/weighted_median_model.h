@@ -6,9 +6,10 @@
 // changes, from mean to median.  Both models therefore draw through one
 // KSample and step through one burst kernel (core/k_sample_burst.h),
 // which takes the aggregation as its rule.  For k = 1 the rule
-// degenerates to the continuous voter copy.  Medians are order statistics, not arithmetic,
-// so the rule is robust to outlier opinions where the mean rule is not
-// -- that contrast is what the weighted_median scenario measures.
+// degenerates to the continuous voter copy.  Medians are order
+// statistics, not arithmetic, so the rule is robust to outlier opinions
+// where the mean rule is not -- that contrast is what the
+// weighted_median scenario measures.
 #ifndef OPINDYN_CORE_WEIGHTED_MEDIAN_MODEL_H
 #define OPINDYN_CORE_WEIGHTED_MEDIAN_MODEL_H
 
